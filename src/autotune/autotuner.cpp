@@ -15,8 +15,6 @@
 
 namespace motune::autotune {
 
-namespace {
-
 const char* algorithmName(Algorithm algorithm) {
   switch (algorithm) {
   case Algorithm::RSGDE3: return "rsgde3";
@@ -27,6 +25,42 @@ const char* algorithmName(Algorithm algorithm) {
   }
   return "unknown";
 }
+
+Algorithm algorithmFromName(const std::string& name) {
+  std::string known;
+  for (Algorithm a : {Algorithm::RSGDE3, Algorithm::PlainGDE3, Algorithm::NSGA2,
+                      Algorithm::Random}) {
+    if (name == algorithmName(a)) return a;
+    known += (known.empty() ? "" : ", ") + std::string(algorithmName(a));
+  }
+  MOTUNE_CHECK_MSG(false, "unknown algorithm: " + name + " (available: " +
+                              known + ")");
+  return Algorithm::RSGDE3;
+}
+
+void validateOptions(const TunerOptions& options) {
+  const bool gde3 = options.algorithm == Algorithm::RSGDE3 ||
+                    options.algorithm == Algorithm::PlainGDE3;
+  const bool surrogate =
+      options.surrogateKeep < 1.0 || !options.warmStartDirs.empty();
+  const bool islands = options.islands > 1 || options.islandIndex >= 0;
+  const auto gde3Only = [gde3](bool used, const std::string& what) {
+    MOTUNE_CHECK_MSG(gde3 || !used, what + " requires algorithm rsgde3 or "
+                                           "gde3 (a GDE3-family engine)");
+  };
+  gde3Only(surrogate, "surrogate-keep < 1 or warm-start");
+  gde3Only(islands, "islands > 1 or island-index");
+  gde3Only(!options.session.directory.empty(), "checkpoint or resume");
+  gde3Only(options.seedAnalytic, "seed-analytic");
+  MOTUNE_CHECK_MSG(!islands || !surrogate,
+                   "islands > 1 is incompatible with surrogate-keep < 1 or "
+                   "warm-start (the surrogate is not shared between islands)");
+  MOTUNE_CHECK_MSG(options.algorithm != Algorithm::BruteForce ||
+                       options.grid.has_value(),
+                   "algorithm brute-force requires a tile grid");
+}
+
+namespace {
 
 /// The algorithm-options blob in the session header: every knob that
 /// changes the deterministic search trajectory (the seed is its own header
@@ -88,14 +122,8 @@ support::Json algorithmOptionsJson(const TunerOptions& options,
 std::unique_ptr<tuning::Surrogate>
 makeSurrogate(const TunerOptions& options, tuning::ObjectiveFunction& fn,
               const std::string& problemTag) {
-  const bool active = options.surrogateEnabled ||
-                      options.surrogateKeep < 1.0 ||
-                      !options.warmStartDirs.empty();
-  if (!active) return nullptr;
-  MOTUNE_CHECK_MSG(options.algorithm == Algorithm::RSGDE3 ||
-                       options.algorithm == Algorithm::PlainGDE3,
-                   "--surrogate-keep/--warm-start require --algo rsgde3 or "
-                   "gde3 (only the GDE3-family engines take a surrogate)");
+  if (options.surrogateKeep >= 1.0 && options.warmStartDirs.empty())
+    return nullptr;
   auto surrogate = std::make_unique<tuning::Surrogate>(
       fn.space(), fn.numObjectives());
 
@@ -106,7 +134,7 @@ makeSurrogate(const TunerOptions& options, tuning::ObjectiveFunction& fn,
   auto& metrics = observe::MetricsRegistry::global();
   for (const std::string& dir : options.warmStartDirs) {
     MOTUNE_CHECK_MSG(session::sessionExists(dir),
-                     "--warm-start directory has no session journal: " + dir);
+                     "warm-start directory has no session journal: " + dir);
     const session::ResumeState state = session::loadSession(dir);
     if (!session::warmStartCompatible(state.header, current)) {
       metrics.counter("tuning.surrogate.warmstart.skipped").add();
@@ -127,7 +155,9 @@ makeSurrogate(const TunerOptions& options, tuning::ObjectiveFunction& fn,
 AutoTuner::AutoTuner(TunerOptions options)
     : options_(std::move(options)),
       pool_(std::make_unique<runtime::ThreadPool>(
-          options_.evaluationWorkers)) {}
+          options_.evaluationWorkers)) {
+  validateOptions(options_);
+}
 
 opt::OptResult AutoTuner::optimize(tuning::ObjectiveFunction& fn) {
   return optimizeImpl(fn, "custom", nullptr);
@@ -177,14 +207,6 @@ AutoTuner::optimizeImpl(tuning::ObjectiveFunction& fn,
   }
 
   if (options_.islands > 1 || options_.islandIndex >= 0) {
-    MOTUNE_CHECK_MSG(options_.algorithm == Algorithm::RSGDE3 ||
-                         options_.algorithm == Algorithm::PlainGDE3,
-                     "--islands requires --algo rsgde3 or gde3 (only the "
-                     "GDE3-family engines support the island model)");
-    MOTUNE_CHECK_MSG(surrogate == nullptr,
-                     "--islands is incompatible with --surrogate-keep/"
-                     "--warm-start (the surrogate is not shared between "
-                     "islands)");
     tuning::IslandOptions io;
     io.islands = options_.islands;
     io.migrateEvery = options_.migrateEvery;
@@ -242,8 +264,6 @@ AutoTuner::optimizeImpl(tuning::ObjectiveFunction& fn,
       return engine.run();
     }
     case Algorithm::BruteForce: {
-      MOTUNE_CHECK_MSG(options_.grid.has_value(),
-                       "BruteForce requires a GridSpec");
       opt::GridSearch engine(*target, *pool_, *options_.grid);
       return engine.run();
     }
@@ -253,11 +273,7 @@ AutoTuner::optimizeImpl(tuning::ObjectiveFunction& fn,
   }
 
   // Sessions journal serialized engine state, which only the GDE3-family
-  // engines expose.
-  MOTUNE_CHECK_MSG(options_.algorithm == Algorithm::RSGDE3 ||
-                       options_.algorithm == Algorithm::PlainGDE3,
-                   "--checkpoint/--resume require --algo rsgde3 or gde3 "
-                   "(only the GDE3-family engines are checkpointable)");
+  // engines expose (validateOptions enforces it).
   const bool reduction = options_.algorithm == Algorithm::RSGDE3;
 
   session::SessionHeader header;
@@ -395,21 +411,12 @@ TuningResult AutoTuner::tune(tuning::KernelTuningProblem& problem) {
   std::string problemTag = problem.kernel().name + "/" +
                            problem.machine().name + "/n" +
                            std::to_string(problem.problemSize());
-  for (tuning::Objective obj : problem.objectives()) {
-    switch (obj) {
-    case tuning::Objective::Time: problemTag += "/time"; break;
-    case tuning::Objective::Resources: problemTag += "/resources"; break;
-    case tuning::Objective::Energy: problemTag += "/energy"; break;
-    }
-  }
+  for (tuning::Objective obj : problem.objectives())
+    problemTag += "/" + std::string(tuning::objectiveName(obj));
   // Analytic seeding: derived from the performance model before the search
   // starts, stashed into the engine options so both the engine and the
   // session header (algorithmOptionsJson) see the same seed list.
   if (options_.seedAnalytic) {
-    MOTUNE_CHECK_MSG(options_.algorithm == Algorithm::RSGDE3 ||
-                         options_.algorithm == Algorithm::PlainGDE3,
-                     "--seed-analytic requires --algo rsgde3 or gde3 (seeds "
-                     "are injected into the GDE3 initial population)");
     options_.gde3.initialSeeds = tuning::analyticSeeds(problem);
     observe::MetricsRegistry::global()
         .counter("tuning.seed.analytic")

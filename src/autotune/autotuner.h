@@ -73,11 +73,10 @@ struct TunerOptions {
   /// Surrogate-assisted evaluation (GDE3-family engines only). When the
   /// keep fraction is below 1, each generation's trial offspring are scored
   /// by an online ridge surrogate (src/tuning/surrogate.h) and only the top
-  /// ceil(keep * population) receive a full cost-model evaluation. At
-  /// exactly 1.0 with surrogateEnabled the surrogate observes and scores
-  /// but culls nothing — results are byte-identical to a surrogate-free
-  /// run. Enabled implicitly by a keep < 1 or a non-empty warmStartDirs.
-  bool surrogateEnabled = false;
+  /// ceil(keep * population) receive a full cost-model evaluation. The
+  /// surrogate exists exactly when keep < 1 or warmStartDirs is non-empty;
+  /// at keep == 1 it culls nothing, so results are byte-identical to a
+  /// surrogate-free run.
   double surrogateKeep = 1.0;
   /// Session directories whose journaled eval records pre-train the
   /// surrogate before the search starts (cross-session warm start).
@@ -106,6 +105,17 @@ struct TunerOptions {
   /// the finished islands. Requires a session directory.
   int islandIndex = -1;
 };
+
+/// The algorithm's name in flags, job specs and session headers, and its
+/// inverse over the names tune and submit accept (all but brute-force,
+/// which needs a grid); the inverse throws, listing them, on any other.
+const char* algorithmName(Algorithm algorithm);
+Algorithm algorithmFromName(const std::string& name);
+
+/// The cross-option rules (GDE3-family-only features, islands vs the
+/// surrogate, brute force's grid), naming options as `motune tune` does.
+/// AutoTuner's constructor and serve::validateSpec run it.
+void validateOptions(const TunerOptions& options);
 
 /// Where a tuning result came from when it ran under a session — recorded
 /// in the artifact so a deployment can trace a front back to its journal.

@@ -34,8 +34,8 @@ GDE3::evaluateAll(std::vector<std::vector<double>> genomes,
   configs.reserve(genomes.size());
   for (const auto& g : genomes) configs.push_back(projection.closestTo(g));
 
-  tuning::BatchEvaluator batch(counter_, pool_, options_.parallelEvaluation);
-  std::vector<tuning::Objectives> objectives = batch.evaluateAll(configs);
+  std::vector<tuning::Objectives> objectives =
+      counter_.evaluateBatch(configs, pool_, options_.parallelEvaluation);
 
   std::vector<Individual> out;
   out.reserve(genomes.size());

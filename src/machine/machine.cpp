@@ -3,6 +3,7 @@
 #include "support/check.h"
 
 #include <algorithm>
+#include <cctype>
 
 namespace motune::machine {
 
@@ -79,6 +80,25 @@ MachineModel barcelona() {
       {"L3", 2 * 1024 * 1024, 64, 32, 40, true},
   };
   return m;
+}
+
+const std::vector<MachineModel>& allMachines() {
+  static const std::vector<MachineModel> machines = {westmere(), barcelona()};
+  return machines;
+}
+
+const MachineModel& machineByName(const std::string& name) {
+  std::string known;
+  for (const MachineModel& m : allMachines()) {
+    std::string key = m.name;
+    std::transform(key.begin(), key.end(), key.begin(),
+                   [](unsigned char c) { return std::tolower(c); });
+    if (key == name) return m;
+    known += (known.empty() ? "" : ", ") + key;
+  }
+  MOTUNE_CHECK_MSG(false, "unknown machine: " + name + " (available: " +
+                              known + ")");
+  return allMachines().front();
 }
 
 std::vector<int> evaluatedThreadCounts(const MachineModel& m) {

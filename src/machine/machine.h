@@ -88,6 +88,12 @@ MachineModel westmere();
 /// 2M shared L3 per socket (paper Table I).
 MachineModel barcelona();
 
+/// The built-in machine models, and lookup by the lowercase name flags and
+/// specs use ("westmere"; artifacts record the model's name, "Westmere").
+/// Throws, listing the names, on a miss.
+const std::vector<MachineModel>& allMachines();
+const MachineModel& machineByName(const std::string& name);
+
 /// The thread counts the paper evaluates on each machine (Table II/III).
 std::vector<int> evaluatedThreadCounts(const MachineModel& m);
 

@@ -4,7 +4,6 @@
 #include "observe/trace.h"
 #include "support/check.h"
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -42,7 +41,12 @@ void parallelForBlocked(
   // Static chunking identical to OpenMP schedule(static): ceil-sized blocks.
   const std::int64_t chunk = (total + nChunks - 1) / nChunks;
 
-  std::atomic<std::int64_t> remaining{nChunks};
+  // Completion state lives on this stack frame, so every access to it —
+  // the workers' decrement and notify, the final zero check here — happens
+  // under doneMutex. A worker that has released the lock never touches the
+  // frame again, and this call cannot see zero (and return) before the
+  // last worker has released it.
+  std::int64_t remaining = nChunks;
   std::mutex doneMutex;
   std::condition_variable doneCv;
 
@@ -67,21 +71,21 @@ void parallelForBlocked(
           fn(lo, hi);
         }
       }
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard lock(doneMutex);
-        doneCv.notify_all();
-      }
+      std::lock_guard lock(doneMutex);
+      if (--remaining == 0) doneCv.notify_all();
     });
   }
 
   // Help drain the queue while waiting: guarantees progress under nested
   // parallelism (a pool task may itself be inside a parallelFor).
-  while (remaining.load(std::memory_order_acquire) != 0) {
-    if (pool.tryRunOne()) continue;
-    std::unique_lock lock(doneMutex);
-    doneCv.wait_for(lock, std::chrono::milliseconds(1), [&] {
-      return remaining.load(std::memory_order_acquire) == 0;
-    });
+  std::unique_lock lock(doneMutex);
+  while (remaining != 0) {
+    lock.unlock();
+    const bool ran = pool.tryRunOne();
+    lock.lock();
+    if (!ran)
+      doneCv.wait_for(lock, std::chrono::milliseconds(1),
+                      [&] { return remaining == 0; });
   }
 }
 

@@ -5,10 +5,12 @@
 #include "serve/protocol.h"
 #include "support/check.h"
 
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <system_error>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -95,31 +97,28 @@ void Daemon::stop() {
   running_ = false;
   requestShutdown();
 
-  // Closing the listen socket pops the accept loop out of accept().
+  // Shutting the listen socket down pops the accept loop out of accept();
+  // it is closed only after the loop has exited, since the loop keeps
+  // reading listenFd_ (and retries accept after EMFILE).
+  if (listenFd_ >= 0) ::shutdown(listenFd_, SHUT_RDWR);
+  if (acceptThread_.joinable()) acceptThread_.join();
   if (listenFd_ >= 0) {
-    ::shutdown(listenFd_, SHUT_RDWR);
     ::close(listenFd_);
     listenFd_ = -1;
   }
-  if (acceptThread_.joinable()) acceptThread_.join();
 
   // Close every live subscription first: streaming connection threads are
   // blocked in Subscription::next(), not recv(), and only a closed
   // subscription pops them out promptly.
   if (hub_) hub_->closeAll();
 
-  // Kick live connections out of recv(); their threads then exit.
+  // Kick live connections out of recv(); their threads then close their
+  // fds and leave the live set. A listed fd is still open: its thread
+  // closes it only after removing it under this lock.
   {
-    std::lock_guard lock(connMutex_);
+    std::unique_lock lock(connMutex_);
     for (int fd : connFds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  for (std::thread& t : connThreads_)
-    if (t.joinable()) t.join();
-  connThreads_.clear();
-  {
-    std::lock_guard lock(connMutex_);
-    for (int fd : connFds_) ::close(fd);
-    connFds_.clear();
+    connDone_.wait(lock, [this] { return connFds_.empty(); });
   }
 
   if (scheduler_) scheduler_->stop();
@@ -129,12 +128,23 @@ void Daemon::acceptLoop() {
   for (;;) {
     const int fd = ::accept(listenFd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR) continue;
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno == EMFILE || errno == ENFILE) {
+        // Out of descriptors: closing connections free some, so back off
+        // instead of giving up on the listener.
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        continue;
+      }
       return; // listener closed: shutting down
     }
     std::lock_guard lock(connMutex_);
-    connFds_.push_back(fd);
-    connThreads_.emplace_back([this, fd] { serveConnection(fd); });
+    connFds_.insert(fd);
+    try {
+      std::thread([this, fd] { serveConnection(fd); }).detach();
+    } catch (const std::system_error&) { // no thread to serve it: refuse
+      connFds_.erase(fd);
+      ::close(fd);
+    }
   }
 }
 
@@ -164,11 +174,13 @@ void Daemon::serveConnection(int fd) {
     // Protocol violation or the peer vanished mid-frame: this connection
     // is done; the daemon and every other connection are unaffected.
   }
-  // Signal the peer we are done (it may be blocked in recv waiting for a
-  // response that will never come). The fd itself stays in connFds_ for
-  // stop() to close — shutdown() on an already-dead fd is harmless,
-  // close() from two threads is not.
-  ::shutdown(fd, SHUT_RDWR);
+  // Leave the live set, then close: stop() only touches listed fds, so the
+  // number cannot be reused under it. The notify is this thread's last
+  // touch of the daemon — stop() may return and destroy it right after.
+  std::lock_guard lock(connMutex_);
+  connFds_.erase(fd);
+  ::close(fd);
+  connDone_.notify_all();
 }
 
 void Daemon::handleSubscribe(int fd, const support::Json& request) {

@@ -50,6 +50,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -114,9 +115,12 @@ private:
   int port_ = 0;
   std::thread acceptThread_;
 
+  /// Live connections: each runs on its own detached thread, which owns
+  /// its fd and closes it once it has left connFds_. stop() shuts the live
+  /// fds down and waits on connDone_ until connFds_ is empty.
   std::mutex connMutex_;
-  std::vector<std::thread> connThreads_;
-  std::vector<int> connFds_;
+  std::condition_variable connDone_;
+  std::set<int> connFds_;
 
   std::mutex shutdownMutex_;
   std::condition_variable shutdownCv_;

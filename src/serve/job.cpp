@@ -4,78 +4,174 @@
 #include "machine/machine.h"
 #include "session/session.h"
 #include "support/check.h"
+#include "support/number.h"
 #include "tuning/island.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <optional>
+#include <sstream>
+#include <type_traits>
 
 namespace motune::serve {
 
 namespace {
 
-const char* objectiveName(tuning::Objective o) {
-  switch (o) {
-  case tuning::Objective::Time: return "time";
-  case tuning::Objective::Resources: return "resources";
-  case tuning::Objective::Energy: return "energy";
+using Objectives = std::vector<tuning::Objective>;
+
+// Per field type: value -> JSON, JSON -> flag text, flag text -> value.
+// JSON decodes through flag text, so a flag and its key parse alike.
+support::Json toJson(const std::string& v) { return v; }
+support::Json toJson(std::uint64_t v) { return std::to_string(v); }
+support::Json toJson(const Objectives& v) {
+  support::JsonArray names;
+  for (tuning::Objective o : v) names.emplace_back(tuning::objectiveName(o));
+  return names;
+}
+template <class T> support::Json toJson(T v) { return v; }
+
+std::optional<std::string> jsonText(const support::Json& j) {
+  using Kind = support::Json::Kind;
+  if (j.kind() == Kind::Bool) return j.asBool() ? "1" : "0";
+  if (j.kind() == Kind::Number) return j.dump(-1);
+  if (j.kind() == Kind::String) return j.asString();
+  if (j.kind() != Kind::Array) return std::nullopt;
+  std::string list;
+  for (const support::Json& item : j.asArray()) {
+    if (item.kind() != Kind::String) return std::nullopt;
+    list += (list.empty() ? "" : ",") + item.asString();
   }
-  return "unknown";
+  return list;
 }
 
-tuning::Objective objectiveFromName(const std::string& name) {
-  if (name == "time") return tuning::Objective::Time;
-  if (name == "resources") return tuning::Objective::Resources;
-  if (name == "energy") return tuning::Objective::Energy;
-  MOTUNE_CHECK_MSG(false, "unknown objective: " + name);
-  return tuning::Objective::Time;
+bool fromText(const std::string& text, std::string& out) {
+  out = text;
+  return true;
+}
+bool fromText(const std::string& text, bool& out) {
+  out = text == "1";
+  return text == "0" || text == "1";
+}
+bool fromText(const std::string& text, Objectives& out) {
+  out.clear();
+  std::stringstream items(text);
+  std::string item;
+  while (std::getline(items, item, ','))
+    out.push_back(tuning::objectiveFromName(item));
+  return !out.empty();
+}
+template <class T> bool fromText(const std::string& text, T& out) {
+  const std::optional<T> v = support::parseNumber<T>(text);
+  if (v) out = *v;
+  return v.has_value();
 }
 
-std::vector<tuning::Objective> effectiveObjectives(const JobSpec& spec) {
-  if (!spec.objectives.empty()) return spec.objectives;
-  return {tuning::Objective::Time, tuning::Objective::Resources};
+bool setFromText(JobSpec& spec, const SpecOption& option,
+                 const std::string& text) {
+  return std::visit([&](auto member) { return fromText(text, spec.*member); },
+                    option.field);
+}
+
+/// "must be ..." text of a numeric option's range.
+std::string rangeText(const SpecOption& o) {
+  const auto num = [](double x) { return support::Json(x).dump(-1); };
+  if (std::isinf(o.max)) return (o.minExclusive ? "> " : ">= ") + num(o.min);
+  return (o.minExclusive ? "in (" : "in [") + num(o.min) + ", " + num(o.max) +
+         "]";
 }
 
 } // namespace
 
-support::Json specToJson(const JobSpec& spec) {
-  support::JsonArray objectives;
-  for (tuning::Objective o : effectiveObjectives(spec))
-    objectives.emplace_back(objectiveName(o));
-  support::JsonObject obj{
-      {"kernel", spec.kernel},
-      {"machine", spec.machine},
-      {"n", spec.n},
-      {"algorithm", spec.algorithm},
-      {"seed", std::to_string(spec.seed)}, // u64-safe (JSON numbers are doubles)
-      {"objectives", std::move(objectives)},
-      {"budget", std::to_string(spec.budget)},
-      {"surrogate_keep", spec.surrogateKeep},
+const std::vector<SpecOption>& specOptions() {
+  static const std::vector<SpecOption> options = {
+      {.flag = "kernel", .key = "kernel", .value = "NAME",
+       .help = "built-in kernel to tune", .field = &JobSpec::kernel,
+       .checkName = [](const std::string& s) { kernels::kernelByName(s); }},
+      {.flag = "machine", .key = "machine", .value = "NAME",
+       .help = "machine model: westmere or barcelona",
+       .field = &JobSpec::machine,
+       .checkName = [](const std::string& s) { machine::machineByName(s); }},
+      {.flag = "n", .key = "n", .value = "N",
+       .help = "problem size; 0 = the kernel's paper size",
+       .field = &JobSpec::n, .min = 0},
+      {.flag = "objectives", .key = "objectives", .value = "LIST",
+       .help = "comma list of time, resources and energy",
+       .field = &JobSpec::objectives},
+      {.flag = "algorithm", .key = "algorithm", .value = "NAME",
+       .help = "search algorithm: rsgde3, gde3, nsga2 or random",
+       .group = "search", .field = &JobSpec::algorithm,
+       .checkName =
+           [](const std::string& s) { autotune::algorithmFromName(s); }},
+      {.flag = "seed", .key = "seed", .value = "S",
+       .help = "RNG seed for the search", .group = "search",
+       .field = &JobSpec::seed},
+      {.flag = "budget", .key = "budget", .value = "N",
+       .help = "evaluation budget for algorithm random", .group = "search",
+       .field = &JobSpec::budget, .min = 1},
+      {.flag = "seed-analytic", .key = "seed_analytic", .value = "0|1",
+       .help = "seed the initial population with cache-capacity-derived "
+               "configurations from the performance model (rsgde3/gde3)",
+       .group = "search", .field = &JobSpec::seedAnalytic,
+       .alwaysEmitted = false},
+      {.flag = "islands", .key = "islands", .value = "N",
+       .help = "island-model search: N independent islands exchanging "
+               "top-ranked migrants on a ring; 1 = off (rsgde3/gde3)",
+       .group = "search", .field = &JobSpec::islands, .min = 1,
+       .alwaysEmitted = false},
+      {.flag = "surrogate-keep", .key = "surrogate_keep", .value = "X",
+       .help = "fraction of each generation sent to full evaluation; the "
+               "rest is culled by the online surrogate; 1 = no surrogate "
+               "(rsgde3/gde3)",
+       .group = "surrogate", .field = &JobSpec::surrogateKeep, .min = 0,
+       .minExclusive = true, .max = 1},
   };
-  // Emitted only when non-default: the canonical dump feeds specHash, and
-  // unconditional new fields would invalidate every existing result-cache
-  // entry (jobs/by-spec) for specs that never asked for islands/seeding.
-  if (spec.islands > 1) obj.emplace("islands", spec.islands);
-  if (spec.seedAnalytic) obj.emplace("seed_analytic", true);
+  return options;
+}
+
+void parseSpecFlag(JobSpec& spec, const SpecOption& option,
+                   const std::string& text) {
+  MOTUNE_CHECK_MSG(setFromText(spec, option, text),
+                   "--" + std::string(option.flag) + ": invalid value '" +
+                       text + "'");
+}
+
+std::string specFlagText(const JobSpec& spec, const SpecOption& option) {
+  return std::visit(
+      [&](auto member) { return *jsonText(toJson(spec.*member)); },
+      option.field);
+}
+
+support::Json specToJson(const JobSpec& spec) {
+  const JobSpec defaults;
+  support::JsonObject obj;
+  for (const SpecOption& option : specOptions())
+    std::visit(
+        [&](auto member) {
+          if (option.alwaysEmitted || spec.*member != defaults.*member)
+            obj.emplace(option.key, toJson(spec.*member));
+        },
+        option.field);
   return obj;
 }
 
 JobSpec specFromJson(const support::Json& json) {
   JobSpec spec;
-  spec.kernel = json.at("kernel").asString();
-  spec.machine = json.at("machine").asString();
-  spec.n = json.at("n").asInt();
-  spec.algorithm = json.at("algorithm").asString();
-  spec.seed = std::stoull(json.at("seed").asString());
-  spec.objectives.clear();
-  for (const auto& o : json.at("objectives").asArray())
-    spec.objectives.push_back(objectiveFromName(o.asString()));
-  spec.budget = std::stoull(json.at("budget").asString());
-  // Absent in job.json written by older daemons: default = no surrogate.
-  if (json.has("surrogate_keep"))
-    spec.surrogateKeep = json.at("surrogate_keep").asNumber();
-  if (json.has("islands"))
-    spec.islands = static_cast<int>(json.at("islands").asInt());
-  if (json.has("seed_analytic"))
-    spec.seedAnalytic = json.at("seed_analytic").asBool();
+  for (const auto& [key, value] : json.asObject()) {
+    const auto& options = specOptions();
+    const auto option =
+        std::find_if(options.begin(), options.end(),
+                     [&](const SpecOption& o) { return key == o.key; });
+    MOTUNE_CHECK_MSG(option != options.end(), "unknown spec key: " + key);
+    // The value must have the JSON kind its member encodes to, so "n":"64"
+    // or "objectives":"time" is refused rather than read as flag text.
+    const bool kindMatches = std::visit(
+        [&](auto member) { return value.kind() == toJson(spec.*member).kind(); },
+        option->field);
+    const std::optional<std::string> text = jsonText(value);
+    MOTUNE_CHECK_MSG(kindMatches && text && setFromText(spec, *option, *text),
+                     "spec key " + key + ": invalid value " + value.dump(-1));
+  }
   return spec;
 }
 
@@ -95,66 +191,48 @@ std::string specHash(const JobSpec& spec) {
 bool cacheableSpec(const JobSpec& spec) { return spec.surrogateKeep >= 1.0; }
 
 void validateSpec(const JobSpec& spec) {
-  kernels::kernelByName(spec.kernel); // throws on an unknown kernel
-  MOTUNE_CHECK_MSG(spec.machine == "westmere" || spec.machine == "barcelona",
-                   "unknown machine: " + spec.machine +
-                       " (available: westmere, barcelona)");
-  MOTUNE_CHECK_MSG(spec.n >= 0, "problem size must be >= 0");
-  MOTUNE_CHECK_MSG(spec.algorithm == "rsgde3" || spec.algorithm == "gde3" ||
-                       spec.algorithm == "nsga2" ||
-                       spec.algorithm == "random",
-                   "unknown algorithm: " + spec.algorithm +
-                       " (available: rsgde3, gde3, nsga2, random)");
-  for (tuning::Objective o : spec.objectives) (void)objectiveName(o);
-  MOTUNE_CHECK_MSG(spec.surrogateKeep > 0.0 && spec.surrogateKeep <= 1.0,
-                   "surrogate_keep must be in (0, 1]");
-  MOTUNE_CHECK_MSG(spec.surrogateKeep == 1.0 ||
-                       checkpointable(spec.algorithm),
-                   "surrogate_keep < 1 requires algorithm rsgde3 or gde3");
-  MOTUNE_CHECK_MSG(spec.islands >= 1, "islands must be >= 1");
-  MOTUNE_CHECK_MSG(spec.islands == 1 || checkpointable(spec.algorithm),
-                   "islands > 1 requires algorithm rsgde3 or gde3");
-  MOTUNE_CHECK_MSG(spec.islands == 1 || spec.surrogateKeep == 1.0,
-                   "islands > 1 is incompatible with surrogate_keep < 1 "
-                   "(the surrogate is not shared between islands)");
-  MOTUNE_CHECK_MSG(!spec.seedAnalytic || checkpointable(spec.algorithm),
-                   "seed_analytic requires algorithm rsgde3 or gde3");
-}
-
-bool checkpointable(const std::string& algorithm) {
-  return algorithm == "rsgde3" || algorithm == "gde3";
+  for (const SpecOption& option : specOptions())
+    std::visit(
+        [&](auto member) {
+          const auto& v = spec.*member;
+          using T = std::decay_t<decltype(v)>;
+          if constexpr (std::is_same_v<T, std::string>) {
+            if (option.checkName != nullptr) option.checkName(v);
+          } else if constexpr (std::is_arithmetic_v<T>) {
+            const auto x = static_cast<double>(v);
+            MOTUNE_CHECK_MSG(
+                (option.minExclusive ? x > option.min : x >= option.min) &&
+                    x <= option.max,
+                std::string(option.flag) + " must be " + rangeText(option));
+          }
+        },
+        option.field);
+  autotune::validateOptions(tunerOptionsFromSpec(spec, "", 1, 1));
 }
 
 tuning::KernelTuningProblem problemFromSpec(const JobSpec& spec) {
-  const machine::MachineModel machine = spec.machine == "barcelona"
-                                            ? machine::barcelona()
-                                            : machine::westmere();
   return tuning::KernelTuningProblem(kernels::kernelByName(spec.kernel),
-                                     machine, spec.n, {},
-                                     effectiveObjectives(spec));
+                                     machine::machineByName(spec.machine),
+                                     spec.n, {}, spec.objectives);
 }
 
 autotune::TunerOptions tunerOptionsFromSpec(
     const JobSpec& spec, const std::string& sessionDir, unsigned jobThreads,
     int checkpointEvery, const std::vector<std::string>& warmStartDirs) {
   autotune::TunerOptions options;
-  if (spec.algorithm == "rsgde3")
-    options.algorithm = autotune::Algorithm::RSGDE3;
-  else if (spec.algorithm == "gde3")
-    options.algorithm = autotune::Algorithm::PlainGDE3;
-  else if (spec.algorithm == "nsga2")
-    options.algorithm = autotune::Algorithm::NSGA2;
-  else if (spec.algorithm == "random")
-    options.algorithm = autotune::Algorithm::Random;
-  else
-    MOTUNE_CHECK_MSG(false, "unknown algorithm: " + spec.algorithm);
+  options.algorithm = autotune::algorithmFromName(spec.algorithm);
   options.gde3.seed = spec.seed;
   options.nsga2.seed = spec.seed;
   options.randomBudget = spec.budget;
   options.evaluationWorkers = jobThreads == 0 ? 1 : jobThreads;
   options.seedAnalytic = spec.seedAnalytic;
   options.islands = spec.islands;
-  if (checkpointable(spec.algorithm) && !sessionDir.empty()) {
+  options.surrogateKeep = spec.surrogateKeep;
+  if (spec.surrogateKeep < 1.0) options.warmStartDirs = warmStartDirs;
+  const bool checkpointable =
+      options.algorithm == autotune::Algorithm::RSGDE3 ||
+      options.algorithm == autotune::Algorithm::PlainGDE3;
+  if (checkpointable && !sessionDir.empty()) {
     options.session.directory = sessionDir;
     options.session.checkpointEvery = checkpointEvery;
     // Island jobs journal under per-island subdirectories, so restart
@@ -163,11 +241,6 @@ autotune::TunerOptions tunerOptionsFromSpec(
         spec.islands > 1
             ? session::sessionExists(tuning::islandDirectory(sessionDir, 0))
             : session::sessionExists(sessionDir);
-  }
-  if (spec.surrogateKeep < 1.0) {
-    options.surrogateEnabled = true;
-    options.surrogateKeep = spec.surrogateKeep;
-    options.warmStartDirs = warmStartDirs;
   }
   return options;
 }

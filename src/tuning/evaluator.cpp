@@ -123,8 +123,42 @@ Objectives CountingEvaluator::evaluate(const Config& config) {
     }
     // Journal the unique evaluation outside the shard lock; Ready slot
     // values are immutable, so reading slot->value here is race-free.
-    if (current && listener_) listener_(config, slot->value);
+    if (current && listener_) {
+      if (deferJournal_) {
+        std::lock_guard lock(deferredMutex_);
+        deferred_.emplace(config, slot->value);
+      } else {
+        listener_(config, slot->value);
+      }
+    }
     return slot->value;
+  }
+}
+
+std::vector<Objectives>
+CountingEvaluator::evaluateBatch(const std::vector<Config>& configs,
+                                 runtime::ThreadPool& pool, bool parallel) {
+  BatchEvaluator batch(*this, pool, parallel);
+  deferJournal_ = true;
+  std::vector<Objectives> out;
+  try {
+    out = batch.evaluateAll(configs);
+  } catch (...) {
+    journalDeferred(configs); // keep what completed before the failure
+    throw;
+  }
+  journalDeferred(configs);
+  return out;
+}
+
+void CountingEvaluator::journalDeferred(const std::vector<Config>& order) {
+  deferJournal_ = false;
+  for (const Config& config : order) {
+    if (deferred_.empty()) break;
+    auto it = deferred_.find(config);
+    if (it == deferred_.end()) continue;
+    listener_(config, it->second);
+    deferred_.erase(it);
   }
 }
 

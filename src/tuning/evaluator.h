@@ -30,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 namespace motune::tuning {
 
@@ -62,10 +63,20 @@ public:
 
   /// Journal hook for durable sessions (src/session/): called once per
   /// *unique* evaluation — on the leader path, after the result is
-  /// published, outside any shard lock — never for memo hits or preloaded
-  /// entries. Set it before evaluation starts; it is read concurrently.
+  /// published, outside any shard lock, or at the end of an
+  /// evaluateBatch() — never for memo hits or preloaded entries. Set it
+  /// before evaluation starts; it is read concurrently.
   using EvalListener = std::function<void(const Config&, const Objectives&)>;
   void setListener(EvalListener listener) { listener_ = std::move(listener); }
+
+  /// Evaluates `configs` (in parallel on `pool` when `parallel`), preserving
+  /// order, and journals the batch's unique evaluations after it, in the
+  /// order their configurations first appear in `configs` — the order a
+  /// serial pass journals them in — so the journal does not depend on the
+  /// number of workers or on which finished first.
+  std::vector<Objectives> evaluateBatch(const std::vector<Config>& configs,
+                                        runtime::ThreadPool& pool,
+                                        bool parallel);
 
   /// Pre-seeds the memo with a result recorded by a previous (killed) run.
   /// The configuration counts as one unique evaluation, exactly as if this
@@ -83,6 +94,10 @@ public:
   bool preload(const Config& config, const Objectives& objectives);
 
 private:
+  // Calls listener_ for the deferred evaluations in `order` and stops
+  // deferring.
+  void journalDeferred(const std::vector<Config>& order);
+
   // 16 shards comfortably cover the pool sizes the batch evaluator runs
   // with (machine core counts); power of two so selection is a mask.
   static constexpr std::size_t kShards = 16;
@@ -120,6 +135,12 @@ private:
   observe::Counter hits_;
   // Unique-evaluation journal hook (empty = disabled).
   EvalListener listener_;
+  // While evaluateBatch() runs, the leader path parks unique evaluations
+  // in deferred_ instead of calling listener_. The flag is flipped by the
+  // batch's caller while no evaluation is in flight.
+  bool deferJournal_ = false;
+  std::mutex deferredMutex_;
+  std::unordered_map<Config, Objectives, ConfigHash> deferred_;
   // Process-wide mirrors exported through the observability layer.
   observe::Counter& uniqueCounter_;
   observe::Counter& memoHitCounter_;

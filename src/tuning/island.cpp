@@ -377,15 +377,15 @@ opt::OptResult mergeOutcomes(const std::vector<IslandOutcome>& outcomes) {
 
 IslandRun runIslands(ObjectiveFunction& fn, runtime::ThreadPool& pool,
                      const IslandOptions& options) {
-  MOTUNE_CHECK_MSG(options.islands >= 1, "--islands must be >= 1");
+  MOTUNE_CHECK_MSG(options.islands >= 1, "island count must be >= 1");
   MOTUNE_CHECK_MSG(options.migrateEvery >= 1,
-                   "--migrate-every must be >= 1");
-  MOTUNE_CHECK_MSG(options.migrants >= 1, "--migrants must be >= 1");
+                   "migration interval must be >= 1");
+  MOTUNE_CHECK_MSG(options.migrants >= 1, "migrant count must be >= 1");
   MOTUNE_CHECK_MSG(options.islandIndex < options.islands,
-                   "--island-index out of range");
+                   "island index out of range");
   MOTUNE_CHECK_MSG(options.islandIndex < 0 || !options.directory.empty(),
-                   "--island-index (worker mode) requires --checkpoint: "
-                   "workers exchange migrants through the shared directory");
+                   "island worker mode requires a session directory: "
+                   "workers exchange migrants through it");
   MOTUNE_CHECK_MSG(options.gde3.surrogate == nullptr,
                    "islands and surrogate culling are mutually exclusive");
   observe::Span span = observe::Tracer::global().span(

@@ -16,6 +16,27 @@ bool tilesMatch(const std::vector<std::int64_t>& tiles, const Config& config,
 }
 } // namespace
 
+const char* objectiveName(Objective objective) {
+  switch (objective) {
+  case Objective::Time: return "time";
+  case Objective::Resources: return "resources";
+  case Objective::Energy: return "energy";
+  }
+  return "unknown";
+}
+
+Objective objectiveFromName(const std::string& name) {
+  std::string known;
+  for (Objective o :
+       {Objective::Time, Objective::Resources, Objective::Energy}) {
+    if (name == objectiveName(o)) return o;
+    known += (known.empty() ? "" : ", ") + std::string(objectiveName(o));
+  }
+  MOTUNE_CHECK_MSG(false, "unknown objective: " + name + " (available: " +
+                              known + ")");
+  return Objective::Time;
+}
+
 KernelTuningProblem::KernelTuningProblem(const kernels::KernelSpec& kernel,
                                          machine::MachineModel machine,
                                          std::int64_t n,

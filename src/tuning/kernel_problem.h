@@ -35,6 +35,12 @@ enum class Objective {
   Energy,    ///< joules (core + socket + DRAM energy)
 };
 
+/// The objective's name as flags, job specs and session tags spell it
+/// ("time", "resources", "energy").
+const char* objectiveName(Objective objective);
+/// Inverse of objectiveName; throws, listing the names, on an unknown one.
+Objective objectiveFromName(const std::string& name);
+
 class KernelTuningProblem final : public ObjectiveFunction {
 public:
   /// `n` == 0 selects the kernel's experiment problem size (paperN).

@@ -160,6 +160,11 @@ struct BadSource {
   const char* src;
 };
 
+// Names each case by its label (the default printer shows the pointers).
+void PrintTo(const BadSource& source, std::ostream* os) {
+  *os << source.label;
+}
+
 class ParseErrors : public ::testing::TestWithParam<BadSource> {};
 
 TEST_P(ParseErrors, Rejected) {

@@ -11,6 +11,8 @@
 #include <atomic>
 #include <cmath>
 #include <numeric>
+#include <thread>
+#include <vector>
 
 namespace motune::runtime {
 namespace {
@@ -85,6 +87,36 @@ TEST(ParallelFor, NestedParallelismDoesNotDeadlock) {
     parallelFor(pool, 0, 8, 4, [&](std::int64_t) { ++total; });
   });
   EXPECT_EQ(total.load(), 32);
+}
+
+/// Overwrites the stack just below the caller, where the frame of a call
+/// that has just returned used to be.
+__attribute__((noinline)) void scribbleStack() {
+  volatile unsigned char junk[2048];
+  for (volatile unsigned char& c : junk) c = 0xA5;
+}
+
+TEST(ParallelFor, BackToBackCallsFromManyThreadsShareOnePool) {
+  // Regression: the last worker of a call used to drop the remaining count
+  // to zero before locking the caller's stack-allocated mutex, so the
+  // caller could return first and the worker then locked a dead frame.
+  // Scribbling over that frame right after each call turns the late lock
+  // into a crash or hang instead of a silent read.
+  constexpr int kCalls = 5000;
+  ThreadPool pool(4);
+  std::atomic<std::int64_t> total{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t)
+    callers.emplace_back([&] {
+      for (int i = 0; i < kCalls; ++i) {
+        parallelFor(pool, 0, 4, 4, [&](std::int64_t) {
+          total.fetch_add(1, std::memory_order_relaxed);
+        });
+        scribbleStack();
+      }
+    });
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(total.load(), 4 * kCalls * 4);
 }
 
 mv::VersionTable makeTable() {

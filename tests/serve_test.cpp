@@ -23,17 +23,24 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace motune;
@@ -220,7 +227,136 @@ TEST(JobModel, ValidateRejectsBadSpecs) {
   spec = fastSpec(1);
   spec.algorithm = "simulated-annealing";
   EXPECT_THROW(serve::validateSpec(spec), support::CheckError);
+  // Names are exact: a spec's machine is hashed as written, so "Westmere"
+  // would miss the cache entry of "westmere". Brute force needs a grid no
+  // spec option supplies, so its name is refused like any unknown one.
+  spec = fastSpec(1);
+  spec.machine = "Westmere";
+  EXPECT_THROW(serve::validateSpec(spec), support::CheckError);
+  spec = fastSpec(1);
+  spec.algorithm = "brute-force";
+  try {
+    serve::validateSpec(spec);
+    ADD_FAILURE() << "brute-force accepted";
+  } catch (const support::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "unknown algorithm: brute-force (available: rsgde3, gde3, "
+                  "nsga2, random)"),
+              std::string::npos)
+        << e.what();
+  }
   EXPECT_NO_THROW(serve::validateSpec(fastSpec(1)));
+}
+
+namespace {
+
+/// Runs the `motune` CLI with `args`; returns its exit status and its
+/// merged stdout + stderr.
+std::pair<int, std::string> runCli(const std::string& args) {
+  FILE* pipe =
+      ::popen((std::string(MOTUNE_CLI) + " " + args + " 2>&1").c_str(), "r");
+  EXPECT_NE(pipe, nullptr);
+  std::string out;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, pipe)) > 0;)
+    out.append(buf, n);
+  const int status = ::pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
+}
+
+/// A listening socket on an ephemeral loopback port that nothing ever
+/// accepts on, so a test can check whether a client tried to connect.
+struct Listener {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int port = 0;
+  Listener() {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    socklen_t len = sizeof addr;
+    EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), len), 0);
+    EXPECT_EQ(::listen(fd, 8), 0);
+    ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+    port = ntohs(addr.sin_port);
+  }
+  ~Listener() { ::close(fd); }
+  bool connectionPending() const {
+    pollfd p{fd, POLLIN, 0};
+    return ::poll(&p, 1, 0) > 0;
+  }
+};
+
+} // namespace
+
+TEST(SpecOptions, TuneAndSubmitShareOneTable) {
+  // Every option row round-trips flag text -> JobSpec -> JSON -> JobSpec
+  // and shows up in both commands' help. A new row needs a sample here.
+  const std::map<std::string, std::string> samples = {
+      {"kernel", "dsyrk"},          {"machine", "barcelona"},
+      {"n", "1400"},                {"objectives", "time,energy"},
+      {"algorithm", "gde3"},        {"seed", "18446744073709551615"},
+      {"budget", "50"},             {"seed-analytic", "1"},
+      {"islands", "4"},             {"surrogate-keep", "0.25"},
+  };
+  ASSERT_EQ(samples.size(), serve::specOptions().size());
+  const std::string tuneHelp = runCli("tune --help").second;
+  const std::string submitHelp = runCli("submit --help").second;
+  for (const serve::SpecOption& option : serve::specOptions()) {
+    SCOPED_TRACE(option.flag);
+    ASSERT_EQ(samples.count(option.flag), 1u);
+    const std::string& text = samples.at(option.flag);
+    serve::JobSpec spec;
+    serve::parseSpecFlag(spec, option, text);
+    EXPECT_EQ(serve::specFlagText(spec, option), text);
+    const support::Json json = serve::specToJson(spec);
+    EXPECT_TRUE(json.has(option.key)) << "a non-default value is emitted";
+    const serve::JobSpec back =
+        serve::specFromJson(support::Json::parse(json.dump(-1)));
+    EXPECT_EQ(serve::specToJson(back).dump(-1), json.dump(-1));
+    EXPECT_EQ(serve::specFlagText(back, option), text);
+    const std::string flag = "--" + std::string(option.flag) + " ";
+    EXPECT_NE(tuneHelp.find(flag), std::string::npos);
+    EXPECT_NE(submitHelp.find(flag), std::string::npos);
+  }
+
+  // Both front doors refuse the same bad input, naming the flag, and
+  // submit refuses it before connecting to the daemon.
+  const Listener listener;
+  const std::string submit = "submit --port " + std::to_string(listener.port);
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"--algo nsga2", "--algo"},
+      {"--seed -1", "--seed"},
+      {"--seed abc", "--seed"},
+      {"--n 1400x", "--n"},
+  };
+  for (const auto& [args, flag] : bad) {
+    for (const std::string& command : {std::string("tune"), submit}) {
+      SCOPED_TRACE(command + " " + args);
+      const auto [status, out] = runCli(command + " " + args);
+      EXPECT_EQ(status, 1);
+      EXPECT_NE(out.find(flag), std::string::npos) << out;
+    }
+  }
+  const auto [status, out] = runCli(submit + " --checkpoint " +
+                                    freshDir("submit-checkpoint"));
+  EXPECT_EQ(status, 1);
+  EXPECT_NE(out.find("unknown option --checkpoint"), std::string::npos) << out;
+  EXPECT_FALSE(listener.connectionPending());
+
+  // One validation pass: `tune --islands 0` and a daemon submit of
+  // islands 0 fail with the same text.
+  const auto [tuneStatus, tuneOut] = runCli("tune --islands 0");
+  EXPECT_EQ(tuneStatus, 1);
+  serve::Daemon daemon(daemonOptions(freshDir("spec-islands0"), 1));
+  daemon.start();
+  serve::Client client("127.0.0.1", daemon.port());
+  serve::JobSpec islands0;
+  islands0.islands = 0;
+  const serve::SubmitOutcome outcome = client.submit(islands0);
+  EXPECT_FALSE(outcome.accepted);
+  EXPECT_NE(outcome.error.find("islands must be >= 1"), std::string::npos);
+  EXPECT_EQ(tuneOut, "error: " + outcome.error + "\n");
+  daemon.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -336,6 +472,31 @@ TEST(Daemon, MalformedFrameDropsOnlyThatConnection) {
   // The daemon itself survives and serves new connections.
   serve::Client client("127.0.0.1", daemon.port());
   EXPECT_NO_THROW(client.ping());
+  daemon.stop();
+}
+
+TEST(Daemon, ClosedConnectionsReleaseTheirFdAndThread) {
+  const auto entries = [](const char* dir) {
+    return std::distance(fs::directory_iterator(dir),
+                         fs::directory_iterator());
+  };
+  serve::Daemon daemon(daemonOptions(freshDir("daemon-conn-leak"), 1));
+  daemon.start();
+  const auto fds = entries("/proc/self/fd");
+  const auto tasks = entries("/proc/self/task");
+  for (int i = 0; i < 2000; ++i) {
+    serve::Client client("127.0.0.1", daemon.port());
+    client.ping();
+  }
+  // Connection threads notice the hang-up asynchronously.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((entries("/proc/self/fd") > fds + 8 ||
+          entries("/proc/self/task") > tasks + 8) &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_NEAR(entries("/proc/self/fd"), fds, 8);
+  EXPECT_NEAR(entries("/proc/self/task"), tasks, 8);
   daemon.stop();
 }
 
@@ -681,19 +842,114 @@ TEST(SpecCache, HashIsStableUnderDefaultedFields) {
   EXPECT_EQ(hash.find_first_not_of("0123456789abcdef"), std::string::npos);
 }
 
+TEST(SpecCache, HashesAndOldJobJsonStayReadable) {
+  // specHash names the on-disk result cache (jobs/by-spec/<hash>), and
+  // job.json outlives daemon upgrades. These hashes were computed by a
+  // daemon that predates the spec option table; a change orphans every
+  // cached job.
+  EXPECT_EQ(serve::specHash(serve::JobSpec{}), "180b049c229bdb15");
+  serve::JobSpec islands;
+  islands.kernel = "dsyrk";
+  islands.machine = "barcelona";
+  islands.seed = 7;
+  islands.islands = 4;
+  EXPECT_EQ(serve::specHash(islands), "0d85ef33c45f2671");
+  serve::JobSpec features;
+  features.kernel = "jacobi-2d";
+  features.seedAnalytic = true;
+  features.surrogateKeep = 0.5;
+  features.objectives = {tuning::Objective::Time, tuning::Objective::Energy};
+  EXPECT_EQ(serve::specHash(features), "55021d0a57f0d292");
+
+  // job.json from a daemon without surrogate_keep, islands or
+  // seed_analytic: the missing keys take their defaults.
+  const serve::JobSpec old = serve::specFromJson(support::Json::parse(
+      R"({"algorithm":"gde3","budget":"1000","kernel":"mm",)"
+      R"("machine":"westmere","n":64,"objectives":["time","resources"],)"
+      R"("seed":"3"})"));
+  EXPECT_EQ(old.algorithm, "gde3");
+  EXPECT_EQ(old.n, 64);
+  EXPECT_EQ(old.seed, 3u);
+  EXPECT_EQ(old.surrogateKeep, 1.0);
+  EXPECT_EQ(old.islands, 1);
+  EXPECT_FALSE(old.seedAnalytic);
+  EXPECT_NO_THROW(serve::validateSpec(old));
+
+  // Unknown keys and values of the wrong shape are refused, by key.
+  try {
+    serve::specFromJson(support::Json::parse(R"({"isles":4})"));
+    ADD_FAILURE() << "unknown key accepted";
+  } catch (const support::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown spec key: isles"),
+              std::string::npos);
+  }
+  EXPECT_THROW(serve::specFromJson(support::Json::parse(R"({"n":12.5})")),
+               support::CheckError);
+  EXPECT_THROW(serve::specFromJson(support::Json::parse(R"({"seed":"-1"})")),
+               support::CheckError);
+  // Each key takes only the JSON kind its value encodes to.
+  for (const char* wrongKind :
+       {R"({"objectives":"time,energy"})", R"({"n":"64"})",
+        R"({"seed_analytic":1})", R"({"kernel":5})", R"({"seed":3})",
+        R"({"islands":"4"})", R"({"surrogate_keep":"0.5"})"}) {
+    SCOPED_TRACE(wrongKind);
+    EXPECT_THROW(serve::specFromJson(support::Json::parse(wrongKind)),
+                 support::CheckError);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Live streaming: the subscribe verb and its buffering contract.
 
 namespace {
 
-int rawConnect(int port) {
+// The in-process daemon's end of loopback connection `fd` is the socket
+// whose peer is fd's local address; it appears once the accept loop has
+// taken the connection. Pins that socket's send buffer to the minimum.
+void pinDaemonSendBuffer(int fd) {
+  sockaddr_in local{};
+  socklen_t length = sizeof local;
+  ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&local), &length),
+            0);
+  const int tiny = 1;
+  for (int attempt = 0; attempt < 1000; ++attempt) {
+    for (const auto& entry : fs::directory_iterator("/proc/self/fd")) {
+      const int other = std::atoi(entry.path().filename().c_str());
+      sockaddr_in peer{};
+      length = sizeof peer;
+      if (other == fd ||
+          ::getpeername(other, reinterpret_cast<sockaddr*>(&peer),
+                        &length) != 0 ||
+          length != sizeof peer || peer.sin_family != AF_INET ||
+          peer.sin_port != local.sin_port ||
+          peer.sin_addr.s_addr != local.sin_addr.s_addr)
+        continue;
+      EXPECT_EQ(::setsockopt(other, SOL_SOCKET, SO_SNDBUF, &tiny, sizeof tiny),
+                0);
+      return;
+    }
+    ::usleep(2000);
+  }
+  FAIL() << "the daemon never accepted the connection";
+}
+
+// tinyBuffers pins both kernel buffers of the connection — this end's
+// receive buffer and the daemon end's send buffer — to the minimum, so a
+// peer that stops reading backs the daemon's writes up after a few KB
+// instead of after the megabytes loopback autotuning allows.
+int rawConnect(int port, bool tinyBuffers = false) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
+  if (tinyBuffers) {
+    const int tiny = 1; // set before connect: it sizes the advertised window
+    EXPECT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &tiny, sizeof tiny), 0);
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  if (tinyBuffers) pinDaemonSendBuffer(fd);
   return fd;
 }
 
@@ -894,8 +1150,11 @@ TEST(Stream, SlowSubscriberNeverBlocksTheScheduler) {
   }
 
   // Subscribe to the last queued job and then read NOTHING while the whole
-  // burst drains.
-  const int fd = rawConnect(daemon.port());
+  // burst drains. With the socket buffers at their minimum the kernel
+  // cannot absorb the job's stream (tens of KB) on the subscriber's
+  // behalf, so the daemon's writes block and its 4-frame buffer overflows
+  // however promptly the connection thread forwards.
+  const int fd = rawConnect(daemon.port(), /*tinyBuffers=*/true);
   serve::sendFrame(fd, support::JsonObject{{"verb", "subscribe"},
                                            {"id", ids.back()}});
   ASSERT_TRUE(daemon.scheduler().drain(300.0))

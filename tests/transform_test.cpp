@@ -73,8 +73,11 @@ INSTANTIATE_TEST_SUITE_P(
                       TileCase{12, 4, 4, 4}, TileCase{12, 5, 7, 11},
                       TileCase{13, 3, 13, 2}, TileCase{16, 8, 2, 16}));
 
-class KernelTilingProperty
-    : public ::testing::TestWithParam<std::pair<const char*, std::int64_t>> {};
+// std::string, not const char*: the kernel name, not its address, names
+// each case.
+using KernelTile = std::pair<std::string, std::int64_t>;
+
+class KernelTilingProperty : public ::testing::TestWithParam<KernelTile> {};
 
 TEST_P(KernelTilingProperty, AllKernelsTileCorrectly) {
   const auto [name, tileSize] = GetParam();
@@ -90,14 +93,11 @@ TEST_P(KernelTilingProperty, AllKernelsTileCorrectly) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllKernels, KernelTilingProperty,
-    ::testing::Values(std::make_pair("mm", 3), std::make_pair("mm", 5),
-                      std::make_pair("dsyrk", 4), std::make_pair("dsyrk", 7),
-                      std::make_pair("jacobi-2d", 3),
-                      std::make_pair("jacobi-2d", 8),
-                      std::make_pair("3d-stencil", 2),
-                      std::make_pair("3d-stencil", 5),
-                      std::make_pair("n-body", 4),
-                      std::make_pair("n-body", 16)));
+    ::testing::Values(KernelTile{"mm", 3}, KernelTile{"mm", 5},
+                      KernelTile{"dsyrk", 4}, KernelTile{"dsyrk", 7},
+                      KernelTile{"jacobi-2d", 3}, KernelTile{"jacobi-2d", 8},
+                      KernelTile{"3d-stencil", 2}, KernelTile{"3d-stencil", 5},
+                      KernelTile{"n-body", 4}, KernelTile{"n-body", 16}));
 
 TEST(Tile, RandomizedPropertySweep) {
   support::Rng rng(2024);

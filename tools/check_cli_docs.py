@@ -3,8 +3,9 @@
 
 Runs `motune --help` to discover the subcommands, then `motune CMD --help`
 for each, and asserts that every subcommand and every `--flag` the binary
-prints is mentioned in docs/cli.md. Run by the CI `docs` job, so a new flag
-cannot land without its documentation.
+prints is mentioned in docs/cli.md. Registered as the `check_cli_docs` ctest and
+run by the CI `docs` job, so a new flag cannot land without its
+documentation.
 
 Usage: check_cli_docs.py /path/to/motune [docs/cli.md]
 """

@@ -1,81 +1,7 @@
-// motune — command-line front end to the auto-tuning framework.
-//
-//   motune list
-//       Built-in kernels and machine models.
-//   motune tune (--kernel mm | --source FILE) --machine westmere [--n 1400]
-//               [--algorithm rsgde3|gde3|nsga2|random] [--seed 1]
-//               [--objectives time,resources[,energy]] [--out FILE]
-//               [--trace FILE] [--trace-format jsonl|chrome]
-//               [--metrics FILE.json] [--validate 1]
-//               [--checkpoint DIR [--checkpoint-every N] | --resume DIR]
-//               [--surrogate-keep X] [--warm-start DIR[,DIR...]]
-//               [--fault-tolerant 1 [--eval-retries N] [--eval-timeout S]
-//                [--eval-backoff S] [--quarantine-after N]]
-//       Run the static optimizer on a built-in kernel or a textual kernel
-//       (see ir/parse.h for the language); print the Pareto set;
-//       optionally save a tuning artifact (JSON).
-//       --trace streams the structured run trace (spans, runtime ring
-//       events, final metric snapshot); "-" = stdout. --trace-format
-//       selects JSON lines (default, the `motune report` input) or Chrome
-//       trace-event JSON (load in chrome://tracing or ui.perfetto.dev).
-//       --metrics writes the run's metric registry as JSON. --validate 1
-//       replays the front through the cache simulator and embeds the
-//       model-vs-simulator comparison in the trace.
-//       See README "Observability & CI" for the schema.
-//   motune report --trace FILE.jsonl [--out FILE.md] [--json FILE.json]
-//                 [--top 10] [--stall-epsilon 0.002] [--fail-on-stall 1]
-//       Analyze a JSONL trace: span self-time attribution, collapsed
-//       stacks, convergence trajectory with stall detection, final Pareto
-//       front, memoization hit rate, version-selection histogram, cost
-//       model vs. cache simulator deltas. Markdown to stdout (or --out);
-//       --json additionally writes the machine-readable report.
-//       --fail-on-stall 1 exits 3 when the stall detector fires (CI gate).
-//   motune analyze --source FILE
-//       Parse a textual kernel, print its dependences, tileable band and
-//       normalized form.
-//   motune show FILE
-//       Print a saved tuning artifact.
-//   motune codegen FILE [--out FILE.c]
-//       Emit the multi-versioned C module for a saved artifact.
-//   motune predict --kernel mm --machine westmere --tiles 64,64,32
-//                  --threads 8 [--n 1400]
-//       Cost-model breakdown for one configuration.
-//   motune fuzz [--seed 1] [--iters 1000] [--time-budget SECONDS]
-//               [--no-native] [--out-dir DIR] [--max-steps 3]
-//               [--metrics FILE.json] [--trace FILE]
-//       Differential correctness fuzzing (see src/verify/): random affine
-//       loop nests x random legal transform sequences, checked three ways
-//       (original interp, transformed interp, compiled C). On disagreement
-//       the case is minimized and written to DIR as a repro file; exit 1.
-//       --no-native skips the compile-and-run leg (interpreter-only).
-//   motune fuzz --repro FILE [--no-native]
-//       Replay a repro file: re-parse the program, re-apply the recorded
-//       transform steps, re-run the oracle; exit 1 if it still disagrees.
-//   motune serve --dir STATE [--port P] [--workers N] [...]
-//       Run the multi-tenant tuning daemon (docs/serve.md): accepts
-//       concurrent tuning jobs over a length-prefixed JSON socket
-//       protocol, persists every job under STATE/, and resumes in-flight
-//       jobs bit-identically after a crash or SIGKILL.
-//   motune submit --port P [tune flags] [--priority N] [--no-cache]
-//                 [--wait]
-//       Submit one tuning job to a running daemon. The job spec uses the
-//       same flags as `motune tune` (kernel, machine, n, algorithm, seed,
-//       objectives, budget, surrogate-keep). A spec identical to an
-//       already-finished job returns that job's id from the daemon's
-//       result cache without scheduling anything (--no-cache opts out).
-//       Exit 4 when the daemon sheds load (queue full; retry after the
-//       printed delay); with --wait, exit 5 when the job failed and 6 when
-//       it was cancelled.
-//   motune jobs --port P [--id ID | --result ID | --cancel ID | --stats
-//                [--format json|prometheus] | --shutdown]
-//       Inspect or control a running daemon: list jobs (default), show one
-//       job, fetch a finished job's artifact, cancel, dump daemon stats
-//       (as JSON or Prometheus text exposition), or ask the daemon to shut
-//       down.
-//   motune top --port P [--interval S] [--iterations N] [--plain]
-//       Live terminal dashboard for a running daemon: queue depth, active
-//       jobs, latency quantiles, and a hypervolume sparkline per running
-//       job fed by the subscribe stream (docs/serve.md).
+// motune — command-line front end to the auto-tuning framework. Every
+// command and flag is declared once, in commandHelp(): it prints `motune
+// [CMD] --help`, parseArgs() refuses flags it lacks, check_cli_docs.py
+// holds docs/cli.md to it; tune/submit share serve::specOptions().
 #include "analyzer/dependence.h"
 #include "analyzer/region.h"
 #include "autotune/artifact.h"
@@ -94,15 +20,18 @@
 #include "serve/daemon.h"
 #include "serve/job.h"
 #include "support/check.h"
+#include "support/number.h"
 #include "support/table.h"
 #include "verify/fuzz.h"
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -125,14 +54,26 @@ struct Args {
     return it == options.end() ? fallback : it->second;
   }
   bool has(const std::string& key) const { return options.count(key) > 0; }
-};
 
-/// Options that are pure flags (present/absent, no value token).
-bool isFlagOption(const std::string& key) {
-  return key == "no-native" || key == "help" || key == "wait" ||
-         key == "stats" || key == "shutdown" || key == "plain" ||
-         key == "list" || key == "no-cache";
-}
+  /// A numeric option, parsed strictly: the whole value must be one T in
+  /// [lo, hi]. `fallback` when the option is absent.
+  template <class T>
+  T number(const std::string& key, T fallback,
+           T lo = std::numeric_limits<T>::lowest(),
+           T hi = std::numeric_limits<T>::max()) const {
+    if (!has(key)) return fallback;
+    const std::optional<T> v = support::parseNumber<T>(options.at(key));
+    if (v && *v >= lo && *v <= hi) return *v;
+    std::ostringstream msg;
+    msg << "--" << key << ": invalid value '" << options.at(key) << "'";
+    if (hi != std::numeric_limits<T>::max())
+      msg << " (must be in [" << +lo << ", " << +hi << "])";
+    else if (lo != std::numeric_limits<T>::lowest())
+      msg << " (must be >= " << +lo << ")";
+    MOTUNE_CHECK_MSG(false, msg.str());
+    return fallback;
+  }
+};
 
 // ---------------------------------------------------------------------------
 // Help. One table drives `motune --help`, `motune CMD --help` and the
@@ -140,13 +81,13 @@ bool isFlagOption(const std::string& key) {
 // is documented in docs/cli.md).
 
 struct FlagHelp {
-  const char* flag;  ///< without the leading "--"
-  const char* value; ///< value placeholder; "" for pure flags
-  const char* text;
+  std::string flag;  ///< without the leading "--"
+  std::string value; ///< value placeholder; "" for pure (valueless) flags
+  std::string text;
   /// Feature area ("search", "checkpoint", "surrogate", "fault"); flags
   /// sharing a group are printed together under a group heading, "" flags
   /// lead the list. Purely presentational — parsing ignores it.
-  const char* group = "";
+  std::string group = "";
 };
 
 struct CommandHelp {
@@ -156,37 +97,33 @@ struct CommandHelp {
   std::vector<FlagHelp> flags;
 };
 
+/// `before`, the JobSpec option rows that tune and submit share
+/// (serve::specOptions()), then `after`.
+std::vector<FlagHelp> withSpecFlags(std::vector<FlagHelp> before,
+                                    const std::vector<FlagHelp>& after) {
+  for (const serve::SpecOption& o : serve::specOptions())
+    before.push_back({o.flag, o.value,
+                      std::string(o.help) + " (default: " +
+                          serve::specFlagText(serve::JobSpec{}, o) + ")",
+                      o.group});
+  before.insert(before.end(), after.begin(), after.end());
+  return before;
+}
+
 const std::vector<CommandHelp>& commandHelp() {
   static const std::vector<CommandHelp> table = {
       {"list", "print the built-in kernels and machine models",
        "motune list", {}},
       {"tune", "run the static optimizer and print the Pareto set",
        "motune tune [--kernel NAME | --source FILE] [options]",
-       {
-           {"kernel", "NAME", "built-in kernel to tune (default: mm)"},
+       withSpecFlags({}, {
            {"source", "FILE", "tune a textual kernel instead (ir/parse.h)"},
-           {"machine", "NAME", "westmere or barcelona (default: westmere)"},
-           {"n", "N", "problem size; 0 = the kernel's paper size"},
-           {"objectives", "LIST",
-            "comma list of time,resources,energy (default: time,resources)"},
            {"out", "FILE", "save the tuning artifact as JSON"},
            {"trace", "FILE", "stream the structured run trace; - = stdout"},
            {"trace-format", "FMT", "jsonl (default) or chrome"},
            {"metrics", "FILE", "write the final metric registry as JSON"},
            {"validate", "0|1",
             "replay the front through the cache simulator"},
-           {"algorithm", "NAME",
-            "rsgde3 (default), gde3, nsga2 or random", "search"},
-           {"seed", "S", "RNG seed for the search (default: 1)", "search"},
-           {"budget", "N", "evaluation budget for --algorithm random",
-            "search"},
-           {"seed-analytic", "0|1",
-            "seed the initial population with cache-capacity-derived "
-            "configurations from the performance model (default: 0)",
-            "search"},
-           {"islands", "N",
-            "island-model search: N independent islands exchanging "
-            "top-ranked migrants on a ring (default: 1 = off)", "search"},
            {"migrate-every", "N",
             "generations between island migration rounds (default: 5)",
             "search"},
@@ -206,10 +143,6 @@ const std::vector<CommandHelp>& commandHelp() {
            {"resume", "DIR",
             "continue a killed session from DIR (bit-identical)",
             "checkpoint"},
-           {"surrogate-keep", "X",
-            "fraction (0,1] of each generation sent to full evaluation; "
-            "the rest is culled by the online surrogate (default: 1 = off)",
-            "surrogate"},
            {"warm-start", "DIRS",
             "comma list of session directories whose journals pre-train "
             "the surrogate (incompatible journals are skipped)",
@@ -228,7 +161,7 @@ const std::vector<CommandHelp>& commandHelp() {
            {"quarantine-after", "N",
             "exhausted attempts before a configuration is banned "
             "(default: 3)", "fault"},
-       }},
+       })},
       {"report", "analyze a JSONL trace into a Markdown/JSON report",
        "motune report --trace FILE.jsonl [options]",
        {
@@ -330,28 +263,10 @@ const std::vector<CommandHelp>& commandHelp() {
        }},
       {"submit", "submit one tuning job to a running daemon",
        "motune submit [--port P] [tune flags] [--priority N] [--wait]",
-       {
+       withSpecFlags({
            {"host", "ADDR", "daemon address (default: 127.0.0.1)"},
            {"port", "P", "daemon TCP port (required)"},
-           {"kernel", "NAME", "built-in kernel to tune (default: mm)"},
-           {"machine", "NAME", "westmere or barcelona (default: westmere)"},
-           {"n", "N", "problem size; 0 = the kernel's paper size"},
-           {"algorithm", "NAME",
-            "rsgde3 (default), gde3, nsga2 or random"},
-           {"seed", "S", "RNG seed for the search (default: 1)"},
-           {"objectives", "LIST",
-            "comma list of time,resources,energy (default: time,resources)"},
-           {"budget", "N", "evaluation budget for --algorithm random"},
-           {"surrogate-keep", "X",
-            "fraction (0,1] of each generation fully evaluated; below 1 "
-            "the daemon also warm-starts the surrogate from finished "
-            "compatible jobs"},
-           {"islands", "N",
-            "island-model search with N islands (rsgde3/gde3 only; "
-            "default: 1 = off)"},
-           {"seed-analytic", "0|1",
-            "seed the initial population from the performance model "
-            "(rsgde3/gde3 only; default: 0)"},
+       }, {
            {"priority", "N",
             "scheduling priority; higher runs first (default: 0)"},
            {"no-cache",
@@ -360,7 +275,7 @@ const std::vector<CommandHelp>& commandHelp() {
            {"wait", "", "block until the job finishes and print the front; "
                         "exits 5 if the job failed, 6 if it was cancelled"},
            {"out", "FILE", "with --wait: save the artifact here"},
-       }},
+       })},
       {"jobs", "inspect or control a running daemon",
        "motune jobs [--port P] [--id ID | --result ID | --cancel ID | "
        "--stats | --shutdown]",
@@ -406,87 +321,88 @@ int printGlobalHelp() {
   return 0;
 }
 
+const CommandHelp* findCommand(const std::string& name) {
+  for (const CommandHelp& c : commandHelp())
+    if (name == c.name) return &c;
+  return nullptr;
+}
+
 int printCommandHelp(const std::string& name) {
   const auto printFlag = [](const FlagHelp& f) {
-    std::string head = "--" + std::string(f.flag);
-    if (f.value[0] != '\0') head += " " + std::string(f.value);
+    std::string head = "--" + f.flag;
+    if (!f.value.empty()) head += " " + f.value;
     std::cout << "  ";
     std::cout.width(24);
     std::cout << std::left << head;
     std::cout << f.text << "\n";
   };
-  for (const CommandHelp& c : commandHelp()) {
-    if (name != c.name) continue;
-    std::cout << "usage: " << c.usage << "\n\n" << c.summary << "\n";
-    if (!c.flags.empty()) {
-      // Ungrouped flags lead under "options:"; grouped flags follow under
-      // one heading per feature area, in first-appearance order.
-      std::cout << "\noptions:\n";
-      for (const FlagHelp& f : c.flags)
-        if (f.group[0] == '\0') printFlag(f);
-      std::vector<std::string> groups;
-      for (const FlagHelp& f : c.flags) {
-        if (f.group[0] == '\0') continue;
-        if (std::find(groups.begin(), groups.end(), f.group) == groups.end())
-          groups.push_back(f.group);
-      }
-      for (const std::string& group : groups) {
-        std::cout << "\n" << group << " options:\n";
-        for (const FlagHelp& f : c.flags)
-          if (group == f.group) printFlag(f);
-      }
-    }
-    return 0;
+  const CommandHelp* c = findCommand(name);
+  if (c == nullptr) {
+    std::cerr << "unknown command: " << name << "\n";
+    return 2;
   }
-  std::cerr << "unknown command: " << name << "\n";
-  return 2;
+  std::cout << "usage: " << c->usage << "\n\n" << c->summary << "\n";
+  if (!c->flags.empty()) {
+    // Ungrouped flags lead under "options:"; grouped flags follow under
+    // one heading per feature area, in first-appearance order.
+    std::cout << "\noptions:\n";
+    for (const FlagHelp& f : c->flags)
+      if (f.group.empty()) printFlag(f);
+    std::vector<std::string> groups;
+    for (const FlagHelp& f : c->flags) {
+      if (f.group.empty()) continue;
+      if (std::find(groups.begin(), groups.end(), f.group) == groups.end())
+        groups.push_back(f.group);
+    }
+    for (const std::string& group : groups) {
+      std::cout << "\n" << group << " options:\n";
+      for (const FlagHelp& f : c->flags)
+        if (group == f.group) printFlag(f);
+    }
+  }
+  return 0;
 }
 
+/// Splits argv by the command's help table: unlisted flags are errors and
+/// placeholder-less flags take no value (main() reports unknown commands).
 Args parseArgs(int argc, char** argv) {
   Args args;
   if (argc >= 2) args.command = argv[1];
+  const CommandHelp* command = findCommand(args.command);
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) {
-      const std::string key = arg.substr(2);
-      if (isFlagOption(key)) {
-        args.options[key] = "1";
-        continue;
-      }
-      MOTUNE_CHECK_MSG(i + 1 < argc, "missing value for --" + key);
-      args.options[key] = argv[++i];
-    } else {
+    if (arg.rfind("--", 0) != 0) {
       args.positional.push_back(arg);
+      continue;
     }
+    const std::string key = arg.substr(2);
+    const FlagHelp* flag = nullptr;
+    if (command != nullptr)
+      for (const FlagHelp& f : command->flags)
+        if (f.flag == key) flag = &f;
+    MOTUNE_CHECK_MSG(flag != nullptr || key == "help" || command == nullptr,
+                     "unknown option --" + key + " for motune " +
+                         args.command + " (see motune " + args.command +
+                         " --help)");
+    if (flag == nullptr || flag->value.empty()) {
+      args.options[key] = "1";
+      continue;
+    }
+    MOTUNE_CHECK_MSG(i + 1 < argc, "missing value for --" + key);
+    args.options[key] = argv[++i];
   }
   return args;
-}
-
-machine::MachineModel machineByName(const std::string& name) {
-  if (name == "westmere") return machine::westmere();
-  if (name == "barcelona") return machine::barcelona();
-  MOTUNE_CHECK_MSG(false, "unknown machine: " + name +
-                              " (available: westmere, barcelona)");
-  return machine::westmere();
 }
 
 std::vector<std::int64_t> parseIntList(const std::string& csv) {
   std::vector<std::int64_t> out;
   std::stringstream ss(csv);
   std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stoll(item));
-  return out;
-}
-
-std::vector<tuning::Objective> parseObjectives(const std::string& csv) {
-  std::vector<tuning::Objective> out;
-  std::stringstream ss(csv);
-  std::string item;
   while (std::getline(ss, item, ',')) {
-    if (item == "time") out.push_back(tuning::Objective::Time);
-    else if (item == "resources") out.push_back(tuning::Objective::Resources);
-    else if (item == "energy") out.push_back(tuning::Objective::Energy);
-    else MOTUNE_CHECK_MSG(false, "unknown objective: " + item);
+    const std::optional<std::int64_t> v =
+        support::parseNumber<std::int64_t>(item);
+    MOTUNE_CHECK_MSG(v.has_value(), "invalid integer list: " + csv);
+    out.push_back(*v);
   }
   return out;
 }
@@ -519,7 +435,7 @@ int cmdList() {
   std::cout << kt.render() << "\nmachines:\n";
   support::TextTable mt;
   mt.setHeader({"name", "cores", "L3/socket", "GHz"});
-  for (const auto& m : {machine::westmere(), machine::barcelona()})
+  for (const machine::MachineModel& m : machine::allMachines())
     mt.addRow({m.name, std::to_string(m.totalCores()),
                std::to_string(m.caches.back().capacityBytes / 1024 / 1024) +
                    "M",
@@ -534,6 +450,15 @@ std::string readFile(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+/// Writes `text` to `path` and reports "<what> written to <path>".
+void writeFile(const std::string& path, const std::string& text,
+               const std::string& what) {
+  std::ofstream out(path);
+  MOTUNE_CHECK_MSG(out.good(), "cannot write " + path);
+  out << text;
+  std::cout << what << " written to " << path << "\n";
 }
 
 /// Builds a KernelSpec from a textual kernel (see ir/parse.h); the problem
@@ -616,87 +541,56 @@ void finishObservability(const Args& args,
     if (args.options.at("trace") != "-")
       std::cout << "trace written to " << args.options.at("trace") << "\n";
   }
-  if (args.has("metrics")) {
-    const std::string path = args.options.at("metrics");
-    std::ofstream out(path);
-    MOTUNE_CHECK_MSG(out.good(), "cannot write " + path);
-    out << metrics.toJson().dump(2) << "\n";
-    std::cout << "metrics written to " << path << "\n";
-  }
+  if (args.has("metrics"))
+    writeFile(args.options.at("metrics"), metrics.toJson().dump(2) + "\n",
+              "metrics");
+}
+
+/// The validated JobSpec of a tune or submit command line.
+serve::JobSpec specFromArgs(const Args& args) {
+  serve::JobSpec spec;
+  for (const serve::SpecOption& o : serve::specOptions())
+    if (args.has(o.flag))
+      serve::parseSpecFlag(spec, o, args.options.at(o.flag));
+  serve::validateSpec(spec);
+  return spec;
 }
 
 int cmdTune(const Args& args) {
-  const kernels::KernelSpec spec =
-      args.has("source") ? specFromSource(args.options.at("source"))
-                         : kernels::kernelByName(args.get("kernel", "mm"));
-  const machine::MachineModel machine =
-      machineByName(args.get("machine", "westmere"));
-  const std::int64_t n = std::stoll(args.get("n", "0"));
-  const auto objectives =
-      parseObjectives(args.get("objectives", "time,resources"));
+  const serve::JobSpec spec = specFromArgs(args);
+  tuning::KernelTuningProblem problem =
+      args.has("source")
+          ? tuning::KernelTuningProblem(
+                specFromSource(args.options.at("source")),
+                machine::machineByName(spec.machine), spec.n, {},
+                spec.objectives)
+          : serve::problemFromSpec(spec);
 
-  tuning::KernelTuningProblem problem(spec, machine, n, {}, objectives);
-
-  autotune::TunerOptions options;
-  const std::string algo = args.get("algorithm", "rsgde3");
-  if (algo == "rsgde3") options.algorithm = autotune::Algorithm::RSGDE3;
-  else if (algo == "gde3") options.algorithm = autotune::Algorithm::PlainGDE3;
-  else if (algo == "nsga2") options.algorithm = autotune::Algorithm::NSGA2;
-  else if (algo == "random") options.algorithm = autotune::Algorithm::Random;
-  else MOTUNE_CHECK_MSG(false, "unknown algorithm: " + algo);
-  options.gde3.seed = std::stoull(args.get("seed", "1"));
-  options.nsga2.seed = options.gde3.seed;
-  options.randomBudget = std::stoull(args.get("budget", "1000"));
-  options.validateFront = args.get("validate", "0") != "0";
-
-  // Durable sessions: --resume DIR implies the checkpoint directory.
-  if (args.has("resume")) {
-    options.session.directory = args.options.at("resume");
-    options.session.resume = true;
-    MOTUNE_CHECK_MSG(!args.has("checkpoint") ||
-                         args.options.at("checkpoint") ==
-                             options.session.directory,
-                     "--checkpoint and --resume point at different "
-                     "directories");
-  } else if (args.has("checkpoint")) {
-    options.session.directory = args.options.at("checkpoint");
-  }
-  options.session.checkpointEvery =
-      std::stoi(args.get("checkpoint-every", "1"));
-  MOTUNE_CHECK_MSG(options.session.checkpointEvery >= 1,
-                   "--checkpoint-every must be >= 1");
-
-  // Surrogate-assisted evaluation: either flag turns the surrogate on;
-  // culling only happens below keep == 1.
-  options.surrogateKeep = std::stod(args.get("surrogate-keep", "1"));
-  MOTUNE_CHECK_MSG(options.surrogateKeep > 0.0 &&
-                       options.surrogateKeep <= 1.0,
-                   "--surrogate-keep must be in (0, 1]");
-  options.surrogateEnabled =
-      args.has("surrogate-keep") || args.has("warm-start");
+  // The spec's options, then the tune-only flags: every hardware thread
+  // evaluates, and sessions are explicit (--resume, not auto-detected).
+  autotune::TunerOptions options = serve::tunerOptionsFromSpec(spec, "", 1, 1);
+  options.evaluationWorkers = 0;
+  options.validateFront = args.number<int>("validate", 0, 0, 1) != 0;
+  options.session.directory = args.get("resume", args.get("checkpoint", ""));
+  options.session.resume = args.has("resume");
+  MOTUNE_CHECK_MSG(args.get("checkpoint", options.session.directory) ==
+                       options.session.directory,
+                   "--checkpoint and --resume point at different directories");
+  options.session.checkpointEvery = args.number("checkpoint-every", 1, 1);
   if (args.has("warm-start")) {
     std::stringstream dirs(args.options.at("warm-start"));
     std::string dir;
     while (std::getline(dirs, dir, ','))
       if (!dir.empty()) options.warmStartDirs.push_back(dir);
   }
-
-  // Distributed search: analytic seeding and the island model (validated
-  // inside the tuner/island layer — GDE3 family only, islands exclude the
-  // surrogate, worker mode needs the shared checkpoint directory).
-  options.seedAnalytic = args.get("seed-analytic", "0") != "0";
-  options.islands = std::stoi(args.get("islands", "1"));
-  options.migrateEvery = std::stoi(args.get("migrate-every", "5"));
-  options.islandMigrants = std::stoull(args.get("migrants", "3"));
-  if (args.has("island-index"))
-    options.islandIndex = std::stoi(args.options.at("island-index"));
-
-  options.fault.enabled = args.get("fault-tolerant", "0") != "0";
-  options.fault.maxRetries = std::stoi(args.get("eval-retries", "2"));
-  options.fault.timeoutSeconds = std::stod(args.get("eval-timeout", "0"));
-  options.fault.backoffSeconds = std::stod(args.get("eval-backoff", "0"));
-  options.fault.quarantineAfter =
-      std::stoi(args.get("quarantine-after", "3"));
+  options.migrateEvery = args.number("migrate-every", 5, 1);
+  options.islandMigrants = args.number<std::size_t>("migrants", 3, 1);
+  options.islandIndex = args.number("island-index", -1, 0);
+  options.fault.enabled = args.number<int>("fault-tolerant", 0, 0, 1) != 0;
+  options.fault.maxRetries = args.number("eval-retries", 2, 0);
+  options.fault.timeoutSeconds = args.number("eval-timeout", 0.0, 0.0);
+  options.fault.backoffSeconds = args.number("eval-backoff", 0.0, 0.0);
+  options.fault.quarantineAfter = args.number("quarantine-after", 3, 0);
 
   // Observability: fresh per-run metrics, optional JSONL trace. The final
   // metric snapshot is stitched into the trace so one file carries the
@@ -705,8 +599,9 @@ int cmdTune(const Args& args) {
   metrics.reset();
   attachTraceSink(args);
 
-  std::cout << "tuning " << spec.name << " (N=" << problem.problemSize()
-            << ") on " << machine.name << " with " << algo << " ...\n";
+  std::cout << "tuning " << problem.kernel().name << " (N="
+            << problem.problemSize() << ") on " << problem.machine().name
+            << " with " << spec.algorithm << " ...\n";
   autotune::AutoTuner tuner(options);
   const autotune::TuningResult result = tuner.tune(problem);
 
@@ -731,35 +626,23 @@ int cmdTune(const Args& args) {
 }
 
 int cmdReport(const Args& args) {
-  MOTUNE_CHECK_MSG(args.has("trace"),
-                   "usage: motune report --trace FILE.jsonl [--out FILE.md] "
-                   "[--json FILE.json] [--top N] [--stall-epsilon X] "
-                   "[--fail-on-stall 1]");
+  MOTUNE_CHECK_MSG(args.has("trace"), "report needs --trace FILE.jsonl");
   observe::ReportOptions options;
-  options.topK = std::stoull(args.get("top", "10"));
-  options.stallEpsilon = std::stod(args.get("stall-epsilon", "0.002"));
+  options.topK = args.number<std::size_t>("top", 10);
+  options.stallEpsilon = args.number("stall-epsilon", 0.002, 0.0);
   const auto records =
       observe::parseTraceFile(args.options.at("trace"));
   const observe::Report report = observe::buildReport(records, options);
 
   const std::string markdown = observe::renderMarkdown(report);
-  if (args.has("out")) {
-    const std::string path = args.options.at("out");
-    std::ofstream out(path);
-    MOTUNE_CHECK_MSG(out.good(), "cannot write " + path);
-    out << markdown;
-    std::cout << "report written to " << path << "\n";
-  } else {
+  if (args.has("out"))
+    writeFile(args.options.at("out"), markdown, "report");
+  else
     std::cout << markdown;
-  }
-  if (args.has("json")) {
-    const std::string path = args.options.at("json");
-    std::ofstream out(path);
-    MOTUNE_CHECK_MSG(out.good(), "cannot write " + path);
-    out << observe::reportToJson(report).dump(2) << "\n";
-    std::cout << "json report written to " << path << "\n";
-  }
-  if (args.get("fail-on-stall", "0") != "0" && report.stall.stalled) {
+  if (args.has("json"))
+    writeFile(args.options.at("json"),
+              observe::reportToJson(report).dump(2) + "\n", "json report");
+  if (args.number("fail-on-stall", 0, 0, 1) != 0 && report.stall.stalled) {
     std::cerr << "stall detector fired: " << report.stall.verdict << "\n";
     return 3;
   }
@@ -789,37 +672,34 @@ int cmdCodegen(const Args& args) {
                    "usage: motune codegen FILE [--out FILE.c]");
   const autotune::TunedArtifact a =
       autotune::loadArtifact(args.positional.front());
+  std::string machineName = a.machineName; // "Westmere" -> "westmere"
+  std::transform(machineName.begin(), machineName.end(), machineName.begin(),
+                 [](unsigned char c) { return std::tolower(c); });
   tuning::KernelTuningProblem problem(kernels::kernelByName(a.kernel),
-                                      machineByName(a.machineName == "Westmere"
-                                                        ? "westmere"
-                                                        : "barcelona"),
+                                      machine::machineByName(machineName),
                                       a.problemSize);
   autotune::TuningResult result;
   result.front = a.front;
   const std::string module = autotune::emitMultiVersionedC(result, problem);
-  if (args.has("out")) {
-    std::ofstream out(args.options.at("out"));
-    MOTUNE_CHECK_MSG(out.good(), "cannot write " + args.options.at("out"));
-    out << module;
-    std::cout << module.size() << " bytes written to "
-              << args.options.at("out") << "\n";
-  } else {
+  if (args.has("out"))
+    writeFile(args.options.at("out"), module,
+              std::to_string(module.size()) + " bytes");
+  else
     std::cout << module;
-  }
   return 0;
 }
 
 int cmdPredict(const Args& args) {
   const auto& spec = kernels::kernelByName(args.get("kernel", "mm"));
-  const machine::MachineModel machine =
-      machineByName(args.get("machine", "westmere"));
-  const std::int64_t n = std::stoll(args.get("n", "0"));
-  tuning::KernelTuningProblem problem(spec, machine, n);
+  const machine::MachineModel& machine =
+      machine::machineByName(args.get("machine", "westmere"));
+  tuning::KernelTuningProblem problem(spec, machine,
+                                      args.number<std::int64_t>("n", 0, 0));
 
   MOTUNE_CHECK_MSG(args.has("tiles") && args.has("threads"),
                    "predict needs --tiles t1,t2[,t3] and --threads P");
   tuning::Config config = parseIntList(args.options.at("tiles"));
-  config.push_back(std::stoll(args.options.at("threads")));
+  config.push_back(args.number<std::int64_t>("threads", 1, 1));
 
   const perf::Prediction p = problem.predictFull(config);
   support::TextTable table("prediction for " + spec.name + " on " +
@@ -845,7 +725,7 @@ int cmdFuzz(const Args& args) {
 
   verify::OracleOptions oracle;
   oracle.runNative = !args.has("no-native");
-  oracle.useBytecode = args.get("use-bytecode", "1") != "0";
+  oracle.useBytecode = args.number("use-bytecode", 1, 0, 1) != 0;
   if (oracle.runNative && verify::hostCompiler().empty()) {
     std::cout << "no host C compiler found; falling back to --no-native\n";
     oracle.runNative = false;
@@ -865,10 +745,10 @@ int cmdFuzz(const Args& args) {
   }
 
   verify::FuzzOptions options;
-  options.seed = std::stoull(args.get("seed", "1"));
-  options.iters = std::stoull(args.get("iters", "1000"));
-  options.timeBudgetSeconds = std::stod(args.get("time-budget", "0"));
-  options.sampler.maxSteps = std::stoi(args.get("max-steps", "3"));
+  options.seed = args.number<std::uint64_t>("seed", 1);
+  options.iters = args.number<std::uint64_t>("iters", 1000);
+  options.timeBudgetSeconds = args.number("time-budget", 0.0, 0.0);
+  options.sampler.maxSteps = args.number("max-steps", 3, 1);
   options.outDir = args.get("out-dir", ".");
   options.oracle = oracle;
 
@@ -925,25 +805,25 @@ int cmdReplay(const Args& args) {
                      "--spec and --scenario are mutually exclusive");
     scenario = args.options.at("spec");
     spec = runtime::parseTrafficSpec(readFile(scenario));
-    if (args.has("seed")) spec.seed = std::stoull(args.options.at("seed"));
+    spec.seed = args.number<std::uint64_t>("seed", spec.seed);
   } else {
     scenario = args.get("scenario", "mix");
     spec = runtime::builtinScenario(scenario,
-                                    std::stoull(args.get("seed", "1")));
+                                    args.number<std::uint64_t>("seed", 1));
   }
-  const std::uint64_t rescale = std::stoull(args.get("invocations", "0"));
+  const auto rescale = args.number<std::uint64_t>("invocations", 0);
   if (rescale > 0) spec.scaleTo(rescale);
 
-  const std::size_t versions = std::stoull(args.get("versions", "6"));
+  const auto versions = args.number<std::size_t>("versions", 6, 1);
   const mv::VersionTable table =
       runtime::syntheticTable(versions, spec.seed, spec.defaultThreads);
 
   runtime::AdaptiveOptions options;
   options.seed = spec.seed;
-  options.window = std::stoull(args.get("window", "16"));
-  options.epsilon = std::stod(args.get("epsilon", "0.03"));
-  options.minDwell = std::stoull(args.get("min-dwell", "50"));
-  options.switchMargin = std::stod(args.get("switch-margin", "0.05"));
+  options.window = args.number<std::size_t>("window", 16, 1);
+  options.epsilon = args.number("epsilon", 0.03, 0.0, 1.0);
+  options.minDwell = args.number<std::size_t>("min-dwell", 50);
+  options.switchMargin = args.number("switch-margin", 0.05, 0.0);
   const std::string explore = args.get("explore", "epsilon-greedy");
   if (explore == "ucb")
     options.explore = runtime::ExploreKind::Ucb;
@@ -1000,7 +880,7 @@ int cmdReplay(const Args& args) {
 
   finishObservability(args, metrics);
 
-  const double minRatio = std::stod(args.get("min-ratio", "0"));
+  const double minRatio = args.number("min-ratio", 0.0, 0.0);
   if (outcome.convergenceRatio() < minRatio) {
     std::cerr << "FAIL: convergence ratio "
               << support::fmt(outcome.convergenceRatio(), 3) << " < "
@@ -1021,20 +901,14 @@ int cmdServe(const Args& args) {
   serve::DaemonOptions options;
   options.stateDir = args.options.at("dir");
   options.host = args.get("host", "127.0.0.1");
-  options.port = std::stoi(args.get("port", "0"));
-  options.scheduler.workers =
-      static_cast<unsigned>(std::stoul(args.get("workers", "2")));
-  options.scheduler.queueCapacity = std::stoull(args.get("queue-capacity",
-                                                         "64"));
-  options.scheduler.jobThreads =
-      static_cast<unsigned>(std::stoul(args.get("job-threads", "1")));
-  options.scheduler.checkpointEvery =
-      std::stoi(args.get("checkpoint-every", "1"));
-  options.scheduler.retryAfterSeconds = std::stod(args.get("retry-after",
-                                                           "0.5"));
-  options.streamBufferFrames = std::stoull(args.get("stream-buffer", "256"));
-  MOTUNE_CHECK_MSG(options.scheduler.checkpointEvery >= 1,
-                   "--checkpoint-every must be >= 1");
+  options.port = args.number("port", 0, 0, 65535);
+  options.scheduler.workers = args.number<unsigned>("workers", 2, 1);
+  options.scheduler.queueCapacity =
+      args.number<std::size_t>("queue-capacity", 64);
+  options.scheduler.jobThreads = args.number<unsigned>("job-threads", 1);
+  options.scheduler.checkpointEvery = args.number("checkpoint-every", 1, 1);
+  options.scheduler.retryAfterSeconds = args.number("retry-after", 0.5, 0.0);
+  options.streamBufferFrames = args.number<std::size_t>("stream-buffer", 256);
 
   serve::Daemon daemon(options);
   daemon.start();
@@ -1053,29 +927,12 @@ int cmdServe(const Args& args) {
   return 0;
 }
 
-/// JobSpec from the shared tune-flag vocabulary (`motune submit` accepts
-/// exactly the spec flags `motune tune` does).
-serve::JobSpec specFromArgs(const Args& args) {
-  serve::JobSpec spec;
-  spec.kernel = args.get("kernel", "mm");
-  spec.machine = args.get("machine", "westmere");
-  spec.n = std::stoll(args.get("n", "0"));
-  spec.algorithm = args.get("algorithm", "rsgde3");
-  spec.seed = std::stoull(args.get("seed", "1"));
-  spec.objectives = parseObjectives(args.get("objectives", "time,resources"));
-  spec.budget = std::stoull(args.get("budget", "1000"));
-  spec.surrogateKeep = std::stod(args.get("surrogate-keep", "1"));
-  spec.islands = std::stoi(args.get("islands", "1"));
-  spec.seedAnalytic = args.get("seed-analytic", "0") != "0";
-  return spec;
-}
-
 int cmdSubmit(const Args& args) {
   MOTUNE_CHECK_MSG(args.has("port"), "submit needs --port P");
-  serve::Client client(args.get("host", "127.0.0.1"),
-                       std::stoi(args.options.at("port")));
   const serve::JobSpec spec = specFromArgs(args);
-  const int priority = std::stoi(args.get("priority", "0"));
+  const int priority = args.number("priority", 0);
+  serve::Client client(args.get("host", "127.0.0.1"),
+                       args.number("port", 0, 1, 65535));
   const serve::SubmitOutcome outcome =
       client.submit(spec, priority, args.has("no-cache"));
   if (!outcome.accepted) {
@@ -1104,20 +961,16 @@ int cmdSubmit(const Args& args) {
             << support::fmt(info.hypervolume, 3) << ", " << info.frontSize
             << " Pareto-optimal versions ("
             << support::fmt(info.runSeconds, 2) << "s run)\n";
-  if (args.has("out")) {
-    const support::Json artifact = client.result(info.id);
-    std::ofstream out(args.options.at("out"));
-    MOTUNE_CHECK_MSG(out.good(), "cannot write " + args.options.at("out"));
-    out << artifact.dump(2) << "\n";
-    std::cout << "artifact written to " << args.options.at("out") << "\n";
-  }
+  if (args.has("out"))
+    writeFile(args.options.at("out"), client.result(info.id).dump(2) + "\n",
+              "artifact");
   return 0;
 }
 
 int cmdJobs(const Args& args) {
   MOTUNE_CHECK_MSG(args.has("port"), "jobs needs --port P");
   serve::Client client(args.get("host", "127.0.0.1"),
-                       std::stoi(args.options.at("port")));
+                       args.number("port", 0, 1, 65535));
 
   if (args.has("shutdown")) {
     client.shutdown();
@@ -1141,14 +994,10 @@ int cmdJobs(const Args& args) {
   }
   if (args.has("result")) {
     const support::Json artifact = client.result(args.options.at("result"));
-    if (args.has("out")) {
-      std::ofstream out(args.options.at("out"));
-      MOTUNE_CHECK_MSG(out.good(), "cannot write " + args.options.at("out"));
-      out << artifact.dump(2) << "\n";
-      std::cout << "artifact written to " << args.options.at("out") << "\n";
-    } else {
+    if (args.has("out"))
+      writeFile(args.options.at("out"), artifact.dump(2) + "\n", "artifact");
+    else
       std::cout << artifact.dump(2) << "\n";
-    }
     return 0;
   }
 
@@ -1215,11 +1064,10 @@ struct TopJobLive {
 int cmdTop(const Args& args) {
   MOTUNE_CHECK_MSG(args.has("port"), "top needs --port P");
   const std::string host = args.get("host", "127.0.0.1");
-  const int port = std::stoi(args.options.at("port"));
-  const double interval = std::stod(args.get("interval", "1"));
-  const long iterations = std::stol(args.get("iterations", "0"));
+  const int port = args.number("port", 0, 1, 65535);
+  const double interval = args.number("interval", 1.0, 1e-3);
+  const long iterations = args.number("iterations", 0L, 0L);
   const bool plain = args.has("plain");
-  MOTUNE_CHECK_MSG(interval > 0, "--interval must be > 0");
 
   serve::Client poll(host, port);
   std::signal(SIGINT, onSignal);
