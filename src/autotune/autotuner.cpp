@@ -146,7 +146,6 @@ makeSurrogate(const TunerOptions& options, tuning::ObjectiveFunction& fn,
         .add(state.evaluations.size());
     metrics.counter("tuning.surrogate.warmstart.journals").add();
   }
-  surrogate->markPreloaded();
   return surrogate;
 }
 

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <set>
 
@@ -37,20 +36,18 @@ GDE3::evaluateAll(std::vector<std::vector<double>> genomes,
   std::vector<tuning::Objectives> objectives =
       counter_.evaluateBatch(configs, pool_, options_.parallelEvaluation);
 
+  // Every evaluated point is offered to the front, so the reported Pareto
+  // set is the non-dominated subset of everything measured, exactly as for
+  // the brute-force and random-search baselines.
   std::vector<Individual> out;
   out.reserve(genomes.size());
-  for (std::size_t i = 0; i < genomes.size(); ++i)
+  for (std::size_t i = 0; i < genomes.size(); ++i) {
     out.push_back({std::move(genomes[i]), std::move(configs[i]),
                    std::move(objectives[i])});
-  // Every evaluated point enters the archive; the reported Pareto set is
-  // the non-dominated subset of everything measured, exactly as for the
-  // brute-force and random-search baselines.
-  archive_.insert(archive_.end(), out.begin(), out.end());
-  // The surrogate learns from the same sequence the archive records, so
-  // restore() can rebuild its state by replaying the archive.
-  if (options_.surrogate)
-    for (const auto& ind : out)
-      options_.surrogate->observe(ind.config, ind.objectives);
+    insertIntoFront(front_, out.back());
+    if (options_.surrogate)
+      options_.surrogate->observe(out.back().config, out.back().objectives);
+  }
   return out;
 }
 
@@ -97,6 +94,7 @@ void GDE3::initialize() {
   bestHv_ = frontHypervolume();
   hvHistory_.assign(1, bestHv_);
   generations_ = 0;
+  lastFrontSize_ = 0; // the first step() counts the initial front as growth
   span.setAttr("seeds", support::Json(seeded));
   span.setAttr("initial_hv", support::Json(bestHv_));
   observe::MetricsRegistry::global().gauge("gde3.best_hv").set(bestHv_);
@@ -214,11 +212,8 @@ bool GDE3::step() {
   // Pareto set of everything evaluated GAINED members (pure replacements
   // at equal quality do not count, keeping the budget close to the
   // paper's evaluation counts).
-  std::set<Config> frontConfigs;
-  for (const auto& ind : paretoFront(archive_))
-    frontConfigs.insert(ind.config);
-  const bool frontGrew = frontConfigs.size() > lastFrontConfigs_.size();
-  lastFrontConfigs_ = std::move(frontConfigs);
+  const bool frontGrew = front_.size() > lastFrontSize_;
+  lastFrontSize_ = front_.size();
   const bool improved = hvImproved || frontGrew;
 
   std::size_t immigrants = 0;
@@ -231,7 +226,7 @@ bool GDE3::step() {
   span.setAttr("gen", support::Json(generations_));
   span.setAttr("hv", support::Json(bestHv_));
   span.setAttr("gen_hv", support::Json(hv));
-  span.setAttr("front_size", support::Json(lastFrontConfigs_.size()));
+  span.setAttr("front_size", support::Json(lastFrontSize_));
   span.setAttr("immigrants", support::Json(immigrants));
   span.setAttr("boundary_volume", support::Json(boundary_.volume()));
   span.setAttr("improved", support::Json(improved));
@@ -240,7 +235,7 @@ bool GDE3::step() {
   metrics.counter("gde3.generations").add();
   metrics.gauge("gde3.best_hv").set(bestHv_);
   metrics.gauge("gde3.front_size")
-      .set(static_cast<double>(lastFrontConfigs_.size()));
+      .set(static_cast<double>(lastFrontSize_));
   metrics.gauge("gde3.boundary_volume").set(boundary_.volume());
   if (immigrants > 0) metrics.counter("gde3.immigrants").add(immigrants);
   return improved;
@@ -331,15 +326,12 @@ std::size_t GDE3::integrateMigrants(const std::vector<Individual>& migrants) {
   }
 
   const std::size_t n = std::min(fresh.size(), population_.size());
-  for (std::size_t i = 0; i < n; ++i)
+  for (std::size_t i = 0; i < n; ++i) {
     population_[worstFirst[i]] = fresh[i];
-  archive_.insert(archive_.end(), fresh.begin(),
-                  fresh.begin() + static_cast<std::ptrdiff_t>(n));
-  // Keep the archive-replay invariant: restore() rebuilds the surrogate by
-  // replaying the archive, so migrants entering it must be observed too.
-  if (options_.surrogate)
-    for (std::size_t i = 0; i < n; ++i)
+    insertIntoFront(front_, fresh[i]);
+    if (options_.surrogate)
       options_.surrogate->observe(fresh[i].config, fresh[i].objectives);
+  }
   return n;
 }
 
@@ -356,149 +348,110 @@ OptResult GDE3::run() {
   return snapshot();
 }
 
-support::Json individualToJson(const Individual& ind) {
-  support::JsonArray genome, config, objectives;
-  for (double g : ind.genome) genome.emplace_back(g);
-  for (std::int64_t c : ind.config) config.emplace_back(c);
-  for (double o : ind.objectives) objectives.emplace_back(o);
-  return support::JsonObject{{"g", std::move(genome)},
-                             {"c", std::move(config)},
-                             {"o", std::move(objectives)}};
-}
-
-Individual individualFromJson(const support::Json& j) {
-  Individual ind;
-  for (const auto& v : j.at("g").asArray()) ind.genome.push_back(v.asNumber());
-  for (const auto& v : j.at("c").asArray()) ind.config.push_back(v.asInt());
-  for (const auto& v : j.at("o").asArray())
-    ind.objectives.push_back(v.asNumber());
-  return ind;
-}
-
 namespace {
 
-// RNG words are full 64-bit values; JSON numbers are doubles and lose
-// precision past 2^53, so the stream position travels as hex strings.
-std::string hexU64(std::uint64_t v) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
+template <class T> support::Json arrayToJson(const std::vector<T>& values) {
+  return support::JsonArray(values.begin(), values.end());
 }
 
-std::uint64_t parseHexU64(const std::string& s) {
-  MOTUNE_CHECK_MSG(s.rfind("0x", 0) == 0 && s.size() > 2,
-                   "malformed RNG state word: " + s);
-  return std::stoull(s.substr(2), nullptr, 16);
+std::vector<double> numbers(const support::Json& j) {
+  std::vector<double> out;
+  for (const auto& v : j.asArray()) out.push_back(v.asNumber());
+  return out;
 }
 
-support::Json boundaryToJson(const tuning::Boundary& b) {
-  support::JsonArray lo, hi;
-  for (double v : b.lo) lo.emplace_back(v);
-  for (double v : b.hi) hi.emplace_back(v);
-  return support::JsonObject{{"lo", std::move(lo)}, {"hi", std::move(hi)}};
+support::Json individualsToJson(const std::vector<Individual>& individuals) {
+  support::JsonArray out;
+  for (const auto& ind : individuals) out.push_back(individualToJson(ind));
+  return out;
 }
 
-tuning::Boundary boundaryFromJson(const support::Json& j) {
-  tuning::Boundary b;
-  for (const auto& v : j.at("lo").asArray()) b.lo.push_back(v.asNumber());
-  for (const auto& v : j.at("hi").asArray()) b.hi.push_back(v.asNumber());
-  MOTUNE_CHECK(b.lo.size() == b.hi.size());
-  return b;
+std::vector<Individual> individualsFromJson(const support::Json& j) {
+  std::vector<Individual> out;
+  for (const auto& v : j.asArray()) out.push_back(individualFromJson(v));
+  return out;
 }
 
 } // namespace
 
+support::Json individualToJson(const Individual& ind) {
+  return support::JsonObject{{"g", arrayToJson(ind.genome)},
+                             {"c", arrayToJson(ind.config)},
+                             {"o", arrayToJson(ind.objectives)}};
+}
+
+Individual individualFromJson(const support::Json& j) {
+  Individual ind{numbers(j.at("g")), {}, numbers(j.at("o"))};
+  for (const auto& v : j.at("c").asArray()) ind.config.push_back(v.asInt());
+  return ind;
+}
+
 support::Json GDE3::serialize() const {
   MOTUNE_CHECK_MSG(!population_.empty(),
                    "serialize() requires an initialized engine");
-  support::JsonArray population, archive, lastFront, worst, hvHistory;
-  for (const auto& ind : population_) population.push_back(individualToJson(ind));
-  for (const auto& ind : archive_) archive.push_back(individualToJson(ind));
-  for (const auto& config : lastFrontConfigs_) {
-    support::JsonArray c;
-    for (std::int64_t v : config) c.emplace_back(v);
-    lastFront.emplace_back(std::move(c));
-  }
-  for (double w : metric_->worst()) worst.emplace_back(w);
-  for (double hv : hvHistory_) hvHistory.emplace_back(hv);
-
+  // RNG words are full 64-bit values, so they travel as hex words.
   const support::Rng::State rng = rng_.state();
   support::JsonArray words;
-  for (std::uint64_t w : rng.words) words.emplace_back(hexU64(w));
+  for (std::uint64_t w : rng.words) words.push_back(support::hexWord(w));
 
-  return support::JsonObject{
-      {"population", std::move(population)},
-      {"archive", std::move(archive)},
-      {"last_front_configs", std::move(lastFront)},
-      {"metric_worst", std::move(worst)},
-      {"hv_history", std::move(hvHistory)},
+  support::JsonObject state{
+      {"population", individualsToJson(population_)},
+      {"front", individualsToJson(front_)},
+      {"last_front_size", lastFrontSize_},
+      {"metric_worst", arrayToJson(metric_->worst())},
+      {"hv_history", arrayToJson(hvHistory_)},
       {"best_hv", bestHv_},
       {"generations", generations_},
-      {"boundary", boundaryToJson(boundary_)},
+      {"boundary", support::JsonObject{{"lo", arrayToJson(boundary_.lo)},
+                                       {"hi", arrayToJson(boundary_.hi)}}},
       {"rng",
        support::JsonObject{{"words", std::move(words)},
                            {"gaussian", rng.cachedGaussian},
                            {"has_gaussian", rng.hasCachedGaussian}}},
   };
+  if (options_.surrogate)
+    state.emplace("surrogate", options_.surrogate->serialize());
+  return state;
 }
 
 void GDE3::restore(const support::Json& state) {
-  population_.clear();
-  archive_.clear();
-  lastFrontConfigs_.clear();
-  for (const auto& j : state.at("population").asArray())
-    population_.push_back(individualFromJson(j));
-  for (const auto& j : state.at("archive").asArray())
-    archive_.push_back(individualFromJson(j));
-  for (const auto& j : state.at("last_front_configs").asArray()) {
-    Config c;
-    for (const auto& v : j.asArray()) c.push_back(v.asInt());
-    lastFrontConfigs_.insert(std::move(c));
-  }
+  population_ = individualsFromJson(state.at("population"));
   MOTUNE_CHECK_MSG(!population_.empty(), "checkpoint has an empty population");
+  front_ = individualsFromJson(state.at("front"));
+  lastFrontSize_ = static_cast<std::size_t>(state.at("last_front_size").asInt());
 
-  Objectives worst;
-  for (const auto& v : state.at("metric_worst").asArray())
-    worst.push_back(v.asNumber());
-  metric_.emplace(std::move(worst));
-
-  hvHistory_.clear();
-  for (const auto& v : state.at("hv_history").asArray())
-    hvHistory_.push_back(v.asNumber());
+  metric_.emplace(numbers(state.at("metric_worst")));
+  hvHistory_ = numbers(state.at("hv_history"));
   bestHv_ = state.at("best_hv").asNumber();
   generations_ = static_cast<int>(state.at("generations").asInt());
 
-  tuning::Boundary boundary = boundaryFromJson(state.at("boundary"));
-  MOTUNE_CHECK_MSG(boundary.dims() == fullBoundary_.dims(),
+  const support::Json& boundary = state.at("boundary");
+  boundary_ = {numbers(boundary.at("lo")), numbers(boundary.at("hi"))};
+  MOTUNE_CHECK_MSG(boundary_.lo.size() == fullBoundary_.dims() &&
+                       boundary_.hi.size() == fullBoundary_.dims(),
                    "checkpoint boundary dimensionality mismatch");
-  boundary_ = std::move(boundary);
 
   const support::Json& rng = state.at("rng");
   support::Rng::State rngState;
   const auto& words = rng.at("words").asArray();
   MOTUNE_CHECK(words.size() == rngState.words.size());
   for (std::size_t i = 0; i < words.size(); ++i)
-    rngState.words[i] = parseHexU64(words[i].asString());
+    rngState.words[i] = support::hexWordValue(words[i]);
   rngState.cachedGaussian = rng.at("gaussian").asNumber();
   rngState.hasCachedGaussian = rng.at("has_gaussian").asBool();
   rng_.setState(rngState);
 
-  // The surrogate is not serialized: its state is a pure function of the
-  // observation sequence, which is exactly the archive (plus any warm-start
-  // base the owner preloaded before the engine started). Replay it.
-  if (options_.surrogate) {
-    options_.surrogate->resetToPreloaded();
-    for (const auto& ind : archive_)
-      options_.surrogate->observe(ind.config, ind.objectives);
-  }
+  // Absent only when the checkpointed run had no surrogate, which at
+  // keep < 1 the session header already refuses to resume.
+  if (options_.surrogate && state.has("surrogate"))
+    options_.surrogate->restore(state.at("surrogate"));
 
   observe::MetricsRegistry::global().gauge("gde3.best_hv").set(bestHv_);
 }
 
 OptResult GDE3::snapshot() const {
   OptResult res;
-  res.front = paretoFront(archive_);
+  res.front = front_;
   res.population = population_;
   res.evaluations = counter_.evaluations();
   res.generations = generations_;

@@ -19,7 +19,6 @@
 #include "tuning/evaluator.h"
 
 #include <optional>
-#include <set>
 
 namespace motune::tuning {
 class Surrogate;
@@ -69,8 +68,9 @@ struct GDE3Options {
   /// keep their parent. At surrogateKeep == 1 the surrogate only observes
   /// and scores (pure observability mode): the evaluation sequence, fronts
   /// and RNG stream are byte-identical to a surrogate-free run. Not owned;
-  /// must outlive the engine. Restore() rebuilds the surrogate
-  /// deterministically by replaying the archive over its warm-start base.
+  /// must outlive the engine. serialize() carries the surrogate's state and
+  /// restore() puts it back, so a restored search culls exactly as the
+  /// uninterrupted one would.
   tuning::Surrogate* surrogate = nullptr;
   double surrogateKeep = 1.0;
 };
@@ -98,8 +98,8 @@ public:
   OptResult run();
 
   /// Result snapshot at any point. The front is the non-dominated subset
-  /// of ALL evaluated configurations (archive), matching how the baseline
-  /// strategies report their solution sets.
+  /// of ALL evaluated configurations, kept incrementally (insertIntoFront),
+  /// matching how the baseline strategies report their solution sets.
   OptResult snapshot() const;
 
   const std::vector<Individual>& population() const { return population_; }
@@ -111,8 +111,8 @@ public:
 
   /// Integrates externally evaluated individuals (island immigrants):
   /// migrants whose configuration is not already in the population replace
-  /// the worst-ranked members, and every integrated migrant enters the
-  /// archive (its objectives were produced by the same deterministic
+  /// the worst-ranked members, and every integrated migrant is offered to
+  /// the front (its objectives were produced by the same deterministic
   /// objective function on the sending island). Touches no RNG state and
   /// does not count toward evaluations() — the sender already paid for
   /// them. Returns the number of migrants integrated.
@@ -121,21 +121,22 @@ public:
   int generationsDone() const { return generations_; }
   std::uint64_t evaluations() const { return counter_.evaluations(); }
 
-  /// Live progress accessors (per-generation streaming): best archive-front
-  /// hypervolume so far, the latest generation's hypervolume, and the size
-  /// of the latest archive front.
+  /// Live progress accessors (per-generation streaming): best population-
+  /// front hypervolume so far, the latest generation's hypervolume, and
+  /// the front size the latest step() saw (0 before the first step).
   double bestHypervolume() const { return bestHv_; }
   double lastHypervolume() const {
     return hvHistory_.empty() ? 0.0 : hvHistory_.back();
   }
-  std::size_t lastFrontSize() const { return lastFrontConfigs_.size(); }
+  std::size_t lastFrontSize() const { return lastFrontSize_; }
 
-  /// Complete engine state as one JSON document: population, archive,
-  /// hypervolume normalization, stagnation bookkeeping, current boundary
-  /// and the exact RNG stream position. restore() of this state into a
-  /// freshly constructed engine (same objective function, same options)
-  /// continues the search bit-identically — the basis of the durable
-  /// tuning sessions in src/session/. Only valid after initialize().
+  /// Complete engine state as one JSON document, sized independently of
+  /// evaluations(): population, front, hypervolume normalization,
+  /// stagnation bookkeeping, current boundary, the exact RNG stream
+  /// position and any attached surrogate's state. restore() of this state
+  /// into a freshly constructed engine (same objective function, same
+  /// options) continues the search bit-identically — the basis of the
+  /// durable tuning sessions in src/session/. Only valid after initialize().
   support::Json serialize() const;
   void restore(const support::Json& state);
 
@@ -160,8 +161,8 @@ private:
   support::Rng rng_;
 
   std::vector<Individual> population_;
-  std::vector<Individual> archive_; ///< every evaluated individual
-  std::set<Config> lastFrontConfigs_; ///< archive front of the previous gen
+  std::vector<Individual> front_; ///< non-dominated set of all evaluations
+  std::size_t lastFrontSize_ = 0; ///< front_.size() at the previous step()
   std::optional<HypervolumeMetric> metric_; ///< fixed after initialization
   double bestHv_ = 0.0;
   int generations_ = 0;

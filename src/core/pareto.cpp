@@ -39,6 +39,18 @@ std::vector<Individual> paretoFront(std::span<const Individual> pop) {
   return out;
 }
 
+void insertIntoFront(std::vector<Individual>& front,
+                     const Individual& candidate) {
+  for (const Individual& member : front)
+    if (member.config == candidate.config ||
+        dominates(member.objectives, candidate.objectives))
+      return;
+  std::erase_if(front, [&](const Individual& member) {
+    return dominates(candidate.objectives, member.objectives);
+  });
+  front.push_back(candidate);
+}
+
 std::vector<std::vector<std::size_t>>
 nonDominatedSort(std::span<const Individual> pop) {
   const std::size_t n = pop.size();

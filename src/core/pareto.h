@@ -34,6 +34,13 @@ std::vector<std::size_t> nonDominatedIndices(std::span<const Individual> pop);
 /// The non-dominated subset itself, with duplicate configurations removed.
 std::vector<Individual> paretoFront(std::span<const Individual> pop);
 
+/// Incremental paretoFront: adds `candidate` unless a member dominates it
+/// or shares its config, dropping the members it dominates; survivors keep
+/// insertion order. Folding a sequence through it yields the sequence's
+/// paretoFront when equal configs carry equal objectives (memoization).
+void insertIntoFront(std::vector<Individual>& front,
+                     const Individual& candidate);
+
 /// Fast non-dominated sort (Deb et al.): partitions indices into fronts,
 /// best first.
 std::vector<std::vector<std::size_t>>

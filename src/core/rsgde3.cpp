@@ -8,6 +8,8 @@ namespace motune::opt {
 
 namespace {
 
+constexpr int kStateVersion = 2; ///< 1 carried the evaluation archive
+
 GDE3Options innerOptions(const RSGDE3Options& options, int maxGenerations) {
   GDE3Options inner = options.gde3;
   inner.maxGenerations = maxGenerations;
@@ -41,7 +43,7 @@ void RSGDE3::reduceAndRecord() {
 
 support::Json RSGDE3::serialize() const {
   return support::JsonObject{{"format", "motune-rsgde3-state"},
-                             {"version", 1},
+                             {"version", kStateVersion},
                              {"flat", flat_},
                              {"gde3", engine_.serialize()}};
 }
@@ -50,8 +52,11 @@ void RSGDE3::restore(const support::Json& state) {
   MOTUNE_CHECK_MSG(state.has("format") && state.at("format").asString() ==
                                               "motune-rsgde3-state",
                    "not an RS-GDE3 checkpoint");
-  MOTUNE_CHECK_MSG(state.at("version").asInt() == 1,
-                   "unsupported RS-GDE3 checkpoint version");
+  const std::int64_t version = state.at("version").asInt();
+  MOTUNE_CHECK_MSG(version == kStateVersion,
+                   "cannot resume an RS-GDE3 checkpoint of version " +
+                       std::to_string(version) +
+                       "; start a fresh `--checkpoint` directory");
   flat_ = static_cast<int>(state.at("flat").asInt());
   engine_.restore(state.at("gde3"));
 }

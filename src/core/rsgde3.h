@@ -7,7 +7,7 @@
 // is located"). Terminates when results stop improving.
 //
 // The engine is checkpointable: serialize() captures the complete search
-// state (delegating to GDE3::serialize for population/archive/RNG, plus
+// state (delegating to GDE3::serialize for population/front/RNG, plus
 // the stagnation counter), and run() accepts RunHooks so a persistence
 // layer (src/session/) can journal state between generations and resume a
 // killed search bit-identically — without core depending on any file I/O.
@@ -30,9 +30,9 @@ struct RSGDE3Options {
 /// the live-streaming payload (daemon subscribe verb, `motune top`).
 struct GenerationProgress {
   int generation = 0;
-  double hypervolume = 0.0;    ///< best archive-front HV so far
+  double hypervolume = 0.0;    ///< best population-front HV so far
   double genHypervolume = 0.0; ///< this generation's HV
-  std::size_t frontSize = 0;   ///< archive front size after this generation
+  std::size_t frontSize = 0;   ///< front size after this generation
   std::uint64_t evaluations = 0;
 };
 

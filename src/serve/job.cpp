@@ -225,6 +225,14 @@ autotune::TunerOptions tunerOptionsFromSpec(
   options.nsga2.seed = spec.seed;
   options.randomBudget = spec.budget;
   options.evaluationWorkers = jobThreads == 0 ? 1 : jobThreads;
+  // Spec jobs tune the analytic cost model: one generation is ~30
+  // evaluations of ~25 us. The engine's own thread evaluates them. Fanned
+  // out to the pool, a generation waits for its slowest pool thread, so
+  // the tune's wall time follows whatever else holds the machine's cores
+  // (on 4 vCPUs one busy process slowed a pooled tune by ~20%, a serial
+  // one by under 1%). Random search still fills the pool with its budget.
+  options.gde3.parallelEvaluation = false;
+  options.nsga2.parallelEvaluation = false;
   options.seedAnalytic = spec.seedAnalytic;
   options.islands = spec.islands;
   options.surrogateKeep = spec.surrogateKeep;

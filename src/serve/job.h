@@ -113,8 +113,9 @@ tuning::KernelTuningProblem problemFromSpec(const JobSpec& spec);
 
 /// Tuner options for a spec, plus the serve policy (sessions under
 /// `sessionDir` for checkpointable algorithms, `jobThreads` evaluation
-/// workers, warm-start journals when surrogate_keep < 1). Session resume
-/// is enabled when a journal already exists (daemon restart). Each call
+/// workers for random search, GDE3/NSGA-II generations evaluated on the
+/// engine's thread, warm-start journals when surrogate_keep < 1). Session
+/// resume is enabled when a journal already exists (daemon restart). Each call
 /// builds a fresh options value: one AutoTuner — and therefore one
 /// CountingEvaluator — per job, never shared (see
 /// CountingEvaluator::preload).

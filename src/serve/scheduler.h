@@ -41,7 +41,7 @@ class StreamHub;
 struct SchedulerOptions {
   unsigned workers = 2;          ///< concurrent tuning jobs
   std::size_t queueCapacity = 64; ///< queued (not running) jobs admitted
-  unsigned jobThreads = 1;       ///< evaluation workers per job
+  unsigned jobThreads = 1;       ///< evaluation workers per random-search job
   int checkpointEvery = 1;       ///< generations between job checkpoints
   double retryAfterSeconds = 0.5; ///< backpressure hint on rejects
 };

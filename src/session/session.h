@@ -12,7 +12,9 @@
 //     resume these pre-seed the CountingEvaluator memo, so replayed
 //     generations re-use recorded results instead of re-evaluating;
 //   * a `checkpoint` record every N generations carrying the serialized
-//     RS-GDE3 engine state (population, archive, boundary, RNG position);
+//     RS-GDE3 engine state (population, Pareto front, boundary, RNG
+//     position and any surrogate's state); its size does not grow with the
+//     number of evaluations, and resume refuses other state versions;
 //   * a `resume` marker per resumption (provenance);
 //   * a `finish` record when the search completes.
 //

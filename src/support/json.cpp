@@ -324,4 +324,18 @@ private:
 
 Json Json::parse(const std::string& text) { return Parser(text).parse(); }
 
+Json hexWord(std::uint64_t word) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(word));
+  return Json(std::string(buf));
+}
+
+std::uint64_t hexWordValue(const Json& json) {
+  const std::string& s = json.asString();
+  MOTUNE_CHECK_MSG(s.rfind("0x", 0) == 0 && s.size() > 2,
+                   "malformed hex word: " + s);
+  return std::stoull(s.substr(2), nullptr, 16);
+}
+
 } // namespace motune::support

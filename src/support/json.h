@@ -8,6 +8,7 @@
 // Supports the full JSON grammar except \uXXXX escapes beyond ASCII.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -74,5 +75,32 @@ private:
   std::shared_ptr<JsonArray> array_;
   std::shared_ptr<JsonObject> object_;
 };
+
+/// Bit-exact carrier for a 64-bit word, as the string "0x%016x": JSON
+/// numbers are doubles (no exact integers past 2^53), dump() prints -0.0 as
+/// 0, and non-finite values have no JSON form.
+Json hexWord(std::uint64_t word);
+std::uint64_t hexWordValue(const Json& json);
+
+/// Bit-exact doubles, alone or nested in vectors: each value travels as
+/// the hexWord of its bit pattern.
+inline Json bitsToJson(double v) {
+  return hexWord(std::bit_cast<std::uint64_t>(v));
+}
+
+template <class T> Json bitsToJson(const std::vector<T>& values) {
+  JsonArray out;
+  for (const T& v : values) out.push_back(bitsToJson(v));
+  return out;
+}
+
+inline void bitsFromJson(const Json& json, double& out) {
+  out = std::bit_cast<double>(hexWordValue(json));
+}
+
+template <class T> void bitsFromJson(const Json& json, std::vector<T>& out) {
+  out.assign(json.asArray().size(), T{});
+  for (std::size_t i = 0; i < out.size(); ++i) bitsFromJson(json[i], out[i]);
+}
 
 } // namespace motune::support

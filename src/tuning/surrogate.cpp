@@ -94,12 +94,10 @@ Surrogate::Surrogate(std::vector<ParamSpec> space, std::size_t objectives,
   MOTUNE_CHECK_MSG(objectives_ > 0, "surrogate needs at least one objective");
   const std::size_t d = space_.size();
   featureCount_ = 1 + 3 * d + d * (d - 1) / 2;
-  accum_.gram.assign(featureCount_ * featureCount_, 0.0);
-  accum_.moment.assign(objectives_,
-                       std::vector<double>(featureCount_, 0.0));
-  accum_.minLog.assign(objectives_, 0.0);
-  accum_.maxLog.assign(objectives_, 0.0);
-  preloaded_ = accum_;
+  gram_.assign(featureCount_ * featureCount_, 0.0);
+  moment_.assign(objectives_, std::vector<double>(featureCount_, 0.0));
+  minLog_.assign(objectives_, 0.0);
+  maxLog_.assign(objectives_, 0.0);
 }
 
 std::vector<double> Surrogate::features(const Config& config) const {
@@ -134,70 +132,108 @@ void Surrogate::observe(const Config& config, const Objectives& objectives) {
   const std::vector<double> phi = features(config);
   for (std::size_t i = 0; i < featureCount_; ++i)
     for (std::size_t j = 0; j < featureCount_; ++j)
-      accum_.gram[i * featureCount_ + j] += phi[i] * phi[j];
+      gram_[i * featureCount_ + j] += phi[i] * phi[j];
 
   std::vector<double> logY(objectives_);
   for (std::size_t k = 0; k < objectives_; ++k) {
     const double ly = signedLog(objectives[k]);
     logY[k] = ly;
     for (std::size_t i = 0; i < featureCount_; ++i)
-      accum_.moment[k][i] += phi[i] * ly;
-    if (accum_.samples == 0) {
-      accum_.minLog[k] = accum_.maxLog[k] = ly;
+      moment_[k][i] += phi[i] * ly;
+    if (samples_ == 0) {
+      minLog_[k] = maxLog_[k] = ly;
     } else {
-      accum_.minLog[k] = std::min(accum_.minLog[k], ly);
-      accum_.maxLog[k] = std::max(accum_.maxLog[k], ly);
+      minLog_[k] = std::min(minLog_[k], ly);
+      maxLog_[k] = std::max(maxLog_[k], ly);
     }
   }
 
-  if (accum_.recent.size() < options_.correlationWindow) {
-    accum_.recent.push_back({phi, std::move(logY)});
-  } else if (!accum_.recent.empty()) {
-    accum_.recent[accum_.recentNext] = {phi, std::move(logY)};
-    accum_.recentNext = (accum_.recentNext + 1) % accum_.recent.size();
+  if (recent_.size() < options_.correlationWindow) {
+    recent_.push_back({config, std::move(logY)});
+  } else if (!recent_.empty()) {
+    recent_[recentNext_] = {config, std::move(logY)};
+    recentNext_ = (recentNext_ + 1) % recent_.size();
   }
-  ++accum_.samples;
+  ++samples_;
 
-  if (accum_.samples >= options_.minSamples &&
-      (!fitted_ || accum_.samples - samplesAtFit_ >= options_.refitEvery))
+  if (samples_ >= options_.minSamples &&
+      (!ready() || samples_ - samplesAtFit_ >= options_.refitEvery))
     refit();
 }
 
-void Surrogate::markPreloaded() {
-  preloaded_ = accum_;
-  preloadedFit_ = {weights_, fitted_, samplesAtFit_, fits_, rankCorrelation_};
+support::Json Surrogate::serialize() const {
+  support::JsonArray recent;
+  for (const auto& r : recent_)
+    recent.push_back(support::JsonObject{
+        {"c", support::JsonArray(r.config.begin(), r.config.end())},
+        {"y", support::bitsToJson(r.logY)}});
+  return support::JsonObject{
+      {"samples", samples_},
+      {"gram", support::bitsToJson(gram_)},
+      {"moment", support::bitsToJson(moment_)},
+      {"min_log", support::bitsToJson(minLog_)},
+      {"max_log", support::bitsToJson(maxLog_)},
+      {"recent", std::move(recent)},
+      {"recent_next", recentNext_},
+      {"weights", support::bitsToJson(weights_)},
+      {"samples_at_fit", samplesAtFit_},
+      {"fits", fits_},
+      {"rank_correlation", support::bitsToJson(rankCorrelation_)},
+  };
 }
 
-void Surrogate::resetToPreloaded() {
-  // Restore the fit verbatim instead of refitting: the mark is usually not
-  // on the `minSamples + k*refitEvery` threshold grid, and a fit at the
-  // mark would shift every subsequent refit (and cull decision) off the
-  // uninterrupted run's schedule.
-  accum_ = preloaded_;
-  weights_ = preloadedFit_.weights;
-  fitted_ = preloadedFit_.fitted;
-  samplesAtFit_ = preloadedFit_.samplesAtFit;
-  fits_ = preloadedFit_.fits;
-  rankCorrelation_ = preloadedFit_.rankCorrelation;
+void Surrogate::restore(const support::Json& state) {
+  support::bitsFromJson(state.at("gram"), gram_);
+  support::bitsFromJson(state.at("moment"), moment_);
+  support::bitsFromJson(state.at("min_log"), minLog_);
+  support::bitsFromJson(state.at("max_log"), maxLog_);
+  support::bitsFromJson(state.at("weights"), weights_);
+  support::bitsFromJson(state.at("rank_correlation"), rankCorrelation_);
+  recent_.clear();
+  for (const support::Json& r : state.at("recent").asArray()) {
+    recent_.push_back({{}, {}});
+    for (const support::Json& v : r.at("c").asArray())
+      recent_.back().config.push_back(v.asInt());
+    support::bitsFromJson(r.at("y"), recent_.back().logY);
+  }
+  const auto count = [&state](const char* key) {
+    return static_cast<std::uint64_t>(state.at(key).asInt());
+  };
+  samples_ = count("samples");
+  recentNext_ = count("recent_next");
+  samplesAtFit_ = count("samples_at_fit");
+  fits_ = count("fits");
+
+  // The state comes from a journal file: check every shape the model
+  // indexes by before it is used.
+  const std::size_t f = featureCount_, m = objectives_;
+  bool ok = gram_.size() == f * f && moment_.size() == m &&
+            (weights_.empty() || weights_.size() == m) &&
+            minLog_.size() == m && maxLog_.size() == m &&
+            recent_.size() <= options_.correlationWindow &&
+            recentNext_ < std::max<std::size_t>(recent_.size(), 1);
+  for (const auto& row : moment_) ok = ok && row.size() == f;
+  for (const auto& row : weights_) ok = ok && row.size() == f;
+  for (const Recent& r : recent_)
+    ok = ok && r.config.size() == space_.size() && r.logY.size() == m;
+  MOTUNE_CHECK_MSG(ok, "surrogate state does not match the search space");
 }
 
 void Surrogate::refit() {
   std::vector<std::vector<double>> next(objectives_);
-  const double lambda =
-      options_.ridgeLambda * static_cast<double>(accum_.samples);
+  const double lambda = options_.ridgeLambda * static_cast<double>(samples_);
   for (std::size_t k = 0; k < objectives_; ++k)
-    if (!solveRidge(accum_.gram, accum_.moment[k], lambda, next[k]))
+    if (!solveRidge(gram_, moment_[k], lambda, next[k]))
       return; // singular: keep previous weights, retry after more samples
   weights_ = std::move(next);
-  fitted_ = true;
-  samplesAtFit_ = accum_.samples;
+  samplesAtFit_ = samples_;
   ++fits_;
 
   std::vector<double> predicted, actual;
-  predicted.reserve(accum_.recent.size());
-  actual.reserve(accum_.recent.size());
-  for (const auto& r : accum_.recent) {
-    predicted.push_back(scalarize(predictLog(r.phi)));
+  predicted.reserve(recent_.size());
+  actual.reserve(recent_.size());
+  for (const auto& r : recent_) {
+    predicted.push_back(scalarize(predictLog(features(r.config))));
     actual.push_back(scalarize(r.logY));
   }
   rankCorrelation_ = spearman(predicted, actual);
@@ -226,9 +262,9 @@ double Surrogate::scalarize(const std::vector<double>& logY) const {
   // the mean term orders the all-rounders between them.
   double best = 0.0, sum = 0.0;
   for (std::size_t k = 0; k < objectives_; ++k) {
-    const double span = accum_.maxLog[k] - accum_.minLog[k];
+    const double span = maxLog_[k] - minLog_[k];
     const double norm =
-        span > 0.0 ? (logY[k] - accum_.minLog[k]) / span : 0.0;
+        span > 0.0 ? (logY[k] - minLog_[k]) / span : 0.0;
     if (k == 0 || norm < best) best = norm;
     sum += norm;
   }
@@ -236,7 +272,7 @@ double Surrogate::scalarize(const std::vector<double>& logY) const {
 }
 
 Objectives Surrogate::predict(const Config& config) {
-  MOTUNE_CHECK_MSG(fitted_, "surrogate predict before first fit");
+  MOTUNE_CHECK_MSG(ready(), "surrogate predict before first fit");
   ++predictions_;
   observe::MetricsRegistry::global()
       .counter("tuning.surrogate.predictions")
@@ -249,7 +285,7 @@ Objectives Surrogate::predict(const Config& config) {
 }
 
 double Surrogate::score(const Config& config) {
-  MOTUNE_CHECK_MSG(fitted_, "surrogate score before first fit");
+  MOTUNE_CHECK_MSG(ready(), "surrogate score before first fit");
   ++predictions_;
   observe::MetricsRegistry::global()
       .counter("tuning.surrogate.predictions")

@@ -11,14 +11,16 @@
 // Determinism contract: the model is a pure function of the observation
 // sequence — fixed feature order, threshold-triggered refits, pivoted
 // Gaussian elimination, no random draws. Replaying the same observations
-// (e.g. from a session journal or the optimizer's archive on restore)
-// reproduces every prediction bit for bit, at any thread-pool size.
+// (e.g. from a session journal) reproduces every prediction bit for bit, at
+// any thread-pool size, and serialize()/restore() carry the accumulated
+// state bit-exactly so a restored optimizer keeps culling as before.
 //
 // Exports tuning.surrogate.{fits,predictions,warmstart.*} counters and the
 // tuning.surrogate.rank_correlation gauge through the global metric
 // registry; the optimizer adds tuning.surrogate.culled.
 #pragma once
 
+#include "support/json.h"
 #include "tuning/search_space.h"
 
 #include <cstdint>
@@ -49,21 +51,15 @@ public:
   /// Feeds one evaluated configuration; refits on the configured schedule.
   void observe(const Config& config, const Objectives& objectives);
 
-  /// Snapshots the current state — observations AND the fitted model
-  /// (weights, refit position, rank correlation) — as the warm-start base
-  /// so that resetToPreloaded() can drop everything observed after this
-  /// point (used when an optimizer restores from a checkpoint and replays
-  /// its archive to rebuild the surrogate deterministically). The fit
-  /// state is restored verbatim, not refit: a refit at the mark would put
-  /// the next refit on a `markSamples + refitEvery` grid, which diverges
-  /// from the uninterrupted run's `minSamples + k*refitEvery` grid
-  /// whenever the mark is not threshold-aligned — and with it every later
-  /// cull decision.
-  void markPreloaded();
-  void resetToPreloaded();
+  /// Accumulated state, bit-exact and sized by the space and the window,
+  /// not by the observation count. restore() puts it back verbatim — the
+  /// fit included, not refit, so refits stay on the uninterrupted model's
+  /// `minSamples + k*refitEvery` grid and so do all later predictions.
+  support::Json serialize() const;
+  void restore(const support::Json& state);
 
   /// True once enough samples accumulated for a first fit.
-  bool ready() const { return fitted_; }
+  bool ready() const { return !weights_.empty(); }
 
   /// Predicted objective vector (model scale). Counts as one prediction.
   Objectives predict(const Config& config);
@@ -73,7 +69,7 @@ public:
   /// survive the cull. Counts as one prediction.
   double score(const Config& config);
 
-  std::uint64_t observations() const { return accum_.samples; }
+  std::uint64_t observations() const { return samples_; }
   std::uint64_t fits() const { return fits_; }
   std::uint64_t predictions() const { return predictions_; }
 
@@ -83,17 +79,9 @@ public:
   double rankCorrelation() const { return rankCorrelation_; }
 
 private:
-  struct Accum {
-    std::vector<double> gram;                 ///< featureCount^2, row-major
-    std::vector<std::vector<double>> moment;  ///< per objective
-    std::vector<double> minLog, maxLog;       ///< per objective, running
-    struct Recent {
-      std::vector<double> phi;
-      std::vector<double> logY;
-    };
-    std::vector<Recent> recent;               ///< rank-correlation window
-    std::size_t recentNext = 0;
-    std::uint64_t samples = 0;
+  struct Recent {
+    Config config;
+    std::vector<double> logY;
   };
 
   void refit();
@@ -105,21 +93,13 @@ private:
   SurrogateOptions options_;
   std::size_t featureCount_;
 
-  /// The fitted-model half of a markPreloaded() snapshot; Accum holds the
-  /// observation half.
-  struct FitState {
-    std::vector<std::vector<double>> weights;
-    bool fitted = false;
-    std::uint64_t samplesAtFit = 0;
-    std::uint64_t fits = 0;
-    double rankCorrelation = 0.0;
-  };
-
-  Accum accum_;
-  Accum preloaded_;
-  FitState preloadedFit_;
-  std::vector<std::vector<double>> weights_; ///< per objective, post-fit
-  bool fitted_ = false;
+  std::vector<double> gram_;                ///< featureCount^2, row-major
+  std::vector<std::vector<double>> moment_; ///< per objective
+  std::vector<double> minLog_, maxLog_;     ///< per objective, running
+  std::vector<Recent> recent_;              ///< rank-correlation window
+  std::size_t recentNext_ = 0;
+  std::uint64_t samples_ = 0;
+  std::vector<std::vector<double>> weights_; ///< per objective; empty = unfit
   std::uint64_t samplesAtFit_ = 0;
   std::uint64_t fits_ = 0;
   std::uint64_t predictions_ = 0;

@@ -68,6 +68,43 @@ TEST(Pareto, FrontDeduplicatesConfigs) {
   EXPECT_EQ(paretoFront(pop).size(), 1u);
 }
 
+TEST(Pareto, IncrementalFrontMatchesRebuiltFrontAfterEveryInsert) {
+  // Differential test of insertIntoFront against paretoFront over random
+  // streams: a small config pool (so configs repeat, including dominated
+  // re-inserts of earlier members) and small integer objectives (so
+  // distinct configs tie on whole objective vectors). Each config keeps
+  // one objective vector, as the memoized evaluator guarantees. After
+  // every insert the members and their order must equal the rebuilt front.
+  for (const std::size_t m : {2u, 3u}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE("objectives " + std::to_string(m) + ", seed " +
+                   std::to_string(seed));
+      support::Rng rng(seed);
+      const std::size_t configs = 8 + seed % 24;
+      std::vector<Objectives> objectivesOf(configs, Objectives(m));
+      for (auto& o : objectivesOf)
+        for (double& v : o) v = static_cast<double>(rng.uniformInt(0, 4));
+
+      std::vector<Individual> stream, front;
+      for (int i = 0; i < 150; ++i) {
+        const auto c = static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(configs) - 1));
+        stream.push_back({{static_cast<double>(i)},
+                          {static_cast<std::int64_t>(c)},
+                          objectivesOf[c]});
+        insertIntoFront(front, stream.back());
+        const std::vector<Individual> rebuilt = paretoFront(stream);
+        ASSERT_EQ(front.size(), rebuilt.size()) << "insert " << i;
+        for (std::size_t k = 0; k < front.size(); ++k) {
+          EXPECT_EQ(front[k].config, rebuilt[k].config) << "insert " << i;
+          EXPECT_EQ(front[k].genome, rebuilt[k].genome) << "insert " << i;
+          EXPECT_EQ(front[k].objectives, rebuilt[k].objectives);
+        }
+      }
+    }
+  }
+}
+
 TEST(Pareto, NonDominatedSortRanks) {
   const auto pop = makePop({{1, 4}, {4, 1}, {2, 5}, {5, 2}, {3, 6}});
   const auto fronts = nonDominatedSort(pop);
@@ -306,6 +343,29 @@ TEST(GDE3, DeterministicGivenSeed) {
   for (std::size_t i = 0; i < a.front.size(); ++i)
     EXPECT_EQ(a.front[i].config, b.front[i].config);
   EXPECT_EQ(a.evaluations, b.evaluations);
+}
+
+TEST(GDE3, FirstStepCountsTheInitialFrontAsGrowth) {
+  // The front-size baseline starts at 0, so the first generation after
+  // initialize() always counts as growth, and a generation-0 checkpoint
+  // carries that baseline. With an unreachable hypervolume epsilon the
+  // step's verdict is front growth alone.
+  SyntheticProblem problemA = makeFonseca();
+  SyntheticProblem problemB = makeFonseca();
+  GDE3Options opt;
+  opt.seed = 4;
+  opt.improveEpsilon = 1e9;
+  GDE3 a(problemA, pool(), opt);
+  a.initialize();
+  EXPECT_EQ(a.lastFrontSize(), 0u);
+  GDE3 b(problemB, pool(), opt);
+  b.restore(support::Json::parse(a.serialize().dump(-1)));
+  EXPECT_EQ(b.lastFrontSize(), 0u);
+
+  EXPECT_TRUE(a.step());
+  EXPECT_TRUE(b.step());
+  EXPECT_GT(a.lastFrontSize(), 0u);
+  EXPECT_EQ(a.lastFrontSize(), b.lastFrontSize());
 }
 
 TEST(GDE3, TerminatesOnNoImprovement) {

@@ -26,6 +26,12 @@ struct Case {
   const char* machine;
 };
 
+/// Prints "mm/W" instead of gtest's byte dump, whose two pointers would put
+/// ASLR-dependent addresses into every discovered ctest name.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.kernel << "/" << c.machine;
+}
+
 machine::MachineModel machineOf(const Case& c) {
   return std::string(c.machine) == "W" ? machine::westmere()
                                        : machine::barcelona();

@@ -217,6 +217,16 @@ TEST(JobModel, SpecAndInfoRoundTrip) {
   EXPECT_EQ(infoBack.evaluations, info.evaluations);
 }
 
+TEST(JobModel, SpecGenerationsEvaluateOnTheEngineThread) {
+  // A spec job's tune time must not follow the machine's load, so its
+  // per-generation batches stay off the pool; random search keeps it.
+  const autotune::TunerOptions options =
+      serve::tunerOptionsFromSpec(fastSpec(1), "", 4, 1);
+  EXPECT_FALSE(options.gde3.parallelEvaluation);
+  EXPECT_FALSE(options.nsga2.parallelEvaluation);
+  EXPECT_EQ(options.evaluationWorkers, 4u);
+}
+
 TEST(JobModel, ValidateRejectsBadSpecs) {
   serve::JobSpec spec = fastSpec(1);
   spec.kernel = "no-such-kernel";

@@ -6,10 +6,13 @@
 #include "autotune/autotuner.h"
 #include "core/gde3.h"
 #include "core/testproblems.h"
+#include "kernels/kernel.h"
+#include "machine/machine.h"
 #include "session/journal.h"
 #include "session/session.h"
 #include "support/check.h"
 #include "support/rng.h"
+#include "tuning/kernel_problem.h"
 #include "tuning/surrogate.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +20,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -447,4 +452,171 @@ TEST(SessionResume, RequiresCheckpointableAlgorithm) {
   opt::SyntheticProblem problem = opt::makeSchaffer();
   EXPECT_THROW(autotune::AutoTuner(options).optimize(problem),
                support::CheckError);
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint format: version refusal and bounded size.
+
+namespace {
+
+/// Rewrites the journal in `dir` record by record through `edit`; a record
+/// for which `edit` returns null is dropped.
+void rewriteJournal(const std::string& dir,
+                    const std::function<support::Json(support::JsonObject)>&
+                        edit) {
+  const std::string path = session::journalPath(dir);
+  const std::vector<support::Json> records = session::readJournal(path);
+  std::ofstream out(path, std::ios::trunc);
+  for (const support::Json& r : records) {
+    const support::Json edited = edit(r.asObject());
+    if (!edited.isNull()) out << edited.dump(-1) << "\n";
+  }
+}
+
+/// The `checkpoint` records of the journal in `dir`, in order.
+std::vector<support::Json> checkpointRecords(const std::string& dir) {
+  std::vector<support::Json> out;
+  for (const support::Json& r :
+       session::readJournal(session::journalPath(dir)))
+    if (r.at("type").asString() == "checkpoint") out.push_back(r);
+  return out;
+}
+
+/// Checkpointed RS-GDE3 tune of dsyrk on Westmere (default size).
+std::string checkpointedDsyrkTune(const std::string& name,
+                                  autotune::TunerOptions options) {
+  const std::string dir = freshDir(name);
+  options.session.directory = dir;
+  options.session.checkpointEvery = 1;
+  tuning::KernelTuningProblem problem(kernels::kernelByName("dsyrk"),
+                                      machine::machineByName("westmere"));
+  (void)autotune::AutoTuner(options).tune(problem);
+  return dir;
+}
+
+/// Every array in `state` by its path: "front", "gde3/population/0/g",
+/// "gde3/surrogate/recent", ... mapped to its length.
+void arrayLengths(const support::Json& state, const std::string& path,
+                  std::map<std::string, std::size_t>& out) {
+  if (state.kind() == support::Json::Kind::Array) {
+    out[path] = state.size();
+    for (std::size_t i = 0; i < state.size(); ++i)
+      arrayLengths(state[i], path + "/" + std::to_string(i), out);
+  } else if (state.kind() == support::Json::Kind::Object) {
+    for (const auto& [key, value] : state.asObject())
+      arrayLengths(value, path + "/" + key, out);
+  }
+}
+
+} // namespace
+
+TEST(SessionResume, RefusesVersionOneCheckpoint) {
+  // A journal written before the checkpoint format dropped the evaluation
+  // archive cannot be resumed; the refusal names the way out.
+  const std::string dir = freshDir("session-v1");
+  autotune::TunerOptions options = sessionlessOptions();
+  options.gde3.maxGenerations = 4;
+  options.session.directory = dir;
+  opt::SyntheticProblem problem = opt::makeSchaffer();
+  autotune::AutoTuner(options).optimize(problem);
+
+  rewriteJournal(dir, [](support::JsonObject record) -> support::Json {
+    const std::string& type = record.at("type").asString();
+    if (type == "finish") return nullptr;
+    if (type != "checkpoint") return record;
+    // The version-1 layout: the archive of every evaluated individual and
+    // the last front's configs instead of the front and its size.
+    support::JsonObject state = record.at("state").asObject();
+    support::JsonObject gde3 = state.at("gde3").asObject();
+    gde3.emplace("archive", gde3.at("front"));
+    gde3.emplace("last_front_configs", support::JsonArray{});
+    gde3.erase("front");
+    gde3.erase("last_front_size");
+    state["gde3"] = std::move(gde3);
+    state["version"] = 1;
+    record["state"] = std::move(state);
+    return record;
+  });
+
+  options.session.resume = true;
+  opt::SyntheticProblem again = opt::makeSchaffer();
+  try {
+    autotune::AutoTuner(options).optimize(again);
+    ADD_FAILURE() << "a version-1 checkpoint was resumed";
+  } catch (const support::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "start a fresh `--checkpoint` directory"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SessionCheckpoint, DsyrkCheckpointsStayUnder32KB) {
+  // The state carries the population and the front, not every evaluation,
+  // so even the last checkpoint of a full tune stays small.
+  autotune::TunerOptions options;
+  const std::string dir = checkpointedDsyrkTune("checkpoint-dsyrk", options);
+  const std::vector<support::Json> checkpoints = checkpointRecords(dir);
+  ASSERT_GT(checkpoints.size(), 5u);
+  EXPECT_LE(checkpoints.back().dump(-1).size(), 32u * 1024u);
+}
+
+TEST(SessionCheckpoint, SurrogateStateDoesNotGrowWithEvaluations) {
+  // With a culling surrogate attached the state also carries the model,
+  // whose size is fixed by the search space: between generations 5 and 30
+  // only hv_history and the front grow with the search. The surrogate's
+  // recent window is bounded by correlationWindow; it may still be filling
+  // at generation 5 and must be full by 30. Every other array keeps its
+  // length, and the bytes grow by no more than those arrays' growth plus
+  // the width jitter of the fixed-length numbers.
+  autotune::TunerOptions options;
+  options.surrogateKeep = 0.5;
+  options.gde3.noImproveLimit = 100; // run to generation 30
+  options.gde3.maxGenerations = 30;
+  const std::string dir =
+      checkpointedDsyrkTune("checkpoint-surrogate", options);
+  std::map<int, support::Json> byGeneration;
+  for (const support::Json& r : checkpointRecords(dir))
+    byGeneration.emplace(static_cast<int>(r.at("generation").asInt()),
+                         r.at("state"));
+  ASSERT_TRUE(byGeneration.count(5) && byGeneration.count(30));
+  const support::Json& early = byGeneration.at(5);
+  const support::Json& late = byGeneration.at(30);
+  ASSERT_TRUE(late.at("gde3").has("surrogate"));
+
+  std::map<std::string, std::size_t> earlyLengths, lateLengths;
+  arrayLengths(early, "", earlyLengths);
+  arrayLengths(late, "", lateLengths);
+  const std::string window = "/gde3/surrogate/recent";
+  const std::size_t windowSize = tuning::SurrogateOptions{}.correlationWindow;
+  EXPECT_LE(earlyLengths.at(window), windowSize);
+  EXPECT_EQ(lateLengths.at(window), windowSize);
+  const auto growing = [&](const std::string& path) {
+    return path.rfind("/gde3/hv_history", 0) == 0 ||
+           path.rfind("/gde3/front", 0) == 0 ||
+           (path.rfind(window, 0) == 0 && !earlyLengths.count(path));
+  };
+  for (const auto& [path, length] : lateLengths) {
+    if (growing(path) || path == window) continue;
+    ASSERT_TRUE(earlyLengths.count(path)) << path;
+    EXPECT_EQ(length, earlyLengths.at(path)) << path;
+  }
+
+  const auto bytes = [](const support::Json& j) { return j.dump(-1).size(); };
+  const auto grown = [&](const auto& pick) {
+    return static_cast<double>(bytes(pick(late))) -
+           static_cast<double>(bytes(pick(early)));
+  };
+  const double allowed =
+      grown([](const support::Json& j) {
+        return j.at("gde3").at("hv_history");
+      }) +
+      grown([](const support::Json& j) { return j.at("gde3").at("front"); }) +
+      grown([](const support::Json& j) {
+        return j.at("gde3").at("surrogate").at("recent");
+      }) +
+      0.02 * static_cast<double>(bytes(early));
+  EXPECT_LE(static_cast<double>(bytes(late)) -
+                static_cast<double>(bytes(early)),
+            allowed);
 }

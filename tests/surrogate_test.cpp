@@ -2,11 +2,12 @@
 // and ridge fit are pure functions of the observation sequence, a keep
 // fraction of 1.0 leaves the search byte-identical to a surrogate-free
 // run, culling actually saves evaluations while staying deterministic
-// across thread-pool sizes, and checkpoint/restore rebuilds the model by
-// replaying the engine's archive.
+// across thread-pool sizes, and checkpoint/restore carries the model's
+// state bit-exactly.
 #include "core/gde3.h"
 #include "core/testproblems.h"
 #include "runtime/thread_pool.h"
+#include "support/check.h"
 #include "support/json.h"
 #include "tuning/surrogate.h"
 
@@ -107,11 +108,13 @@ TEST(Surrogate, PredictionsArePureFunctionOfTheObservationSequence) {
 }
 
 TEST(Surrogate, ResetToPreloadedDropsEverythingObservedAfterTheMark) {
-  // markPreloaded()/resetToPreloaded() is the restore-replay primitive:
-  // after a reset, re-observing the same tail must land the model in the
-  // same state as a straight-through run.
+  // serialize()/restore() is the checkpoint primitive. Serialize a
+  // surrogate after its preload (the mark), feed it a detour, then restore
+  // the mark: the detour leaves no trace, the state re-serializes to the
+  // same bytes, and re-observing the same tail lands the model in the same
+  // state as a straight-through run.
   opt::SyntheticProblem problem = opt::makeFonseca();
-  tuning::Surrogate replayed(problem.space(), problem.numObjectives(),
+  tuning::Surrogate restored(problem.space(), problem.numObjectives(),
                              eagerSurrogate());
   tuning::Surrogate straight(problem.space(), problem.numObjectives(),
                              eagerSurrogate());
@@ -120,42 +123,43 @@ TEST(Surrogate, ResetToPreloadedDropsEverythingObservedAfterTheMark) {
   for (std::size_t i = 0; i < base; ++i) {
     const tuning::Config config = probeConfig(problem.space(), i);
     const tuning::Objectives objectives = problem.evaluate(config);
-    replayed.observe(config, objectives);
+    restored.observe(config, objectives);
     straight.observe(config, objectives);
   }
-  replayed.markPreloaded();
+  const std::string mark = restored.serialize().dump(-1);
 
-  // Detour: observations that must leave no trace after the reset.
+  // Detour: observations that must leave no trace after the restore.
   for (std::size_t i = 500; i < 520; ++i) {
     const tuning::Config config = probeConfig(problem.space(), i);
-    replayed.observe(config, problem.evaluate(config));
+    restored.observe(config, problem.evaluate(config));
   }
-  replayed.resetToPreloaded();
-  EXPECT_EQ(replayed.observations(), base);
+  restored.restore(support::Json::parse(mark));
+  EXPECT_EQ(restored.observations(), base);
+  EXPECT_EQ(restored.serialize().dump(-1), mark);
 
   for (std::size_t i = base; i < base + tail; ++i) {
     const tuning::Config config = probeConfig(problem.space(), i);
     const tuning::Objectives objectives = problem.evaluate(config);
-    replayed.observe(config, objectives);
+    restored.observe(config, objectives);
     straight.observe(config, objectives);
   }
-  EXPECT_EQ(replayed.observations(), straight.observations());
+  EXPECT_EQ(restored.observations(), straight.observations());
   for (std::size_t i = 300; i < 316; ++i) {
     const tuning::Config config = probeConfig(problem.space(), i);
-    EXPECT_TRUE(bitEqual(replayed.predict(config), straight.predict(config)))
+    EXPECT_TRUE(bitEqual(restored.predict(config), straight.predict(config)))
         << i;
   }
 }
 
 TEST(Surrogate, ResetToPreloadedOffTheRefitGridKeepsTheStraightRunSchedule) {
-  // A warm-start corpus rarely lands exactly on the minSamples +
-  // k*refitEvery threshold grid (here: 50 observations against a 40+8k
-  // grid, so the last preload fit is at 48). resetToPreloaded() must
-  // restore the fit taken at the mark — not refit over all 50 — or the
-  // resumed run's refit schedule (56, 64, ...) shifts to (58, 66, ...)
-  // and every later prediction diverges from the uninterrupted run's.
+  // A warm-start preload or a checkpoint rarely lands exactly on the
+  // minSamples + k*refitEvery threshold grid (here: 50 observations
+  // against a 40+8k grid, so the last fit is at 48). restore() must put
+  // back the fit taken at 48 — not refit over all 50 — or the restored
+  // run's refit schedule (56, 64, ...) shifts to (58, 66, ...) and every
+  // later prediction diverges from the uninterrupted run's.
   opt::SyntheticProblem problem = opt::makeFonseca();
-  tuning::Surrogate replayed(problem.space(), problem.numObjectives(),
+  tuning::Surrogate restored(problem.space(), problem.numObjectives(),
                              eagerSurrogate());
   tuning::Surrogate straight(problem.space(), problem.numObjectives(),
                              eagerSurrogate());
@@ -163,39 +167,46 @@ TEST(Surrogate, ResetToPreloadedOffTheRefitGridKeepsTheStraightRunSchedule) {
   const std::size_t base = 50, tail = 48; // base off the 40+8k fit grid
   for (std::size_t i = 0; i < base; ++i) {
     const tuning::Config config = probeConfig(problem.space(), i);
-    const tuning::Objectives objectives = problem.evaluate(config);
-    replayed.observe(config, objectives);
-    straight.observe(config, objectives);
+    straight.observe(config, problem.evaluate(config));
   }
-  replayed.markPreloaded();
-  const std::uint64_t fitsAtMark = replayed.fits();
-
-  for (std::size_t i = 500; i < 520; ++i) {
-    const tuning::Config config = probeConfig(problem.space(), i);
-    replayed.observe(config, problem.evaluate(config));
-  }
-  replayed.resetToPreloaded();
-  EXPECT_EQ(replayed.observations(), base);
-  EXPECT_EQ(replayed.fits(), fitsAtMark);
-  EXPECT_TRUE(bitEqual(replayed.rankCorrelation(),
+  restored.restore(support::Json::parse(straight.serialize().dump(-1)));
+  EXPECT_EQ(restored.observations(), base);
+  EXPECT_EQ(restored.fits(), straight.fits());
+  EXPECT_TRUE(bitEqual(restored.rankCorrelation(),
                        straight.rankCorrelation()));
 
   for (std::size_t i = base; i < base + tail; ++i) {
     const tuning::Config config = probeConfig(problem.space(), i);
     const tuning::Objectives objectives = problem.evaluate(config);
-    replayed.observe(config, objectives);
+    restored.observe(config, objectives);
     straight.observe(config, objectives);
   }
-  EXPECT_EQ(replayed.fits(), straight.fits());
-  EXPECT_TRUE(bitEqual(replayed.rankCorrelation(),
+  EXPECT_EQ(restored.fits(), straight.fits());
+  EXPECT_TRUE(bitEqual(restored.rankCorrelation(),
                        straight.rankCorrelation()));
   for (std::size_t i = 300; i < 316; ++i) {
     const tuning::Config config = probeConfig(problem.space(), i);
-    EXPECT_TRUE(bitEqual(replayed.predict(config), straight.predict(config)))
+    EXPECT_TRUE(bitEqual(restored.predict(config), straight.predict(config)))
         << i;
-    EXPECT_TRUE(bitEqual(replayed.score(config), straight.score(config)))
+    EXPECT_TRUE(bitEqual(restored.score(config), straight.score(config)))
         << i;
   }
+}
+
+TEST(Surrogate, RestoreRefusesAStateOfAnotherShape) {
+  // Checkpoints come from journal files: a state whose arrays do not fit
+  // this surrogate's space is refused, not indexed out of bounds.
+  opt::SyntheticProblem fonseca = opt::makeFonseca();
+  opt::SyntheticProblem schaffer = opt::makeSchaffer();
+  ASSERT_NE(fonseca.space().size(), schaffer.space().size());
+  tuning::Surrogate source(fonseca.space(), fonseca.numObjectives(),
+                           eagerSurrogate());
+  for (std::size_t i = 0; i < 48; ++i) {
+    const tuning::Config config = probeConfig(fonseca.space(), i);
+    source.observe(config, fonseca.evaluate(config));
+  }
+  tuning::Surrogate other(schaffer.space(), schaffer.numObjectives());
+  EXPECT_THROW(other.restore(source.serialize()), support::CheckError);
 }
 
 TEST(Surrogate, KeepOneIsByteIdenticalToSurrogateFree) {
@@ -276,13 +287,13 @@ TEST(Surrogate, CullingSavesEvaluationsDeterministicallyAcrossPools) {
   EXPECT_EQ(observations[0], observations[1]);
 }
 
-TEST(Surrogate, RestoreRebuildsTheModelByReplayingTheArchive) {
+TEST(Surrogate, RestoreContinuesTheCheckpointedModel) {
   // Serialize a mid-search engine with an active culling surrogate,
   // restore into a fresh engine with a fresh surrogate, and continue
-  // both: restore() replays the archive into the new model, so the
-  // remaining generations — cull decisions included — match bit for bit.
-  // The restored run uses a different pool size to pin thread-count
-  // independence through the replay path too.
+  // both: the checkpoint carries the model's state, so the remaining
+  // generations — cull decisions included — match bit for bit. The
+  // restored run uses a different pool size to pin thread-count
+  // independence through the restore path too.
   opt::GDE3Options options;
   options.seed = 5;
   options.maxGenerations = 20;

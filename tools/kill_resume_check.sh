@@ -22,6 +22,10 @@
 #   SERVE_PORT    fixed port for serve mode (default 7831)
 #   SERVE_JOBS    burst size for serve mode (default 12)
 #
+# Every mode also fails if any `checkpoint` record in the victim's session
+# journals exceeds 64 KB: checkpoint state must not grow with the number
+# of evaluations.
+#
 # Registered as the ctest `kill_resume_check` / `kill_resume_serve_check`
 # and run by the CI `kill-resume` and `serve-gate` jobs. Deterministic by
 # construction: wherever the kill lands — before the first checkpoint,
@@ -38,6 +42,29 @@ KILL_AFTER="${KILL_AFTER:-1.2}"
 EVAL_DELAY="${EVAL_DELAY:-0.002}"
 SERVE_PORT="${SERVE_PORT:-7831}"
 SERVE_JOBS="${SERVE_JOBS:-12}"
+
+# check_checkpoint_size DIR: fails if a checkpoint record in any
+# session.jsonl under DIR is larger than 64 KB.
+check_checkpoint_size() {
+  python3 - "$1" <<'PY'
+import pathlib, sys
+limit = 64 * 1024
+journals = sorted(pathlib.Path(sys.argv[1]).rglob("session.jsonl"))
+if not journals:
+    sys.exit(f"no session journal under {sys.argv[1]}")
+largest = 0
+for journal in journals:
+    for n, line in enumerate(journal.read_bytes().splitlines(), 1):
+        if b'"type":"checkpoint"' not in line:
+            continue
+        largest = max(largest, len(line))
+        if len(line) > limit:
+            sys.exit(f"{journal}:{n}: checkpoint record is {len(line)} bytes "
+                     f"(limit {limit})")
+print(f"   largest checkpoint record: {largest} bytes "
+      f"in {len(journals)} journal(s)")
+PY
+}
 
 if [ "$MODE" = "serve" ]; then
   mkdir -p "$WORK"
@@ -83,6 +110,7 @@ if [ "$MODE" = "serve" ]; then
     --artifacts-dir "$WORK/resumed_artifacts"
   "$MOTUNE" jobs --port "$SERVE_PORT" --shutdown > /dev/null
   wait "$RESTART" 2> /dev/null || true
+  check_checkpoint_size "$WORK/victim_state"
 
   echo "== compare every job against the golden run"
   for golden in "$WORK/golden_artifacts/"*.json; do
@@ -136,6 +164,8 @@ if [ "$MODE" = "island" ]; then
     --resume "$WORK/session" > "$WORK/island1_resume.log" 2>&1
   wait "$PEER"
 
+  check_checkpoint_size "$WORK/session/island-1"
+
   echo "== merge the finished islands"
   "$MOTUNE" "${ISLAND_ARGS[@]}" --resume "$WORK/session" \
     --out "$WORK/resumed.json" > /dev/null
@@ -181,6 +211,7 @@ fi
 echo "== resume"
 "$MOTUNE" "${TUNE_ARGS[@]}" --resume "$WORK/session" \
   --out "$WORK/resumed.json" > /dev/null
+check_checkpoint_size "$WORK/session"
 
 echo "== compare (ignoring the session provenance block)"
 python3 "$HERE/compare_artifacts.py" "$WORK/golden.json" "$WORK/resumed.json" \

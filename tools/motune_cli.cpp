@@ -252,7 +252,8 @@ const std::vector<CommandHelp>& commandHelp() {
            {"workers", "N", "concurrent tuning jobs (default: 2)"},
            {"queue-capacity", "N",
             "queued jobs admitted before submits are shed (default: 64)"},
-           {"job-threads", "N", "evaluation workers per job (default: 1)"},
+           {"job-threads", "N",
+            "evaluation workers per job; random search uses them (default: 1)"},
            {"checkpoint-every", "N",
             "generations between job checkpoints (default: 1)"},
            {"retry-after", "S",
@@ -566,8 +567,9 @@ int cmdTune(const Args& args) {
                 spec.objectives)
           : serve::problemFromSpec(spec);
 
-  // The spec's options, then the tune-only flags: every hardware thread
-  // evaluates, and sessions are explicit (--resume, not auto-detected).
+  // The spec's options, then the tune-only flags: random search evaluates
+  // on every hardware thread, and sessions are explicit (--resume, not
+  // auto-detected).
   autotune::TunerOptions options = serve::tunerOptionsFromSpec(spec, "", 1, 1);
   options.evaluationWorkers = 0;
   options.validateFront = args.number<int>("validate", 0, 0, 1) != 0;
