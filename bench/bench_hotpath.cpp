@@ -1,7 +1,8 @@
 // Hot-path microbenchmark suite with a committed baseline gate.
 //
-// Times the four paths the tuning pipeline spends its cycles in — the
-// memoizing evaluator (serial and under thread contention), skeleton
+// Times the paths the tuning pipeline spends its cycles in — the memoizing
+// evaluator (serial and under thread contention), one configuration's
+// evaluation on the parametric nest, the reference path's skeleton
 // instantiation + nest analysis, IR execution (tree walker vs. the flat
 // bytecode engine), and batched cache simulation — and emits the
 // throughputs as machine-readable JSON. With --baseline the process fails
@@ -9,8 +10,8 @@
 // floor, so order-of-magnitude hot-path regressions fail CI without the
 // gate flaking on runner speed (the floors are deliberately conservative).
 //
-// Every value is a rate (higher is better): lookups/s, variants/s,
-// statements/s, accesses/s — plus derived "ratio" entries
+// Every value is a rate (higher is better): lookups/s, evaluations/s,
+// variants/s, statements/s, accesses/s — plus derived "ratio" entries
 // (interp.bytecode_speedup, memo.mt4_speedup) that are machine-independent
 // and therefore gated tightly.
 //
@@ -33,6 +34,7 @@
 #include "support/mem_access.h"
 #include "support/table.h"
 #include "tuning/evaluator.h"
+#include "tuning/kernel_problem.h"
 
 #include <chrono>
 #include <cstdint>
@@ -125,9 +127,24 @@ double memoLookupRate(int threads, double minSeconds) {
   });
 }
 
-/// Variant construction: skeleton instantiation plus the nest analysis the
-/// cost model runs on every new variant (what KernelTuningProblem does on a
-/// variant-cache miss).
+/// Configuration evaluation: KernelTuningProblem::evaluate over distinct
+/// mm/westmere configurations (no memo in front), i.e. the parametric nest
+/// plus the cost model's arithmetic that every unique search point costs.
+double kernelEvalRate(double minSeconds) {
+  tuning::KernelTuningProblem problem(kernels::kernelByName("mm"),
+                                      machine::westmere());
+  const auto configs = makeConfigs(problem, 4096);
+  return throughput(minSeconds, [&] {
+    double acc = 0.0;
+    for (const auto& c : configs) acc += problem.evaluate(c)[0];
+    escape(&acc);
+    return configs.size();
+  });
+}
+
+/// The reference path: skeleton instantiation plus a full nest analysis,
+/// as codegen, --validate and the bench's replay probe run it. Evaluation
+/// no longer takes this path (see kernelEvalRate).
 double variantRate(double minSeconds) {
   const ir::Program program = kernels::buildMM(64);
   const auto skeleton = analyzer::TransformationSkeleton::build(program, 8);
@@ -304,6 +321,7 @@ int main(int argc, char** argv) {
   add("memo.lookup.mt2", memoMt2, "lookups/s");
   const double memoMt4 = memoLookupRate(4, minTime);
   add("memo.lookup.mt4", memoMt4, "lookups/s");
+  add("eval.kernel_problem", kernelEvalRate(minTime), "evaluations/s");
   add("variant.instantiate_analyze", variantRate(minTime), "variants/s");
   const double tree = interpRate(/*bytecode=*/false, minTime);
   add("interp.tree", tree, "statements/s");

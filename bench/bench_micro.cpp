@@ -76,11 +76,10 @@ void BM_NestAnalysis(benchmark::State& state) {
 BENCHMARK(BM_NestAnalysis);
 
 void BM_ConfigEvaluation(benchmark::State& state) {
-  // One full configuration evaluation (cached variant): what each of the
-  // optimizer's E evaluations costs against the machine model.
+  // One full configuration evaluation: what each of the optimizer's E
+  // evaluations costs against the machine model.
   tuning::KernelTuningProblem problem(kernels::kernelByName("mm"),
                                       machine::westmere());
-  problem.evaluate({64, 64, 64, 8}); // warm the variant cache
   std::int64_t threads = 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(

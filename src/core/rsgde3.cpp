@@ -68,56 +68,68 @@ OptResult RSGDE3::run(const RunHooks* hooks) {
        {"max_generations", support::Json(maxGenerations_)},
        {"resumed", support::Json(hooks != nullptr &&
                                  hooks->resumeState != nullptr)}});
-
-  const bool checkpointing = hooks != nullptr && hooks->checkpoint != nullptr;
-  if (hooks != nullptr && hooks->resumeState != nullptr) {
-    restore(*hooks->resumeState);
-  } else {
-    flat_ = 0;
-    engine_.initialize();
-    if (options_.reductionEnabled) reduceAndRecord();
-    // Generation-0 checkpoint: a kill during the very first generation
-    // resumes without repeating the initial population's evaluations.
-    if (checkpointing) hooks->checkpoint(serialize(), 0);
-  }
-
-  // Loop of Fig. 4: one GDE3 generation, then rebuild the reduced search
-  // space from the new population; terminate when generations stop
-  // improving the solution set.
-  const int every = hooks != nullptr && hooks->checkpointEvery > 0
-                        ? hooks->checkpointEvery
-                        : 1;
-  int sinceCheckpoint = 0;
-  while (flat_ < options_.gde3.noImproveLimit &&
-         engine_.generationsDone() < maxGenerations_) {
-    if (hooks != nullptr && hooks->shouldStop && hooks->shouldStop()) break;
-    flat_ = engine_.step() ? 0 : flat_ + 1;
-    if (hooks != nullptr && hooks->onGeneration) {
-      GenerationProgress progress;
-      progress.generation = engine_.generationsDone();
-      progress.hypervolume = engine_.bestHypervolume();
-      progress.genHypervolume = engine_.lastHypervolume();
-      progress.frontSize = engine_.lastFrontSize();
-      progress.evaluations = engine_.evaluations();
-      hooks->onGeneration(progress);
-    }
-    if (hooks != nullptr && hooks->onMigrate && hooks->migrateEvery > 0 &&
-        engine_.generationsDone() % hooks->migrateEvery == 0)
-      hooks->onMigrate(engine_, engine_.generationsDone());
-    if (options_.reductionEnabled) reduceAndRecord();
-    if (checkpointing && ++sinceCheckpoint >= every) {
-      hooks->checkpoint(serialize(), engine_.generationsDone());
-      sinceCheckpoint = 0;
-    }
-  }
-  if (checkpointing && sinceCheckpoint > 0)
-    hooks->checkpoint(serialize(), engine_.generationsDone());
-
-  OptResult result = engine_.snapshot();
+  begin(hooks);
+  while (nextGeneration()) endGeneration();
+  OptResult result = end();
   span.setAttr("generations", support::Json(result.generations));
   span.setAttr("evaluations", support::Json(result.evaluations));
   span.setAttr("front_size", support::Json(result.front.size()));
   return result;
+}
+
+void RSGDE3::begin(const RunHooks* hooks) {
+  hooks_ = hooks;
+  sinceCheckpoint_ = 0;
+  if (hooks_ != nullptr && hooks_->resumeState != nullptr) {
+    restore(*hooks_->resumeState);
+    return;
+  }
+  flat_ = 0;
+  engine_.initialize();
+  if (options_.reductionEnabled) reduceAndRecord();
+  // Generation-0 checkpoint: a kill during the very first generation
+  // resumes without repeating the initial population's evaluations.
+  if (hooks_ != nullptr && hooks_->checkpoint)
+    hooks_->checkpoint(serialize(), 0);
+}
+
+// Loop of Fig. 4: one GDE3 generation, then rebuild the reduced search
+// space from the new population; terminate when generations stop
+// improving the solution set.
+bool RSGDE3::nextGeneration() {
+  if (flat_ >= options_.gde3.noImproveLimit ||
+      engine_.generationsDone() >= maxGenerations_)
+    return false;
+  if (hooks_ != nullptr && hooks_->shouldStop && hooks_->shouldStop())
+    return false;
+  flat_ = engine_.step() ? 0 : flat_ + 1;
+  if (hooks_ != nullptr && hooks_->onGeneration) {
+    GenerationProgress progress;
+    progress.generation = engine_.generationsDone();
+    progress.hypervolume = engine_.bestHypervolume();
+    progress.genHypervolume = engine_.lastHypervolume();
+    progress.frontSize = engine_.lastFrontSize();
+    progress.evaluations = engine_.evaluations();
+    hooks_->onGeneration(progress);
+  }
+  return true;
+}
+
+void RSGDE3::endGeneration() {
+  if (options_.reductionEnabled) reduceAndRecord();
+  if (hooks_ == nullptr || !hooks_->checkpoint) return;
+  const int every = hooks_->checkpointEvery > 0 ? hooks_->checkpointEvery : 1;
+  if (++sinceCheckpoint_ >= every) {
+    hooks_->checkpoint(serialize(), engine_.generationsDone());
+    sinceCheckpoint_ = 0;
+  }
+}
+
+OptResult RSGDE3::end() {
+  if (hooks_ != nullptr && hooks_->checkpoint && sinceCheckpoint_ > 0)
+    hooks_->checkpoint(serialize(), engine_.generationsDone());
+  sinceCheckpoint_ = 0;
+  return engine_.snapshot();
 }
 
 } // namespace motune::opt

@@ -36,9 +36,9 @@ struct GenerationProgress {
   std::uint64_t evaluations = 0;
 };
 
-/// Checkpoint/resume callbacks for RSGDE3::run(). All state passes through
-/// as opaque JSON so the caller decides where it lives (the session journal
-/// writes one JSONL record per checkpoint).
+/// Checkpoint/resume callbacks for RSGDE3::run() and begin(). All state
+/// passes through as opaque JSON so the caller decides where it lives (the
+/// session journal writes one JSONL record per checkpoint).
 struct RunHooks {
   /// Invoked with serialize()'d state after initialization and after every
   /// checkpointEvery-th generation (plus the final one).
@@ -57,15 +57,6 @@ struct RunHooks {
   /// current search trajectory. Must be cheap and non-blocking — it runs
   /// on the search thread between generations.
   std::function<void(const GenerationProgress&)> onGeneration;
-  /// Island-model migration point (src/tuning/island.h): invoked after
-  /// every migrateEvery-th generation, between onGeneration and the
-  /// rough-set reduction, with direct engine access so the exchange layer
-  /// can publish selectTop() emigrants and integrateMigrants() from the
-  /// ring neighbor. Runs before the generation's checkpoint, so a resumed
-  /// island re-executes an unpersisted migration deterministically (peer
-  /// records are immutable once written). 0 disables migration.
-  std::function<void(GDE3& engine, int generation)> onMigrate;
-  int migrateEvery = 0;
 };
 
 class RSGDE3 {
@@ -74,6 +65,22 @@ public:
          RSGDE3Options options = {});
 
   OptResult run(const RunHooks* hooks = nullptr);
+
+  /// run() one generation at a time, for a caller that acts between a
+  /// generation and its rough-set reduction, as the island model does at
+  /// its migration rounds (src/tuning/island.h): begin(), then
+  /// nextGeneration() and endGeneration() in turn until nextGeneration()
+  /// returns false, then end(). Migrating before endGeneration() puts the
+  /// migration before the generation's checkpoint, so a resumed island
+  /// repeats an unpersisted migration exactly. `hooks` must outlive end().
+  void begin(const RunHooks* hooks = nullptr);
+  /// Runs one generation and its onGeneration hook; false, running
+  /// nothing, once the stop rule or hooks->shouldStop ends the search.
+  bool nextGeneration();
+  /// The generation's rough-set reduction and checkpoint.
+  void endGeneration();
+  /// The final checkpoint, if one is due, and the result snapshot.
+  OptResult end();
 
   /// Complete search state: the inner GDE3 engine plus the non-improving
   /// generation counter the stop rule tracks.
@@ -92,6 +99,8 @@ private:
   tuning::Boundary full_;
   GDE3 engine_;
   int flat_ = 0; ///< consecutive non-improving generations
+  const RunHooks* hooks_ = nullptr; ///< of the run begin() started
+  int sinceCheckpoint_ = 0;         ///< generations since the last one
 };
 
 } // namespace motune::opt

@@ -11,11 +11,11 @@ namespace {
 
 /// Deterministic hash-derived factor in [1 - amp, 1 + amp]; stands in for
 /// measurement noise while keeping every experiment reproducible.
-double noiseFactor(const NestAnalysis& na, int threads, double amp) {
+double noiseFactor(const LoweredNest& nest, int threads, double amp) {
   if (amp <= 0.0) return 1.0;
   std::uint64_t h = 0x9e3779b97f4a7c15ull ^ static_cast<std::uint64_t>(threads);
-  for (const auto& l : na.loops) {
-    const auto bits = static_cast<std::uint64_t>(l.avgTrip * 4096.0);
+  for (const double trip : nest.avgTrip) {
+    const auto bits = static_cast<std::uint64_t>(trip * 4096.0);
     h ^= bits + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   }
   h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -37,20 +37,24 @@ Prediction CostModel::predict(const ir::Program& program, int threads) const {
 
 Prediction CostModel::predictAnalyzed(const NestAnalysis& na,
                                       int threads) const {
+  return predictLowered(lowerNest(na, lineBytes()), threads);
+}
+
+Prediction CostModel::predictLowered(const LoweredNest& nest,
+                                     int threads) const {
   MOTUNE_CHECK(threads >= 1);
   Prediction out;
   out.threads = threads;
 
-  const std::size_t depth = na.loops.size();
-  const std::int64_t line = machine_.caches.front().lineBytes;
+  const std::size_t depth = nest.depth();
+  const std::int64_t line = lineBytes();
   const double freqHz = machine_.freqGHz * 1e9;
 
   // --- parallel decomposition ----------------------------------------------
   double chunks = 1.0;
-  if (na.loops.front().parallel) {
-    const int collapse = na.loops.front().collapse;
-    for (int l = 0; l < collapse && l < static_cast<int>(depth); ++l)
-      chunks *= na.loops[static_cast<std::size_t>(l)].avgTrip;
+  if (nest.parallel) {
+    for (int l = 0; l < nest.collapse && l < static_cast<int>(depth); ++l)
+      chunks *= nest.avgTrip[static_cast<std::size_t>(l)];
   }
   const int hwThreads = std::min(threads, machine_.totalCores());
   const int pEff = std::max(1, std::min<int>(hwThreads,
@@ -59,54 +63,18 @@ Prediction CostModel::predictAnalyzed(const NestAnalysis& na,
       chunks > 0 ? std::ceil(chunks / pEff) * pEff / chunks : 1.0;
 
   auto perThreadOuter = [&](std::size_t level) {
-    return std::max(1.0, na.outerIterations(level) / pEff);
+    return std::max(1.0, nest.outerIterations(level) / pEff);
   };
 
   // --- per-level cache traffic ----------------------------------------------
-  // Thread-sharing analysis: an access class whose subscripts do not
-  // depend on any parallel induction variable touches the SAME data in
-  // every thread (e.g. the X/Y/Z sweeps of n-body). In a socket-shared
+  // Thread-sharing analysis (lowerNest): an access class whose subscripts
+  // do not depend on any parallel induction variable touches the SAME data
+  // in every thread (e.g. the X/Y/Z sweeps of n-body). In a socket-shared
   // cache such data occupies one copy for all co-located threads, whereas
   // thread-private data (e.g. mm's C tiles) is replicated per thread —
   // this is why the paper's n-body set "fits entirely in the cache" on
   // Westmere regardless of the thread count (§V.C).
-  std::vector<std::string> parallelIvs;
-  if (na.loops.front().parallel) {
-    const int collapse = na.loops.front().collapse;
-    for (int l = 0; l < collapse && l < static_cast<int>(depth); ++l)
-      parallelIvs.push_back(na.loops[static_cast<std::size_t>(l)].loop->iv);
-    for (const auto& ld : na.loops) {
-      for (const auto& piv : parallelIvs)
-        if (ld.loop->lower.dependsOn(piv)) {
-          parallelIvs.push_back(ld.loop->iv);
-          break;
-        }
-    }
-  }
-  auto classIsShared = [&](const AccessClass& cls) {
-    for (const auto& sub : cls.linear)
-      for (const auto& piv : parallelIvs)
-        if (sub.dependsOn(piv)) return false;
-    return true;
-  };
-
-  // Flattened class list with per-level footprints.
-  struct ClassInfo {
-    bool shared = false;
-    std::vector<double> fp; // per nest level
-  };
-  std::vector<ClassInfo> classes;
-  for (std::size_t a = 0; a < na.arrays.size(); ++a) {
-    for (std::size_t k = 0; k < na.arrays[a].classes.size(); ++k) {
-      ClassInfo info;
-      info.shared = classIsShared(na.arrays[a].classes[k]);
-      info.fp.resize(depth + 1);
-      for (std::size_t lvl = 0; lvl <= depth; ++lvl)
-        info.fp[lvl] = footprintBytesClass(na, a, k, lvl, line);
-      classes.push_back(std::move(info));
-    }
-  }
-
+  const std::size_t numClasses = nest.classShared.size();
   const std::size_t numCaches = machine_.caches.size();
   std::vector<double> perThreadTraffic(numCaches, 0.0);
   double memCycles = 0.0;
@@ -117,15 +85,17 @@ Prediction CostModel::predictAnalyzed(const NestAnalysis& na,
         spec.sharedPerSocket ? machine_.maxThreadsOnOneSocket(hwThreads) : 1.0;
     const double rawCapacity = static_cast<double>(spec.capacityBytes);
     const double capacity = rawCapacity * params_.fitFraction;
-    auto weight = [&](const ClassInfo& info) {
-      return info.shared ? 1.0 : sharers; // private data: one copy per thread
+    auto weight = [&](std::size_t k) {
+      // Private data: one copy per thread.
+      return nest.classShared[k] ? 1.0 : sharers;
     };
 
     // Outermost level whose (sharing-weighted) working set is resident.
     std::size_t mStar = depth;
     for (std::size_t lvl = 0; lvl <= depth; ++lvl) {
       double weighted = 0.0;
-      for (const auto& info : classes) weighted += info.fp[lvl] * weight(info);
+      for (std::size_t k = 0; k < numClasses; ++k)
+        weighted += nest.footprint(k, lvl) * weight(k);
       if (weighted <= capacity) {
         mStar = lvl;
         break;
@@ -139,37 +109,40 @@ Prediction CostModel::predictAnalyzed(const NestAnalysis& na,
     const bool lastLevel = c + 1 == numCaches;
 
     double bytes = 0.0;
-    for (const auto& info : classes) {
+    for (std::size_t k = 0; k < numClasses; ++k) {
+      const double fpStar = nest.footprint(k, mStar);
       // Small blocks that do not grow across outer loops stay hot under
       // LRU even when the total working set streams (e.g. the C tile of mm
       // across the kt loop): walk outward while the class's footprint is
       // unchanged and small.
       std::size_t lvlA = mStar;
-      if (info.fp[mStar] * weight(info) <=
-          params_.residentFraction * rawCapacity) {
-        while (lvlA > 0 && info.fp[lvlA - 1] <= info.fp[mStar] * 1.02) --lvlA;
+      if (fpStar * weight(k) <= params_.residentFraction * rawCapacity) {
+        while (lvlA > 0 && nest.footprint(k, lvlA - 1) <= fpStar * 1.02)
+          --lvlA;
       }
-      const double classBytes = perThreadOuter(lvlA) * info.fp[mStar];
+      const double classBytes = perThreadOuter(lvlA) * fpStar;
       bytes += classBytes;
       // Shared-class misses at the last level are amortized across the
       // socket: one DRAM fetch serves every co-located thread.
-      const double amortize = lastLevel && info.shared ? sharers : 1.0;
+      const bool shared = nest.classShared[k] != 0;
+      const double amortize = lastLevel && shared ? sharers : 1.0;
       memCycles += classBytes / static_cast<double>(line) * nextLatency *
                    params_.latencyChargeFraction / amortize;
       if (lastLevel)
-        socketDramBytes += classBytes * (info.shared ? 1.0 : sharers);
+        socketDramBytes += classBytes * (shared ? 1.0 : sharers);
     }
     perThreadTraffic[c] = bytes;
   }
 
   // --- compute and loop overhead --------------------------------------------
-  const double leafIterPT = na.leafIterations() / pEff;
-  const double issue = na.innermostUnitStride ? params_.vectorIssueFactor
-                                              : params_.scalarIssueFactor;
+  const double leafIterPT = nest.leafIterations() / pEff;
+  const double issue = nest.innermostUnitStride
+                            ? params_.vectorIssueFactor
+                            : params_.scalarIssueFactor;
   const double flopsPerCycle = machine_.flopsPerCyclePerCore * issue;
   const double computeCycles =
-      leafIterPT * (na.flopsPerIter / flopsPerCycle +
-                    na.heavyOpsPerIter * params_.heavyOpCycles);
+      leafIterPT * (nest.flopsPerIter / flopsPerCycle +
+                    nest.heavyOpsPerIter * params_.heavyOpCycles);
 
   double loopCycles = 0.0;
   for (std::size_t l = 0; l < depth; ++l)
@@ -198,7 +171,7 @@ Prediction CostModel::predictAnalyzed(const NestAnalysis& na,
   double wall = std::max(perThread, out.bandwidthSeconds) * contention *
                     out.imbalance +
                 out.forkJoinSeconds;
-  wall *= noiseFactor(na, threads, params_.noiseAmplitude);
+  wall *= noiseFactor(nest, threads, params_.noiseAmplitude);
 
   out.seconds = wall;
   out.resources = static_cast<double>(threads) * wall;

@@ -63,9 +63,16 @@ public:
   /// Full pipeline: nest analysis + prediction.
   Prediction predict(const ir::Program& program, int threads) const;
 
-  /// Prediction from a pre-computed nest analysis (the sweep harness reuses
-  /// one analysis across thread counts).
+  /// Prediction from a pre-computed nest analysis: lowerNest at the
+  /// first-level line size, then predictLowered.
   Prediction predictAnalyzed(const NestAnalysis& na, int threads) const;
+
+  /// The model's arithmetic, on a lowered nest. Every other predict path
+  /// (and KernelTuningProblem's parametric nest) ends here.
+  Prediction predictLowered(const LoweredNest& nest, int threads) const;
+
+  /// Line size the footprints are counted in (the first cache level's).
+  std::int64_t lineBytes() const { return machine_.caches.front().lineBytes; }
 
   const machine::MachineModel& machine() const { return machine_; }
   const CostParams& params() const { return params_; }

@@ -18,53 +18,69 @@ struct Interval {
   double width() const { return hi - lo; }
 };
 
-using IvIntervals = std::vector<std::pair<std::string, Interval>>;
-
-const Interval* find(const IvIntervals& ivs, const std::string& name) {
-  for (const auto& [n, iv] : ivs)
-    if (n == name) return &iv;
-  return nullptr;
+/// Lowers `e` to loop indices; its ivs must be among nest[0, visible).
+LoopAffine lowerAffine(const ir::AffineExpr& e,
+                       const std::vector<const ir::Loop*>& nest,
+                       std::size_t visible) {
+  LoopAffine out;
+  out.constant = e.constantTerm();
+  for (const auto& [name, coeff] : e.terms()) {
+    std::size_t idx = 0;
+    while (idx < visible && nest[idx]->iv != name) ++idx;
+    MOTUNE_CHECK_MSG(idx < visible, "unbound iv in affine expr: " + name);
+    out.terms.emplace_back(idx, coeff);
+  }
+  return out;
 }
 
-Interval evalInterval(const ir::AffineExpr& e, const IvIntervals& ivs) {
-  Interval out{static_cast<double>(e.constantTerm()),
-               static_cast<double>(e.constantTerm())};
-  for (const auto& [name, coeff] : e.terms()) {
-    const Interval* iv = find(ivs, name);
-    MOTUNE_CHECK_MSG(iv != nullptr, "unbound iv in affine expr: " + name);
+bool isConstant(const LoopBounds& b) {
+  return b.lower.terms.empty() && b.upper.terms.empty() && !b.cap;
+}
+
+Interval evalInterval(const LoopAffine& e, std::span<const Interval> ivs) {
+  Interval out{static_cast<double>(e.constant),
+               static_cast<double>(e.constant)};
+  for (const auto& [idx, coeff] : e.terms) {
+    const Interval& iv = ivs[idx];
     const double c = static_cast<double>(coeff);
     if (c >= 0) {
-      out.lo += c * iv->lo;
-      out.hi += c * iv->hi;
+      out.lo += c * iv.lo;
+      out.hi += c * iv.hi;
     } else {
-      out.lo += c * iv->hi;
-      out.hi += c * iv->lo;
+      out.lo += c * iv.hi;
+      out.hi += c * iv.lo;
     }
   }
   return out;
 }
 
-/// Value intervals of every iv when loops [level, D) vary and outer loops
-/// are pinned to their first iteration.
-IvIntervals ivIntervalsAtLevel(const NestAnalysis& na, std::size_t level) {
-  IvIntervals ivs;
-  for (std::size_t idx = 0; idx < na.loops.size(); ++idx) {
-    const ir::Loop& loop = *na.loops[idx].loop;
-    const Interval lo = evalInterval(loop.lower, ivs);
-    Interval hi = evalInterval(loop.upper.base, ivs);
-    if (loop.upper.cap) {
-      const Interval cap = evalInterval(*loop.upper.cap, ivs);
+/// Appends the value interval of every loop's iv when loops [level, D)
+/// vary and outer loops are pinned to their first iteration.
+void appendIntervalsAtLevel(std::span<const LoopBounds> bounds,
+                            std::size_t level, std::vector<Interval>& out) {
+  const std::size_t base = out.size();
+  for (std::size_t idx = 0; idx < bounds.size(); ++idx) {
+    const LoopBounds& b = bounds[idx];
+    const std::span<const Interval> outer(out.data() + base, idx);
+    const Interval lo = evalInterval(b.lower, outer);
+    Interval hi = evalInterval(b.upper, outer);
+    if (b.cap) {
+      const Interval cap = evalInterval(*b.cap, outer);
       hi.lo = std::min(hi.lo, cap.lo);
       hi.hi = std::min(hi.hi, cap.hi);
     }
-    Interval value;
-    if (idx >= level) {
-      value = {lo.lo, std::max(lo.lo, hi.hi - 1.0)};
-    } else {
-      value = {lo.lo, lo.lo}; // fixed at the first iteration
-    }
-    ivs.emplace_back(loop.iv, value);
+    if (idx >= level)
+      out.push_back({lo.lo, std::max(lo.lo, hi.hi - 1.0)});
+    else
+      out.push_back({lo.lo, lo.lo}); // fixed at the first iteration
   }
+}
+
+std::vector<Interval> intervalsAtLevel(std::span<const LoopBounds> bounds,
+                                       std::size_t level) {
+  std::vector<Interval> ivs;
+  ivs.reserve(bounds.size());
+  appendIntervalsAtLevel(bounds, level, ivs);
   return ivs;
 }
 
@@ -103,40 +119,152 @@ void countOps(const ir::Expr& e, double& flops, double& heavy, double& mem,
   }
 }
 
-/// Average trip count; exact for constant bounds and for the point loops
-/// produced by tiling (see header).
-double averageTrip(const ir::Loop& loop,
-                   const std::vector<const ir::Loop*>& outer) {
-  if (loop.lower.isConstant() && loop.upper.base.isConstant() &&
-      !loop.upper.cap.has_value()) {
-    const double lo = static_cast<double>(loop.lower.constantTerm());
-    const double hi = static_cast<double>(loop.upper.base.constantTerm());
+/// Average trip count of loop `idx`; exact for constant bounds and for the
+/// point loops produced by tiling (see header).
+double averageTrip(std::span<const LoopBounds> bounds, std::size_t idx) {
+  const LoopBounds& b = bounds[idx];
+  if (isConstant(b)) {
+    const double lo = static_cast<double>(b.lower.constant);
+    const double hi = static_cast<double>(b.upper.constant);
     if (hi <= lo) return 0.0;
-    return std::ceil((hi - lo) / static_cast<double>(loop.step));
+    return std::ceil((hi - lo) / static_cast<double>(b.step));
   }
 
   // Point-loop pattern: lower = <tile iv>, upper = min(<tile iv> + T, N).
-  const auto vars = loop.lower.variables();
-  MOTUNE_CHECK_MSG(vars.size() == 1 && loop.lower.coeffOf(vars[0]) == 1 &&
-                       loop.upper.cap.has_value() &&
-                       loop.upper.cap->isConstant(),
+  MOTUNE_CHECK_MSG(b.lower.terms.size() == 1 &&
+                       b.lower.terms[0].second == 1 && b.cap &&
+                       b.cap->terms.empty(),
                    "unsupported loop bound shape in performance model");
-  const ir::AffineExpr tdiff = loop.upper.base - loop.lower;
-  MOTUNE_CHECK_MSG(tdiff.isConstant(), "point loop tile size must be constant");
-  const auto tileSize = static_cast<double>(tdiff.constantTerm());
-
-  const ir::Loop* tileLoop = nullptr;
-  for (const auto* o : outer)
-    if (o->iv == vars[0]) tileLoop = o;
-  MOTUNE_CHECK_MSG(tileLoop != nullptr, "tile loop not found for point loop");
-  MOTUNE_CHECK(tileLoop->lower.isConstant() &&
-               tileLoop->upper.base.isConstant());
-  const double range =
-      static_cast<double>(loop.upper.cap->constantTerm() -
-                          tileLoop->lower.constantTerm());
+  MOTUNE_CHECK_MSG(b.upper.terms == b.lower.terms,
+                   "point loop tile size must be constant");
+  const auto tileSize =
+      static_cast<double>(b.upper.constant - b.lower.constant);
+  const LoopBounds& tileLoop = bounds[b.lower.terms[0].first];
+  MOTUNE_CHECK(tileLoop.lower.terms.empty() && tileLoop.upper.terms.empty());
+  const auto range =
+      static_cast<double>(b.cap->constant - tileLoop.lower.constant);
   if (range <= 0) return 0.0;
   const double tiles = std::ceil(range / tileSize);
   return range / tiles;
+}
+
+/// Line-rounded size of the whole array: no footprint exceeds it.
+double arrayCap(const ir::ArrayDecl& decl, double line) {
+  return roundUpTo(static_cast<double>(decl.bytes()), line);
+}
+
+double classFootprint(const AccessClass& cls, const ir::ArrayDecl& decl,
+                      std::span<const Interval> ivs, double line,
+                      double cap) {
+  const auto elemBytes = static_cast<double>(decl.elemBytes);
+  double rows = 1.0;
+  double lastExtent = 1.0;
+  for (std::size_t d = 0; d < cls.linear.size(); ++d) {
+    double width = static_cast<double>(cls.spread[d]);
+    for (const auto& [idx, coeff] : cls.linear[d].terms)
+      width += std::abs(static_cast<double>(coeff)) * ivs[idx].width();
+    double extent =
+        std::min(width + 1.0, static_cast<double>(decl.dims[d]));
+    if (d + 1 == cls.linear.size())
+      lastExtent = extent;
+    else
+      rows *= extent;
+  }
+  const double bytes = rows * roundUpTo(lastExtent * elemBytes, line);
+  // Never report more than the whole array.
+  return std::min(bytes, cap);
+}
+
+double arrayFootprint(const ArrayUsage& usage, std::span<const Interval> ivs,
+                      double line) {
+  const double cap = arrayCap(*usage.decl, line);
+  double total = 0.0;
+  for (const AccessClass& cls : usage.classes)
+    total += classFootprint(cls, *usage.decl, ivs, line, cap);
+  // Classes of the same array may overlap (n-body reads X[i] and X[j]);
+  // never report more than the whole array.
+  return std::min(total, cap);
+}
+
+double totalFootprint(const NestAnalysis& na,
+                      std::span<const LoopBounds> bounds, std::size_t level,
+                      std::int64_t lineBytes) {
+  const std::vector<Interval> ivs = intervalsAtLevel(bounds, level);
+  double total = 0.0;
+  for (const ArrayUsage& usage : na.arrays)
+    total += arrayFootprint(usage, ivs, static_cast<double>(lineBytes));
+  return total;
+}
+
+bool dependsOnAny(const LoopAffine& e, const std::vector<char>& loops) {
+  for (const auto& term : e.terms)
+    if (loops[term.first]) return true;
+  return false;
+}
+
+/// lowerNest with `bounds` standing in for na.bounds (a TiledNest passes
+/// the headers of one tile vector; nothing else about the nest changes).
+LoweredNest lowerWith(const NestAnalysis& na,
+                      std::span<const LoopBounds> bounds,
+                      std::int64_t lineBytes) {
+  const std::size_t depth = bounds.size();
+  LoweredNest out;
+  out.avgTrip.resize(depth);
+  for (std::size_t l = 0; l < depth; ++l)
+    out.avgTrip[l] = averageTrip(bounds, l);
+  out.parallel = na.loops.front().parallel;
+  out.collapse = na.loops.front().collapse;
+  out.flopsPerIter = na.flopsPerIter;
+  out.heavyOpsPerIter = na.heavyOpsPerIter;
+  out.innermostUnitStride = na.innermostUnitStride;
+
+  // Parallel ivs: the collapsed header loops plus every loop whose lower
+  // bound depends on one (a point loop inherits its tile loop's).
+  std::vector<char> parallelLoop(depth, 0);
+  if (out.parallel) {
+    for (int l = 0; l < out.collapse && l < static_cast<int>(depth); ++l)
+      parallelLoop[static_cast<std::size_t>(l)] = 1;
+    for (std::size_t l = 0; l < depth; ++l)
+      if (dependsOnAny(bounds[l].lower, parallelLoop)) parallelLoop[l] = 1;
+  }
+  std::size_t numClasses = 0;
+  for (const ArrayUsage& usage : na.arrays)
+    numClasses += usage.classes.size();
+  out.classShared.reserve(numClasses);
+  for (const ArrayUsage& usage : na.arrays) {
+    for (const AccessClass& cls : usage.classes) {
+      bool shared = true;
+      for (const LoopAffine& sub : cls.linear)
+        shared = shared && !dependsOnAny(sub, parallelLoop);
+      out.classShared.push_back(shared ? 1 : 0);
+    }
+  }
+
+  // Intervals of every level, then every class's footprint at each.
+  std::vector<Interval> ivs;
+  ivs.reserve((depth + 1) * depth);
+  for (std::size_t lvl = 0; lvl <= depth; ++lvl)
+    appendIntervalsAtLevel(bounds, lvl, ivs);
+  const auto line = static_cast<double>(lineBytes);
+  out.footprints.reserve(numClasses * (depth + 1));
+  for (const ArrayUsage& usage : na.arrays) {
+    const double cap = arrayCap(*usage.decl, line);
+    for (const AccessClass& cls : usage.classes)
+      for (std::size_t lvl = 0; lvl <= depth; ++lvl)
+        out.footprints.push_back(classFootprint(
+            cls, *usage.decl,
+            std::span<const Interval>(ivs).subspan(lvl * depth, depth), line,
+            cap));
+  }
+  return out;
+}
+
+std::vector<std::int64_t> lowCorner(
+    const analyzer::TransformationSkeleton& skeleton) {
+  std::vector<std::int64_t> values;
+  for (const analyzer::ParamSpec& p : skeleton.params())
+    values.push_back(p.lo);
+  return values;
 }
 
 } // namespace
@@ -148,20 +276,32 @@ double NestAnalysis::outerIterations(std::size_t level) const {
   return prod;
 }
 
+double LoweredNest::outerIterations(std::size_t level) const {
+  MOTUNE_CHECK(level <= avgTrip.size());
+  double prod = 1.0;
+  for (std::size_t l = 0; l < level; ++l) prod *= avgTrip[l];
+  return prod;
+}
+
 NestAnalysis analyzeNest(const ir::Program& program) {
   NestAnalysis na;
   const auto nest = transform::perfectNest(program);
   MOTUNE_CHECK_MSG(!nest.empty(), "program has no loop nest");
 
-  std::vector<const ir::Loop*> outerSoFar;
-  for (const auto* loop : nest) {
+  for (std::size_t idx = 0; idx < nest.size(); ++idx) {
+    const ir::Loop& loop = *nest[idx];
+    LoopBounds b;
+    b.lower = lowerAffine(loop.lower, nest, idx);
+    b.upper = lowerAffine(loop.upper.base, nest, idx);
+    if (loop.upper.cap) b.cap = lowerAffine(*loop.upper.cap, nest, idx);
+    b.step = loop.step;
+    na.bounds.push_back(std::move(b));
     LoopDesc desc;
-    desc.loop = loop;
-    desc.avgTrip = averageTrip(*loop, outerSoFar);
-    desc.parallel = loop->parallel;
-    desc.collapse = loop->collapse;
+    desc.loop = &loop;
+    desc.avgTrip = averageTrip(na.bounds, idx);
+    desc.parallel = loop.parallel;
+    desc.collapse = loop.collapse;
     na.loops.push_back(desc);
-    outerSoFar.push_back(loop);
   }
 
   // Group accesses into per-array classes with identical linear parts.
@@ -224,7 +364,8 @@ NestAnalysis analyzeNest(const ir::Program& program) {
     usage.decl = ab.decl;
     for (auto& c : ab.classes) {
       AccessClass out;
-      out.linear = std::move(c.linear);
+      for (const ir::AffineExpr& sub : c.linear)
+        out.linear.push_back(lowerAffine(sub, nest, nest.size()));
       out.spread.resize(out.linear.size());
       for (std::size_t d = 0; d < out.spread.size(); ++d)
         out.spread[d] = c.maxConst[d] - c.minConst[d];
@@ -236,8 +377,6 @@ NestAnalysis analyzeNest(const ir::Program& program) {
   }
 
   // Leaf-body operation counts and vectorizability.
-  const ir::Loop* innermost = nest.back();
-  const std::string& innerIv = innermost->iv;
   std::set<const ir::Expr*> visited;
   ir::walk(program, [&](const ir::Stmt& s,
                         const std::vector<const ir::Loop*>&) {
@@ -248,11 +387,17 @@ NestAnalysis analyzeNest(const ir::Program& program) {
     if (s.assign.accumulate) na.flopsPerIter += 1.0;
   });
 
-  auto strideOk = [&](const std::vector<ir::AffineExpr>& subs) {
+  const std::size_t inner = nest.size() - 1;
+  auto coeffOfInner = [&](const LoopAffine& sub) {
+    for (const auto& [idx, coeff] : sub.terms)
+      if (idx == inner) return coeff;
+    return std::int64_t{0};
+  };
+  auto strideOk = [&](const std::vector<LoopAffine>& subs) {
     if (subs.empty()) return true;
     for (std::size_t d = 0; d + 1 < subs.size(); ++d)
-      if (subs[d].dependsOn(innerIv)) return false;
-    const std::int64_t c = subs.back().coeffOf(innerIv);
+      if (coeffOfInner(subs[d]) != 0) return false;
+    const std::int64_t c = coeffOfInner(subs.back());
     return c == 0 || c == 1;
   };
   na.innermostUnitStride = true;
@@ -263,66 +408,70 @@ NestAnalysis analyzeNest(const ir::Program& program) {
   return na;
 }
 
-namespace {
-double classFootprint(const AccessClass& cls, const ir::ArrayDecl& decl,
-                      const IvIntervals& ivs, double line) {
-  const auto elemBytes = static_cast<double>(decl.elemBytes);
-  double rows = 1.0;
-  double lastExtent = 1.0;
-  for (std::size_t d = 0; d < cls.linear.size(); ++d) {
-    double width = static_cast<double>(cls.spread[d]);
-    for (const auto& [name, coeff] : cls.linear[d].terms()) {
-      const Interval* iv = find(ivs, name);
-      MOTUNE_CHECK(iv != nullptr);
-      width += std::abs(static_cast<double>(coeff)) * iv->width();
-    }
-    double extent =
-        std::min(width + 1.0, static_cast<double>(decl.dims[d]));
-    if (d + 1 == cls.linear.size())
-      lastExtent = extent;
-    else
-      rows *= extent;
-  }
-  const double bytes = rows * roundUpTo(lastExtent * elemBytes, line);
-  // Never report more than the whole array.
-  return std::min(bytes, roundUpTo(static_cast<double>(decl.bytes()), line));
+LoweredNest lowerNest(const NestAnalysis& na, std::int64_t lineBytes) {
+  return lowerWith(na, na.bounds, lineBytes);
 }
-} // namespace
 
 double footprintBytes(const NestAnalysis& na, std::size_t arrayIdx,
                       std::size_t level, std::int64_t lineBytes) {
   MOTUNE_CHECK(arrayIdx < na.arrays.size());
-  const ArrayUsage& usage = na.arrays[arrayIdx];
-  const IvIntervals ivs = ivIntervalsAtLevel(na, level);
-
-  double total = 0.0;
-  for (const AccessClass& cls : usage.classes)
-    total += classFootprint(cls, *usage.decl, ivs,
-                            static_cast<double>(lineBytes));
-  // Classes of the same array may overlap (n-body reads X[i] and X[j]);
-  // never report more than the whole array.
-  const double arrayCap = roundUpTo(
-      static_cast<double>(usage.decl->bytes()), static_cast<double>(lineBytes));
-  return std::min(total, arrayCap);
-}
-
-double footprintBytesClass(const NestAnalysis& na, std::size_t arrayIdx,
-                           std::size_t classIdx, std::size_t level,
-                           std::int64_t lineBytes) {
-  MOTUNE_CHECK(arrayIdx < na.arrays.size());
-  const ArrayUsage& usage = na.arrays[arrayIdx];
-  MOTUNE_CHECK(classIdx < usage.classes.size());
-  const IvIntervals ivs = ivIntervalsAtLevel(na, level);
-  return classFootprint(usage.classes[classIdx], *usage.decl, ivs,
+  return arrayFootprint(na.arrays[arrayIdx], intervalsAtLevel(na.bounds, level),
                         static_cast<double>(lineBytes));
 }
 
 double totalFootprintBytes(const NestAnalysis& na, std::size_t level,
                            std::int64_t lineBytes) {
-  double total = 0.0;
-  for (std::size_t a = 0; a < na.arrays.size(); ++a)
-    total += footprintBytes(na, a, level, lineBytes);
-  return total;
+  return totalFootprint(na, na.bounds, level, lineBytes);
+}
+
+TiledNest::TiledNest(const analyzer::TransformationSkeleton& skeleton)
+    : variant_(skeleton.instantiate(lowCorner(skeleton))),
+      analysis_(analyzeNest(variant_)),
+      tileDims_(skeleton.tileDepth()) {
+  const std::vector<LoopBounds>& b = analysis_.bounds;
+  MOTUNE_CHECK_MSG(b.size() >= 2 * tileDims_,
+                   "tiled nest is shallower than twice its tile band");
+  for (std::size_t p = 0; p < tileDims_; ++p) {
+    const std::int64_t t = skeleton.params()[p].lo;
+    MOTUNE_CHECK_MSG(isConstant(b[p]) && b[p].step == t,
+                     "tile loop " + std::to_string(p) +
+                         " is not a constant-bound loop stepping by its tile");
+    const LoopBounds& point = b[tileDims_ + p];
+    const std::vector<std::pair<std::size_t, std::int64_t>> tileIv{{p, 1}};
+    MOTUNE_CHECK_MSG(point.lower.constant == 0 && point.lower.terms == tileIv &&
+                         point.upper.constant == t &&
+                         point.upper.terms == tileIv && point.cap &&
+                         point.cap->terms.empty() && point.step == 1,
+                     "point loop " + std::to_string(p) +
+                         " is not [tile iv, min(tile iv + tile, N))");
+  }
+  for (std::size_t l = 2 * tileDims_; l < b.size(); ++l)
+    MOTUNE_CHECK_MSG(isConstant(b[l]),
+                     "loop " + std::to_string(l) +
+                         " below the tile band has non-constant bounds");
+}
+
+std::vector<LoopBounds> TiledNest::boundsAt(
+    std::span<const std::int64_t> tiles) const {
+  MOTUNE_CHECK(tiles.size() == tileDims_);
+  std::vector<LoopBounds> bounds = analysis_.bounds;
+  for (std::size_t p = 0; p < tileDims_; ++p) {
+    MOTUNE_CHECK(tiles[p] >= 1);
+    bounds[p].step = tiles[p];
+    bounds[tileDims_ + p].upper.constant = tiles[p];
+  }
+  return bounds;
+}
+
+LoweredNest TiledNest::lower(std::span<const std::int64_t> tiles,
+                             std::int64_t lineBytes) const {
+  return lowerWith(analysis_, boundsAt(tiles), lineBytes);
+}
+
+double TiledNest::totalFootprintBytes(std::span<const std::int64_t> tiles,
+                                      std::size_t level,
+                                      std::int64_t lineBytes) const {
+  return totalFootprint(analysis_, boundsAt(tiles), level, lineBytes);
 }
 
 } // namespace motune::perf

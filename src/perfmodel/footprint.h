@@ -8,15 +8,42 @@
 // working-set / distinct-lines approach (Ferrante et al.), which is what
 // makes the model respond to tile sizes and shared-cache capacity exactly
 // the way the paper's real machines do.
+//
+// Analysis lowers every loop bound and subscript from iv names to loop
+// indices once; all trip-count and footprint arithmetic runs on that
+// lowered form. A TiledNest keeps the lowered form of one tiling skeleton
+// and patches only the tile sizes per configuration, so the tuner never
+// instantiates or re-analyzes a variant to evaluate it.
 #pragma once
 
+#include "analyzer/region.h"
 #include "ir/program.h"
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace motune::perf {
+
+/// An affine expression with its iv names lowered to nest loop indices:
+/// constant + sum coeff * iv(loop). Terms keep ir::AffineExpr's order, so
+/// every path sums an interval in the same order and rounds identically.
+struct LoopAffine {
+  std::int64_t constant = 0;
+  std::vector<std::pair<std::size_t, std::int64_t>> terms; ///< (loop, coeff)
+};
+
+/// A loop header over loop indices:
+/// for (iv = lower; iv < min(upper, cap); iv += step).
+struct LoopBounds {
+  LoopAffine lower;
+  LoopAffine upper;
+  std::optional<LoopAffine> cap;
+  std::int64_t step = 1;
+};
 
 /// One loop of the (perfect) nest with its average trip count. For tiled
 /// point loops the average accounts for boundary tiles exactly
@@ -33,9 +60,9 @@ struct LoopDesc {
 /// parts; constant offsets are merged into per-dimension spreads (so the
 /// 27 reads of the 3d-stencil form a single class with spread 2 per dim).
 struct AccessClass {
-  std::vector<ir::AffineExpr> linear; ///< representative subscripts
-  std::vector<std::int64_t> spread;   ///< per dim: max - min constant term
-  int accessCount = 0;                ///< dynamic accesses per leaf iteration
+  std::vector<LoopAffine> linear;   ///< representative subscripts
+  std::vector<std::int64_t> spread; ///< per dim: max - min constant term
+  int accessCount = 0;              ///< dynamic accesses per leaf iteration
   bool hasWrite = false;
 };
 
@@ -47,6 +74,7 @@ struct ArrayUsage {
 /// Everything the cost model needs, extracted in one pass.
 struct NestAnalysis {
   std::vector<LoopDesc> loops;     ///< outermost first
+  std::vector<LoopBounds> bounds;  ///< loops[l]'s header over loop indices
   std::vector<ArrayUsage> arrays;
   double flopsPerIter = 0.0;       ///< weighted flop count of the leaf body
   double heavyOpsPerIter = 0.0;    ///< div/sqrt count (latency-bound ops)
@@ -61,10 +89,37 @@ struct NestAnalysis {
   double leafIterations() const { return outerIterations(loops.size()); }
 };
 
+/// The numbers the cost model reads (CostModel::predictLowered): a nest
+/// analysis with its trips and footprints evaluated at one line size.
+struct LoweredNest {
+  std::vector<double> avgTrip;  ///< per loop, outermost first
+  bool parallel = false;        ///< the outermost loop is a parallel header
+  int collapse = 1;             ///< loops that header distributes jointly
+  /// Per access class (arrays in order, then their classes): the class's
+  /// subscripts use no parallel iv, so every thread touches the same data.
+  std::vector<char> classShared;
+  /// Per access class, the footprint at levels 0..depth (class-major).
+  std::vector<double> footprints;
+  double flopsPerIter = 0.0;
+  double heavyOpsPerIter = 0.0;
+  bool innermostUnitStride = true;
+
+  std::size_t depth() const { return avgTrip.size(); }
+  double footprint(std::size_t cls, std::size_t level) const {
+    return footprints[cls * (depth() + 1) + level];
+  }
+  /// Product of avgTrips of loops [0, level), as NestAnalysis's.
+  double outerIterations(std::size_t level) const;
+  double leafIterations() const { return outerIterations(depth()); }
+};
+
 /// Analyzes a program whose body is a single perfect loop nest (original or
 /// tiled kernels; multi-statement leaf bodies are fine). The result holds
 /// pointers into `program`, which must outlive it.
 NestAnalysis analyzeNest(const ir::Program& program);
+
+/// Lowers `na` to the cost model's numbers; footprints use `lineBytes`.
+LoweredNest lowerNest(const NestAnalysis& na, std::int64_t lineBytes);
 
 /// Distinct bytes of `arrays[arrayIdx]` touched by one execution of loops
 /// [level, D) with outer loops fixed; line-granular, clamped to the array
@@ -76,9 +131,40 @@ double footprintBytes(const NestAnalysis& na, std::size_t arrayIdx,
 double totalFootprintBytes(const NestAnalysis& na, std::size_t level,
                            std::int64_t lineBytes);
 
-/// Footprint of a single access class (see footprintBytes).
-double footprintBytesClass(const NestAnalysis& na, std::size_t arrayIdx,
-                           std::size_t classIdx, std::size_t level,
-                           std::int64_t lineBytes);
+/// The nest of a tiling skeleton with its tile sizes left unbound (paper
+/// §IV). Every instantiation shares one loop structure: d tile loops with
+/// constant bounds and step t_p, then d point loops
+/// iv in [iv_t, min(iv_t + t_p, N)), then the constant-bound loops below
+/// the band. Access classes, body counts and thread sharing are therefore
+/// fixed; only the tile loops' steps and the point loops' upper constants
+/// change with a configuration. The constructor analyzes one instantiation
+/// and checks that shape; queries patch the tile sizes into its lowered
+/// bounds. Immutable after construction, so concurrent queries are safe.
+class TiledNest {
+public:
+  explicit TiledNest(const analyzer::TransformationSkeleton& skeleton);
+  TiledNest(const TiledNest&) = delete; // analysis_ points into variant_
+  TiledNest& operator=(const TiledNest&) = delete;
+
+  std::size_t depth() const { return analysis_.loops.size(); }
+  std::size_t tileDims() const { return tileDims_; }
+
+  /// lowerNest(analyzeNest(skeleton.instantiate(tiles, ...)), lineBytes),
+  /// bit for bit, without building or analyzing a variant.
+  LoweredNest lower(std::span<const std::int64_t> tiles,
+                    std::int64_t lineBytes) const;
+
+  /// totalFootprintBytes of that instantiation.
+  double totalFootprintBytes(std::span<const std::int64_t> tiles,
+                             std::size_t level,
+                             std::int64_t lineBytes) const;
+
+private:
+  std::vector<LoopBounds> boundsAt(std::span<const std::int64_t> tiles) const;
+
+  ir::Program variant_;
+  NestAnalysis analysis_;
+  std::size_t tileDims_;
+};
 
 } // namespace motune::perf

@@ -23,12 +23,9 @@ void recordEvent(observe::RuntimeEvent::Kind kind, double start, double end,
 
 } // namespace
 
-ThreadPool::ThreadPool(unsigned workers) {
-  if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
-  threads_.reserve(workers);
-  for (unsigned i = 0; i < workers; ++i)
-    threads_.emplace_back([this] { workerLoop(); });
-}
+ThreadPool::ThreadPool(unsigned workers)
+    : workers_(workers == 0 ? std::max(1u, std::thread::hardware_concurrency())
+                            : workers) {}
 
 ThreadPool::~ThreadPool() {
   {
@@ -51,6 +48,11 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard lock(mutex_);
     MOTUNE_CHECK_MSG(!stopping_, "submit() on a stopping pool");
+    if (threads_.empty()) {
+      threads_.reserve(workers_);
+      for (unsigned i = 0; i < workers_; ++i)
+        threads_.emplace_back([this] { workerLoop(); });
+    }
     queue_.push_back(std::move(task));
     ++inFlight_;
   }

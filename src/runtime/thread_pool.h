@@ -19,7 +19,10 @@ namespace motune::runtime {
 
 class ThreadPool {
 public:
-  /// Spawns `workers` threads (0 = hardware concurrency).
+  /// A pool of `workers` threads (0 = hardware concurrency). The threads
+  /// start at the first submit(): a tune whose engine evaluates on its own
+  /// thread never pays for starting and joining them, which on a loaded
+  /// machine costs milliseconds.
   explicit ThreadPool(unsigned workers = 0);
   ~ThreadPool();
 
@@ -38,7 +41,7 @@ public:
   /// even on a single-worker pool.
   bool tryRunOne();
 
-  unsigned workers() const { return static_cast<unsigned>(threads_.size()); }
+  unsigned workers() const { return workers_; }
 
   /// Process-wide default pool, sized to the hardware.
   static ThreadPool& global();
@@ -50,7 +53,8 @@ private:
   std::condition_variable wakeWorkers_;
   std::condition_variable idle_;
   std::deque<std::function<void()>> queue_;
-  std::vector<std::thread> threads_;
+  unsigned workers_;
+  std::vector<std::thread> threads_; ///< empty until the first submit()
   std::size_t inFlight_ = 0;
   bool stopping_ = false;
 };

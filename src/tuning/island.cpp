@@ -5,7 +5,6 @@
 #include "support/check.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <thread>
@@ -62,40 +61,45 @@ std::string migrantJournalPath(const std::string& directory, int island) {
 }
 
 // ---------------------------------------------------------------------------
+// MigrantExchange
+
+std::vector<opt::Individual>
+MigrantExchange::fetch(int from, int round,
+                       const std::function<bool()>& stop) {
+  for (;;) {
+    if (std::optional<std::vector<opt::Individual>> got =
+            tryFetch(from, round))
+      return *got;
+    counter("tuning.island.stale_reads").add();
+    if (stop && stop()) return {};
+    std::this_thread::sleep_for(std::chrono::milliseconds(pollMs_));
+  }
+}
+
+// ---------------------------------------------------------------------------
 // MemoryExchange
 
 bool MemoryExchange::publish(int island, int round, int /*generation*/,
                              const std::vector<opt::Individual>& emigrants) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!records_.emplace(std::make_pair(island, round), emigrants).second)
-      return false;
-  }
-  arrived_.notify_all();
-  return true;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return records_.emplace(std::make_pair(island, round), emigrants).second;
 }
 
-std::vector<opt::Individual>
-MemoryExchange::fetch(int from, int round,
-                      const std::function<bool()>& stop) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    const auto it = records_.find(std::make_pair(from, round));
-    if (it != records_.end()) return it->second;
-    const auto retired = retired_.find(from);
-    if (retired != retired_.end() && retired->second < round) return {};
-    if (stop && stop()) return {};
-    arrived_.wait_for(lock, std::chrono::milliseconds(50));
-  }
+std::optional<std::vector<opt::Individual>>
+MemoryExchange::tryFetch(int from, int round) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = records_.find(std::make_pair(from, round));
+  if (it != records_.end()) return it->second;
+  const auto retired = retired_.find(from);
+  if (retired != retired_.end() && retired->second < round)
+    return std::vector<opt::Individual>{};
+  return std::nullopt;
 }
 
 void MemoryExchange::retire(int island, int round, int /*generation*/,
                             std::uint64_t /*evaluations*/) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    retired_[island] = round;
-  }
-  arrived_.notify_all();
+  std::lock_guard<std::mutex> lock(mutex_);
+  retired_[island] = round;
 }
 
 // ---------------------------------------------------------------------------
@@ -195,19 +199,6 @@ JournalExchange::tryFetch(int from, int round) {
   return std::nullopt;
 }
 
-std::vector<opt::Individual>
-JournalExchange::fetch(int from, int round,
-                       const std::function<bool()>& stop) {
-  for (;;) {
-    if (std::optional<std::vector<opt::Individual>> got =
-            tryFetch(from, round))
-      return *got;
-    counter("tuning.island.stale_reads").add();
-    if (stop && stop()) return {};
-    std::this_thread::sleep_for(std::chrono::milliseconds(pollMs_));
-  }
-}
-
 void JournalExchange::retire(int island, int round, int generation,
                              std::uint64_t evaluations) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -247,114 +238,141 @@ opt::RSGDE3Options islandEngineOptions(const IslandOptions& options, int k) {
   return rs;
 }
 
-/// Runs (or, when its session already finished, reconstructs) island k.
-IslandOutcome runOneIsland(ObjectiveFunction& fn, runtime::ThreadPool& pool,
-                           const IslandOptions& options, int k,
-                           MigrantExchange& exchange) {
-  observe::Span span = observe::Tracer::global().span(
-      "island.run", {{"island", support::Json(k)},
-                     {"islands", support::Json(options.islands)}});
-  IslandOutcome out;
-  opt::RSGDE3 engine(fn, pool, islandEngineOptions(options, k));
-
-  const bool useSession = !options.directory.empty();
-  const std::string dir =
-      useSession ? islandDirectory(options.directory, k) : std::string();
-  std::optional<session::ResumeState> resumed;
-  std::unique_ptr<session::SessionWriter> writer;
-  session::SessionHeader header;
-  if (useSession) {
-    MOTUNE_CHECK_MSG(options.makeHeader != nullptr,
-                     "island sessions need a header factory");
-    header = options.makeHeader(k, options.gde3.seed +
-                                       static_cast<std::uint64_t>(k));
-    const bool resume = options.resume && session::sessionExists(dir);
-    if (resume) {
-      resumed = session::loadSession(dir);
-      session::checkCompatible(resumed->header, header);
-      for (const session::EvalRecord& e : resumed->evaluations)
-        engine.engine().evaluator().preload(e.config, e.objectives);
-      if (resumed->finished) {
-        // The island already ran to completion: rebuild its snapshot from
-        // the final checkpoint plus the preloaded evaluations — this is
-        // how a later invocation merges finished worker islands without
-        // re-running anything.
-        MOTUNE_CHECK_MSG(resumed->checkpoint.has_value(),
-                         "finished island session has no checkpoint: " + dir);
-        engine.restore(*resumed->checkpoint);
-        out.result = engine.engine().snapshot();
-        out.journal = session::journalPath(dir);
-        out.checkpoints = resumed->checkpoints;
-        out.resumes = resumed->resumes;
-        out.recordedEvaluations = resumed->evaluations.size();
-        span.setAttr("reconstructed", support::Json(true));
-        return out;
+/// One island of a run: its engine, its session and where it stands in
+/// the migration protocol. The constructor resumes or starts the search,
+/// or, when the island's session already finished, rebuilds its snapshot.
+class Island {
+public:
+  Island(ObjectiveFunction& fn, runtime::ThreadPool& pool,
+         const IslandOptions& options, int k, MigrantExchange& exchange)
+      : options_(options), k_(k), exchange_(exchange),
+        engine_(fn, pool, islandEngineOptions(options, k)) {
+    if (!options.directory.empty()) {
+      const std::string dir = islandDirectory(options.directory, k);
+      MOTUNE_CHECK_MSG(options.makeHeader != nullptr,
+                       "island sessions need a header factory");
+      const session::SessionHeader header = options.makeHeader(
+          k, options.gde3.seed + static_cast<std::uint64_t>(k));
+      const bool resume = options.resume && session::sessionExists(dir);
+      if (resume) {
+        resumed_ = session::loadSession(dir);
+        session::checkCompatible(resumed_->header, header);
+        for (const session::EvalRecord& e : resumed_->evaluations)
+          engine_.engine().evaluator().preload(e.config, e.objectives);
+        if (resumed_->finished) {
+          // The island already ran to completion: rebuild its snapshot
+          // from the final checkpoint plus the preloaded evaluations —
+          // this is how a later invocation merges finished worker islands
+          // without re-running anything.
+          MOTUNE_CHECK_MSG(resumed_->checkpoint.has_value(),
+                           "finished island session has no checkpoint: " +
+                               dir);
+          engine_.restore(*resumed_->checkpoint);
+          out_.result = engine_.engine().snapshot();
+          out_.journal = session::journalPath(dir);
+          out_.checkpoints = resumed_->checkpoints;
+          out_.resumes = resumed_->resumes;
+          out_.recordedEvaluations = resumed_->evaluations.size();
+          done_ = true;
+          return;
+        }
+        writer_ = std::make_unique<session::SessionWriter>(dir, *resumed_);
+      } else {
+        writer_ = std::make_unique<session::SessionWriter>(dir, header);
       }
-      writer = std::make_unique<session::SessionWriter>(dir, *resumed);
-    } else {
-      writer = std::make_unique<session::SessionWriter>(dir, header);
+      dynamic_cast<JournalExchange&>(exchange).attach(k, resume);
+      engine_.engine().evaluator().setListener(
+          [this](const Config& config, const Objectives& objectives) {
+            writer_->recordEvaluation(config, objectives);
+          });
+      hooks_.checkpointEvery = options.checkpointEvery;
+      hooks_.checkpoint = [this](const support::Json& state,
+                                 int generation) {
+        writer_->recordCheckpoint(state, generation,
+                                  engine_.engine().evaluations());
+      };
     }
-    dynamic_cast<JournalExchange&>(exchange).attach(k, resume);
-    engine.engine().evaluator().setListener(
-        [&writer](const Config& config, const Objectives& objectives) {
-          writer->recordEvaluation(config, objectives);
-        });
+    hooks_.shouldStop = options.stopRequested;
+    if (k == 0) hooks_.onGeneration = options.onProgress;
+    if (resumed_.has_value() && resumed_->checkpoint.has_value())
+      hooks_.resumeState = &*resumed_->checkpoint;
+    engine_.begin(&hooks_);
   }
 
-  opt::RunHooks hooks;
-  hooks.shouldStop = options.stopRequested;
-  if (k == 0) hooks.onGeneration = options.onProgress;
-  if (writer) {
-    hooks.checkpointEvery = options.checkpointEvery;
-    hooks.checkpoint = [&writer, &engine](const support::Json& state,
-                                          int generation) {
-      writer->recordCheckpoint(state, generation,
-                               engine.engine().evaluations());
-    };
-  }
-  if (resumed.has_value() && resumed->checkpoint.has_value())
-    hooks.resumeState = &*resumed->checkpoint;
-  if (options.islands > 1) {
-    hooks.migrateEvery = options.migrateEvery;
-    hooks.onMigrate = [&](opt::GDE3& gde3, int generation) {
-      const int round = generation / options.migrateEvery;
-      const std::vector<opt::Individual> outbound =
-          gde3.selectTop(options.migrants);
-      if (exchange.publish(k, round, generation, outbound))
-        counter("tuning.island.migrants_out").add(outbound.size());
-      const int from = (k - 1 + options.islands) % options.islands;
-      const std::vector<opt::Individual> inbound =
-          exchange.fetch(from, round, options.stopRequested);
-      counter("tuning.island.migrants_in")
-          .add(gde3.integrateMigrants(inbound));
-    };
+  bool done() const { return done_; }
+  /// The round whose migrants the island waits for, or -1 while it runs.
+  int waitingFor() const { return waitingFor_; }
+  int predecessor() const {
+    return (k_ - 1 + options_.islands) % options_.islands;
   }
 
-  out.result = engine.run(&hooks);
-  const bool cancelled =
-      options.stopRequested != nullptr && options.stopRequested();
-  if (!cancelled) {
-    if (options.islands > 1)
-      exchange.retire(k, out.result.generations / options.migrateEvery,
-                      out.result.generations, out.result.evaluations);
-    if (writer)
-      writer->recordFinish(out.result.evaluations, out.result.front.size(),
-                           out.result.hvHistory.empty()
-                               ? 0.0
-                               : out.result.hvHistory.back());
+  /// Runs generations until the island reaches a migration round, where
+  /// it publishes its emigrants and waits, or until its search ends.
+  void advance() {
+    while (engine_.nextGeneration()) {
+      const int generation = engine_.engine().generationsDone();
+      if (options_.islands > 1 && generation % options_.migrateEvery == 0) {
+        waitingFor_ = generation / options_.migrateEvery;
+        const std::vector<opt::Individual> outbound =
+            engine_.engine().selectTop(options_.migrants);
+        if (exchange_.publish(k_, waitingFor_, generation, outbound))
+          counter("tuning.island.migrants_out").add(outbound.size());
+        return;
+      }
+      engine_.endGeneration();
+    }
+    finish();
   }
-  if (writer) {
-    out.journal = writer->path();
-    out.checkpoints = (resumed ? resumed->checkpoints : 0) +
-                      writer->checkpointsWritten();
-    out.resumes = resumed ? resumed->resumes + 1 : 0;
-    out.recordedEvaluations = (resumed ? resumed->evaluations.size() : 0) +
-                              writer->evaluationsRecorded();
+
+  /// Integrates the awaited round's migrants and ends that generation.
+  void integrate(const std::vector<opt::Individual>& inbound) {
+    counter("tuning.island.migrants_in")
+        .add(engine_.engine().integrateMigrants(inbound));
+    waitingFor_ = -1;
+    engine_.endGeneration();
   }
-  span.setAttr("generations", support::Json(out.result.generations));
-  span.setAttr("evaluations", support::Json(out.result.evaluations));
-  return out;
-}
+
+  IslandOutcome& outcome() { return out_; }
+
+private:
+  void finish() {
+    done_ = true;
+    out_.result = engine_.end();
+    const bool cancelled =
+        options_.stopRequested != nullptr && options_.stopRequested();
+    if (!cancelled) {
+      if (options_.islands > 1)
+        exchange_.retire(k_, out_.result.generations / options_.migrateEvery,
+                         out_.result.generations, out_.result.evaluations);
+      if (writer_)
+        writer_->recordFinish(out_.result.evaluations,
+                              out_.result.front.size(),
+                              out_.result.hvHistory.empty()
+                                  ? 0.0
+                                  : out_.result.hvHistory.back());
+    }
+    if (writer_) {
+      out_.journal = writer_->path();
+      out_.checkpoints = (resumed_ ? resumed_->checkpoints : 0) +
+                         writer_->checkpointsWritten();
+      out_.resumes = resumed_ ? resumed_->resumes + 1 : 0;
+      out_.recordedEvaluations =
+          (resumed_ ? resumed_->evaluations.size() : 0) +
+          writer_->evaluationsRecorded();
+    }
+  }
+
+  const IslandOptions& options_;
+  const int k_;
+  MigrantExchange& exchange_;
+  opt::RSGDE3 engine_;
+  std::optional<session::ResumeState> resumed_;
+  std::unique_ptr<session::SessionWriter> writer_;
+  opt::RunHooks hooks_;
+  IslandOutcome out_;
+  bool done_ = false;
+  int waitingFor_ = -1;
+};
 
 /// Deterministic merge of the islands' snapshots (see IslandOptions).
 opt::OptResult mergeOutcomes(const std::vector<IslandOutcome>& outcomes) {
@@ -401,43 +419,55 @@ IslandRun runIslands(ObjectiveFunction& fn, runtime::ThreadPool& pool,
         options.directory, options.islands, options.migrateEvery,
         options.migrants, options.gde3.seed);
 
-  IslandRun run;
-  std::vector<IslandOutcome> outcomes;
+  std::vector<std::unique_ptr<Island>> islands;
   if (options.islandIndex >= 0) {
     // Worker mode: run exactly one island; the merged result is this
     // island's own snapshot (provisional — a later merge invocation over
     // the shared directory produces the combined front).
-    outcomes.push_back(runOneIsland(fn, pool, options, options.islandIndex,
-                                    *exchange));
+    islands.push_back(std::make_unique<Island>(fn, pool, options,
+                                               options.islandIndex,
+                                               *exchange));
   } else {
-    // A failing island must unblock peers waiting on its records, so the
-    // per-island stop predicate also observes the shared failure flag.
-    std::atomic<bool> failed{false};
-    IslandOptions local = options;
-    const std::function<bool()> baseStop = options.stopRequested;
-    local.stopRequested = [baseStop, &failed] {
-      return failed.load() || (baseStop && baseStop());
-    };
-    outcomes.resize(static_cast<std::size_t>(options.islands));
-    std::vector<std::thread> threads;
-    std::mutex errorMutex;
-    std::exception_ptr error;
-    for (int k = 0; k < options.islands; ++k) {
-      threads.emplace_back([&, k] {
-        try {
-          outcomes[static_cast<std::size_t>(k)] =
-              runOneIsland(fn, pool, local, k, *exchange);
-        } catch (...) {
-          failed.store(true);
-          std::lock_guard<std::mutex> lock(errorMutex);
-          if (!error) error = std::current_exception();
-        }
-      });
+    for (int k = 0; k < options.islands; ++k)
+      islands.push_back(
+          std::make_unique<Island>(fn, pool, options, k, *exchange));
+  }
+  // Each pass advances every running island to its next migration round
+  // and hands every waiting one its migrants once they exist. Publishing
+  // before fetching keeps this from stalling: of the waiting islands, the
+  // one at the lowest round has a predecessor here that already published
+  // that round or retired before it. Only a worker process, whose
+  // predecessor is another process, ever has to block.
+  for (;;) {
+    bool running = false, progressed = false;
+    for (const std::unique_ptr<Island>& island : islands) {
+      if (island->done()) continue;
+      running = true;
+      if (island->waitingFor() < 0) {
+        island->advance();
+        progressed = true;
+      } else if (std::optional<std::vector<opt::Individual>> inbound =
+                     exchange->tryFetch(island->predecessor(),
+                                        island->waitingFor())) {
+        island->integrate(*inbound);
+        progressed = true;
+      }
     }
-    for (std::thread& t : threads) t.join();
-    if (error) std::rethrow_exception(error);
+    if (!running) break;
+    if (progressed) continue;
+    for (const std::unique_ptr<Island>& island : islands) {
+      if (island->done()) continue;
+      island->integrate(exchange->fetch(island->predecessor(),
+                                        island->waitingFor(),
+                                        options.stopRequested));
+      break;
+    }
   }
 
+  IslandRun run;
+  std::vector<IslandOutcome> outcomes;
+  for (const std::unique_ptr<Island>& island : islands)
+    outcomes.push_back(std::move(island->outcome()));
   run.merged = mergeOutcomes(outcomes);
   run.cancelled =
       options.stopRequested != nullptr && options.stopRequested();

@@ -5,7 +5,7 @@
 // every `migrateEvery` generations over a deterministic ring: at migration
 // round r (generation r * migrateEvery) island k publishes its `migrants`
 // best members, then integrates round r's emigrants of island (k-1) mod N.
-// Publication precedes the fetch, and the fetch blocks until the
+// Publication precedes the fetch, and the island waits until the
 // neighbour's round-r record exists (or the neighbour has provably
 // terminated earlier), so the dataflow between islands — and therefore
 // every island's trajectory and the merged Pareto front — is a pure
@@ -27,7 +27,6 @@
 #include "core/rsgde3.h"
 #include "session/session.h"
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -46,7 +45,7 @@ std::string islandDirectory(const std::string& directory, int island);
 /// `DIR/island-<k>/migrants.jsonl` — one island's migrant journal.
 std::string migrantJournalPath(const std::string& directory, int island);
 
-/// Migrant transport between islands. Implementations must make fetch()
+/// Migrant transport between islands. Implementations must make tryFetch()
 /// return the same individuals for the same (island, round) on every call
 /// and every rerun — published records are immutable — which is what the
 /// determinism contract of the merged front rests on.
@@ -61,36 +60,46 @@ public:
   virtual bool publish(int island, int round, int generation,
                        const std::vector<opt::Individual>& emigrants) = 0;
 
-  /// Round-`round` emigrants of island `from`. Blocks (polling) until the
-  /// record exists, `from` has retired before that round (empty result),
-  /// or `stop` returns true (empty result; the caller is being cancelled
-  /// and discards its partial state).
-  virtual std::vector<opt::Individual>
-  fetch(int from, int round, const std::function<bool()>& stop) = 0;
+  /// Non-blocking probe: round `round`'s emigrants of island `from` if
+  /// the record is visible, an empty result if `from` has retired before
+  /// that round, std::nullopt while `from` lags.
+  virtual std::optional<std::vector<opt::Individual>> tryFetch(int from,
+                                                               int round) = 0;
+
+  /// tryFetch() polled every pollIntervalMs() until it has a result, or
+  /// until `stop` returns true (empty result; the caller is being
+  /// cancelled and discards its partial state). Each miss counts one
+  /// `tuning.island.stale_reads` (the lagging-island signal).
+  std::vector<opt::Individual> fetch(int from, int round,
+                                     const std::function<bool()>& stop);
 
   /// Marks `island` cleanly terminated after `generation` generations:
   /// `round` = floor(generation / migrateEvery) is the last round it
   /// published; fetches for later rounds resolve to empty immediately.
   virtual void retire(int island, int round, int generation,
                       std::uint64_t evaluations) = 0;
+
+  /// Poll interval of fetch(), milliseconds (test hook).
+  void setPollIntervalMs(int ms) { pollMs_ = ms; }
+
+private:
+  int pollMs_ = 10;
 };
 
 /// In-process exchange for tests and sessionless `--islands N` runs:
-/// records live in a mutex-guarded map, fetch blocks on a condition
-/// variable. Same protocol as JournalExchange, so trajectories are
-/// identical whichever medium carries the migrants.
+/// records live in a mutex-guarded map. Same protocol as JournalExchange,
+/// so trajectories are identical whichever medium carries the migrants.
 class MemoryExchange final : public MigrantExchange {
 public:
   bool publish(int island, int round, int generation,
                const std::vector<opt::Individual>& emigrants) override;
-  std::vector<opt::Individual>
-  fetch(int from, int round, const std::function<bool()>& stop) override;
+  std::optional<std::vector<opt::Individual>> tryFetch(int from,
+                                                       int round) override;
   void retire(int island, int round, int generation,
               std::uint64_t evaluations) override;
 
 private:
   std::mutex mutex_;
-  std::condition_variable arrived_;
   std::map<std::pair<int, int>, std::vector<opt::Individual>> records_;
   std::map<int, int> retired_; ///< island -> last published round
 };
@@ -98,9 +107,7 @@ private:
 /// Filesystem exchange over per-island migrant journals. Readers tolerate
 /// a torn tail (a record mid-append or cut by a SIGKILL) by treating the
 /// journal as if the torn record were not yet written — the next poll
-/// re-reads the file; mid-file corruption stays a hard error. A fetch
-/// whose record is not yet visible counts one `tuning.island.stale_reads`
-/// per poll attempt (the lagging-island signal).
+/// re-reads the file; mid-file corruption stays a hard error.
 class JournalExchange final : public MigrantExchange {
 public:
   /// `islands`, `migrateEvery`, `migrants` and `seed` describe the run the
@@ -112,24 +119,16 @@ public:
   /// Opens island `island`'s migrant journal for writing: fresh mode
   /// writes the header record, resume mode validates the existing header
   /// and scans the rounds already published (exactly-once republish).
-  /// A process only attaches the islands it runs; fetch needs no attach.
+  /// A process only attaches the islands it runs; reads need no attach.
   void attach(int island, bool resume);
 
   bool publish(int island, int round, int generation,
                const std::vector<opt::Individual>& emigrants) override;
-  std::vector<opt::Individual>
-  fetch(int from, int round, const std::function<bool()>& stop) override;
+  /// std::nullopt also while the peer's journal tail is torn.
+  std::optional<std::vector<opt::Individual>> tryFetch(int from,
+                                                       int round) override;
   void retire(int island, int round, int generation,
               std::uint64_t evaluations) override;
-
-  /// Non-blocking probe: the round's emigrants if its record (or a retire
-  /// record proving it will never exist) is visible, std::nullopt while
-  /// the peer lags or its journal tail is torn. fetch() is a poll loop
-  /// over this; tests drive it directly.
-  std::optional<std::vector<opt::Individual>> tryFetch(int from, int round);
-
-  /// Poll interval of fetch(), milliseconds (test hook).
-  void setPollIntervalMs(int ms) { pollMs_ = ms; }
 
 private:
   struct Attached {
@@ -143,7 +142,6 @@ private:
   int migrateEvery_;
   std::size_t migrants_;
   std::uint64_t seed_;
-  int pollMs_ = 10;
   std::mutex mutex_;
   std::map<int, Attached> attached_;
 };
@@ -159,7 +157,7 @@ struct IslandOptions {
   std::size_t migrants = 3; ///< emigrants per island per round
   /// Worker-process mode: run only this island (>= 0) against the shared
   /// directory; another invocation merges once all islands finished. -1
-  /// runs every island on in-process threads and merges directly.
+  /// runs every island on the calling thread and merges directly.
   int islandIndex = -1;
   /// Shared session directory; empty = in-memory exchange, no persistence
   /// (islandIndex then must be -1).
@@ -195,9 +193,13 @@ struct IslandRun {
 
 /// Runs the island model over `fn`. In worker mode the merged result is
 /// the single island's own snapshot (callers treat it as provisional; the
-/// merge invocation produces the real front). Thread-safe use of `fn` is
-/// required (islands evaluate concurrently), which ObjectiveFunction
-/// already demands.
+/// merge invocation produces the real front). In-process islands run one
+/// after another on the calling thread: each runs generations up to its
+/// next migration round, then waits while the others catch up. Run side
+/// by side on their own threads, they met every few milliseconds at a
+/// round, so a run went at the pace of whichever core other processes
+/// held longest (on 4 vCPUs, three busy processes made a 4-island tune
+/// 2.5x slower). Worker processes run islands in parallel.
 IslandRun runIslands(ObjectiveFunction& fn, runtime::ThreadPool& pool,
                      const IslandOptions& options);
 

@@ -1,8 +1,10 @@
 // The tuning problem of the paper's evaluation: given a kernel region and a
 // target machine, map a configuration (t_0..t_{d-1}, threads) to the two
-// objectives (execution time, resource usage) by instantiating the
-// transformation skeleton and evaluating the resulting variant — on the
-// analytical machine model in this reproduction (DESIGN.md §1).
+// objectives (execution time, resource usage) of the variant the
+// transformation skeleton yields — on the analytical machine model in this
+// reproduction (DESIGN.md §1). The skeleton's nest is analyzed once; a
+// configuration only patches its tile sizes into that analysis
+// (perf::TiledNest), so evaluation builds no variant.
 #pragma once
 
 #include "analyzer/region.h"
@@ -10,10 +12,6 @@
 #include "machine/machine.h"
 #include "perfmodel/costmodel.h"
 #include "tuning/search_space.h"
-
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 
 namespace motune::tuning {
 
@@ -60,8 +58,10 @@ public:
   /// The selected objective values for one configuration.
   Objectives evaluate(const Config& config) override;
 
-  /// Full cost breakdown (same path as evaluate()).
-  perf::Prediction predictFull(const Config& config);
+  /// Full cost breakdown (same path as evaluate()). Equal, bit for bit, to
+  /// predictAnalyzed(analyzeNest(instantiate(config)), threads). Throws on
+  /// a config of the wrong size or with a parameter out of its range.
+  perf::Prediction predictFull(const Config& config) const;
 
   /// Time of the untiled, serial region — the "GCC -O3" baseline analog of
   /// Table II's last row.
@@ -78,64 +78,22 @@ public:
   const kernels::KernelSpec& kernel() const { return kernel_; }
   std::int64_t problemSize() const { return n_; }
 
+  /// The skeleton's tiled nest with the tile sizes unbound (what
+  /// evaluate() and analytic seeding query).
+  const perf::TiledNest& nest() const { return nest_; }
+
   /// Builds the concrete transformed program for a configuration (used by
-  /// the multi-versioning backend and codegen).
+  /// the multi-versioning backend, codegen and validation).
   ir::Program instantiate(const Config& config) const;
 
-  /// Caps the variant cache (test hook; clears the cache). The default
-  /// capacity admits every tile combination of the paper's grids.
-  void setVariantCacheCapacity(std::size_t capacity);
-
-  /// Cached variant count / residency probe / eviction count — exposed so
-  /// tests can pin the CLOCK eviction behaviour.
-  std::size_t variantCacheSize() const;
-  bool variantCached(const Config& config) const;
-  std::uint64_t variantEvictions() const;
-
 private:
-  struct Variant {
-    ir::Program program;
-    perf::NestAnalysis analysis;
-  };
-  /// The cached (program, analysis) pair for a configuration's tile
-  /// prefix. Returned shared so a concurrent eviction can never dangle an
-  /// in-use variant.
-  std::shared_ptr<const Variant> variantFor(const Config& config);
-
   kernels::KernelSpec kernel_;
   std::int64_t n_;
   analyzer::TransformationSkeleton skeleton_;
+  perf::TiledNest nest_;
   perf::CostModel model_;
   std::vector<ParamSpec> space_;
   std::vector<Objective> objectives_;
-
-  // Tile-indexed variant cache: thread sweeps over identical tile sizes
-  // reuse the (expensive) footprint analysis. Keyed by the ConfigHash of
-  // the tile prefix (no string key construction per lookup); the stored
-  // tiles guard against hash collisions. Bounded by CLOCK second-chance
-  // eviction: a hit sets the slot's referenced bit, a full insert sweeps
-  // the hand over the slots, clearing bits until it finds an unreferenced
-  // victim — recently used variants survive, instead of the whole working
-  // set being dropped mid-search.
-  struct CacheSlot {
-    std::uint64_t key = 0;
-    std::vector<std::int64_t> tiles;
-    std::shared_ptr<const Variant> variant;
-    bool referenced = false;
-  };
-  std::shared_ptr<const Variant> lookupLocked(std::uint64_t key,
-                                              const Config& config,
-                                              std::size_t tileDims);
-  void insertLocked(std::uint64_t key, const Config& config,
-                    std::size_t tileDims,
-                    const std::shared_ptr<const Variant>& variant);
-
-  mutable std::mutex cacheMutex_;
-  std::size_t cacheCapacity_;
-  std::vector<CacheSlot> slots_;
-  std::unordered_map<std::uint64_t, std::uint32_t> slotIndex_;
-  std::size_t clockHand_ = 0;
-  std::uint64_t evictions_ = 0;
 };
 
 } // namespace motune::tuning

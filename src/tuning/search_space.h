@@ -55,20 +55,9 @@ struct Boundary {
 /// Hash for Config, usable with std::unordered_map (FNV-style combine).
 struct ConfigHash {
   std::size_t operator()(const Config& c) const noexcept {
-    return hashSpan(c.data(), c.size());
-  }
-
-  /// Hash of the first `n` coordinates only — the tile prefix of a full
-  /// configuration. The variant cache keys on this instead of building a
-  /// string per lookup.
-  static std::size_t hashPrefix(const Config& c, std::size_t n) noexcept {
-    return hashSpan(c.data(), n < c.size() ? n : c.size());
-  }
-
-  static std::size_t hashSpan(const std::int64_t* v, std::size_t n) noexcept {
     std::size_t h = 1469598103934665603ull;
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= static_cast<std::size_t>(v[i]) + 0x9e3779b97f4a7c15ull + (h << 6) +
+    for (const std::int64_t v : c) {
+      h ^= static_cast<std::size_t>(v) + 0x9e3779b97f4a7c15ull + (h << 6) +
            (h >> 2);
       h *= 1099511628211ull;
     }

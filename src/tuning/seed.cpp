@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
 
 namespace motune::tuning {
 
@@ -29,17 +30,16 @@ Config tilesFor(const std::vector<ParamSpec>& space, std::size_t tileDims,
 }
 
 /// Distinct bytes one tile touches: the footprint of the point-loop
-/// sub-nest of the instantiated variant. The tiled nest is tile loops
-/// outer, point loops inner, so the point loops are the innermost
+/// sub-nest, read off the problem's parametric nest. The tiled nest is tile
+/// loops outer, point loops inner, so the point loops are the innermost
 /// tileDims levels.
 double tileFootprintBytes(const KernelTuningProblem& problem,
                           const Config& config, std::size_t tileDims,
                           std::int64_t lineBytes) {
-  const ir::Program variant = problem.instantiate(config);
-  const perf::NestAnalysis na = perf::analyzeNest(variant);
-  const std::size_t level =
-      na.loops.size() >= tileDims ? na.loops.size() - tileDims : 0;
-  return perf::totalFootprintBytes(na, level, lineBytes);
+  const perf::TiledNest& nest = problem.nest();
+  return nest.totalFootprintBytes(
+      std::span<const std::int64_t>(config.data(), tileDims),
+      nest.depth() - tileDims, lineBytes);
 }
 
 } // namespace

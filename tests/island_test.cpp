@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -285,6 +286,52 @@ TEST(Islands, MergedFrontIdenticalAcrossPoolSizesAndMedia) {
   EXPECT_FALSE(journalled.journal.empty());
   EXPECT_GT(journalled.checkpoints, 0u);
   EXPECT_GT(journalled.recordedEvaluations, 0u);
+}
+
+namespace {
+
+/// Counts evaluate() calls made off the thread that created it.
+class ThreadProbe final : public tuning::ObjectiveFunction {
+public:
+  explicit ThreadProbe(tuning::ObjectiveFunction& inner) : inner_(inner) {}
+  std::size_t numObjectives() const override {
+    return inner_.numObjectives();
+  }
+  const std::vector<tuning::ParamSpec>& space() const override {
+    return inner_.space();
+  }
+  tuning::Objectives evaluate(const tuning::Config& config) override {
+    ++calls_;
+    if (std::this_thread::get_id() != owner_) ++elsewhere_;
+    return inner_.evaluate(config);
+  }
+  int calls() const { return calls_.load(); }
+  int elsewhere() const { return elsewhere_.load(); }
+
+private:
+  tuning::ObjectiveFunction& inner_;
+  const std::thread::id owner_ = std::this_thread::get_id();
+  std::atomic<int> calls_{0};
+  std::atomic<int> elsewhere_{0};
+};
+
+} // namespace
+
+TEST(Islands, InProcessIslandsRunOnTheCallingThread) {
+  for (const bool journalled : {false, true}) {
+    SCOPED_TRACE(journalled ? "journal exchange" : "memory exchange");
+    opt::SyntheticProblem problem = opt::makeFonseca();
+    ThreadProbe probe(problem);
+    runtime::ThreadPool pool(4);
+    tuning::IslandOptions io = fonsecaIslands(problem);
+    io.islands = 4;
+    io.gde3.parallelEvaluation = false;
+    if (journalled) io.directory = freshDir("island-one-thread");
+    const tuning::IslandRun run = runIslands(probe, pool, io);
+    EXPECT_GT(run.merged.evaluations, 0u);
+    EXPECT_GT(probe.calls(), 0);
+    EXPECT_EQ(probe.elsewhere(), 0);
+  }
 }
 
 TEST(Islands, MergeInvocationReconstructsFinishedWorkers) {

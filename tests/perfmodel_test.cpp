@@ -4,9 +4,15 @@
 #include "machine/machine.h"
 #include "perfmodel/costmodel.h"
 #include "perfmodel/footprint.h"
+#include "support/check.h"
+#include "support/rng.h"
 #include "transform/transforms.h"
+#include "tuning/kernel_problem.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <span>
 
 namespace motune::perf {
 namespace {
@@ -226,6 +232,123 @@ TEST(CostModel, AgreesWithCacheSimulatorOnTileOrdering) {
   // conservative about the usable cache fraction).
   EXPECT_LT(modGood / simGood, 8.0);
   EXPECT_GT(modGood / simGood, 0.125);
+}
+
+// --- parametric nest vs. the reference path -----------------------------------
+
+/// Names of the Prediction fields whose bits differ between `a` and `b`.
+std::string bitDiff(const Prediction& a, const Prediction& b) {
+  std::string diff;
+  const auto check = [&](const char* name, const void* x, const void* y,
+                         std::size_t bytes) {
+    if (std::memcmp(x, y, bytes) != 0) diff += std::string(" ") + name;
+  };
+  check("seconds", &a.seconds, &b.seconds, sizeof(double));
+  check("resources", &a.resources, &b.resources, sizeof(double));
+  check("joules", &a.joules, &b.joules, sizeof(double));
+  check("computeSeconds", &a.computeSeconds, &b.computeSeconds,
+        sizeof(double));
+  check("memorySeconds", &a.memorySeconds, &b.memorySeconds, sizeof(double));
+  check("overheadSeconds", &a.overheadSeconds, &b.overheadSeconds,
+        sizeof(double));
+  check("forkJoinSeconds", &a.forkJoinSeconds, &b.forkJoinSeconds,
+        sizeof(double));
+  check("bandwidthSeconds", &a.bandwidthSeconds, &b.bandwidthSeconds,
+        sizeof(double));
+  check("imbalance", &a.imbalance, &b.imbalance, sizeof(double));
+  check("threads", &a.threads, &b.threads, sizeof(int));
+  if (a.trafficBytes.size() != b.trafficBytes.size())
+    diff += " trafficBytes.size";
+  else
+    check("trafficBytes", a.trafficBytes.data(), b.trafficBytes.data(),
+          a.trafficBytes.size() * sizeof(double));
+  return diff;
+}
+
+/// 2,000 seeded random configurations plus the all-lo and all-hi corners.
+std::vector<tuning::Config> sampleConfigs(
+    const std::vector<tuning::ParamSpec>& space, std::uint64_t seed) {
+  std::vector<tuning::Config> configs(2);
+  for (const tuning::ParamSpec& p : space) {
+    configs[0].push_back(p.lo);
+    configs[1].push_back(p.hi);
+  }
+  support::Rng rng(seed);
+  for (int i = 0; i < 2000; ++i) {
+    tuning::Config c;
+    for (const tuning::ParamSpec& p : space)
+      c.push_back(rng.uniformInt(p.lo, p.hi));
+    configs.push_back(std::move(c));
+  }
+  return configs;
+}
+
+/// predictFull (the parametric nest) against instantiate + analyzeNest +
+/// predictAnalyzed, bit for bit; every 20th config also compares the
+/// seeding footprint query at every level and three line sizes.
+void expectParametricMatchesReference(const kernels::KernelSpec& spec,
+                                      const machine::MachineModel& machine,
+                                      std::int64_t n, CostParams params) {
+  const tuning::KernelTuningProblem problem(spec, machine, n, params);
+  const CostModel model(machine, params);
+  const std::size_t tileDims = problem.skeleton().tileDepth();
+  const std::string cell = spec.name + "/" + machine.name + "/n=" +
+                           std::to_string(problem.problemSize());
+  const auto configs = sampleConfigs(problem.space(), 0x5eed + n);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const tuning::Config& c = configs[i];
+    const ir::Program variant = problem.instantiate(c);
+    const NestAnalysis na = analyzeNest(variant);
+    const Prediction ref =
+        model.predictAnalyzed(na, static_cast<int>(c.back()));
+    ASSERT_EQ(bitDiff(problem.predictFull(c), ref), "")
+        << cell << " config " << ::testing::PrintToString(c);
+    if (i % 20 != 0) continue;
+    const std::span<const std::int64_t> tiles(c.data(), tileDims);
+    for (std::size_t lvl = 0; lvl <= na.loops.size(); ++lvl)
+      for (std::int64_t line : {32, 64, 128}) {
+        const double want = totalFootprintBytes(na, lvl, line);
+        const double got =
+            problem.nest().totalFootprintBytes(tiles, lvl, line);
+        ASSERT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
+            << cell << " config " << ::testing::PrintToString(c) << " level "
+            << lvl << " line " << line;
+      }
+  }
+}
+
+class ParametricNest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ParametricNest, PredictFullIsBitIdenticalToTheReferencePath) {
+  const kernels::KernelSpec& spec = kernels::kernelByName(GetParam());
+  for (const machine::MachineModel& m : {westmere(), barcelona()})
+    for (const std::int64_t n : {spec.paperN, std::int64_t{37},
+                                 std::int64_t{64}})
+      expectParametricMatchesReference(spec, m, n, {});
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKernels, ParametricNest,
+                         ::testing::Values("mm", "dsyrk", "jacobi-2d",
+                                           "3d-stencil", "n-body"),
+                         [](const auto& param) {
+                           std::string name = param.param;
+                           for (char& ch : name)
+                             if (ch == '-') ch = '_';
+                           return name;
+                         });
+
+TEST(ParametricNest, NoiseHashesTheSameAverageTrips) {
+  CostParams noisy;
+  noisy.noiseAmplitude = 0.05;
+  expectParametricMatchesReference(kernels::kernelByName("mm"), westmere(),
+                                   0, noisy);
+}
+
+TEST(ParametricNest, RejectsATileVectorOfTheWrongLength) {
+  const tuning::KernelTuningProblem problem(kernels::kernelByName("mm"),
+                                            westmere(), 64);
+  const std::int64_t tiles[] = {8, 8};
+  EXPECT_THROW(problem.nest().lower(tiles, 64), support::CheckError);
 }
 
 } // namespace

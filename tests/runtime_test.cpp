@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <filesystem>
+#include <iterator>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -34,6 +36,29 @@ TEST(ThreadPool, WaitIsReusable) {
   pool.submit([&] { ++counter; });
   pool.wait();
   EXPECT_EQ(counter.load(), 2);
+}
+
+/// Threads of this process, or -1 where /proc/self/task is not readable.
+long processThreads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  return static_cast<long>(
+      std::distance(it, std::filesystem::directory_iterator()));
+}
+
+TEST(ThreadPool, StartsItsWorkersAtTheFirstSubmit) {
+  const long before = processThreads();
+  if (before < 0) GTEST_SKIP() << "/proc/self/task is not readable";
+  ThreadPool pool(4);
+  EXPECT_EQ(pool.workers(), 4u);
+  EXPECT_EQ(processThreads(), before);
+  std::atomic<int> offCaller{0};
+  const std::thread::id caller = std::this_thread::get_id();
+  pool.submit([&] { offCaller += std::this_thread::get_id() != caller; });
+  pool.wait();
+  EXPECT_EQ(offCaller.load(), 1);
+  EXPECT_EQ(processThreads(), before + 4);
 }
 
 TEST(ParallelFor, CoversRangeExactlyOnce) {

@@ -186,61 +186,26 @@ TEST(KernelProblem, InstantiateProducesParallelTiledProgram) {
   EXPECT_EQ(p.rootLoop().iv, "i_t");
 }
 
-TEST(KernelProblem, VariantCacheClockEvictionPrefersRecentlyUsed) {
-  KernelTuningProblem problem(kernels::kernelByName("mm"),
-                              machine::westmere(), 64);
-  problem.setVariantCacheCapacity(3);
-  const Config a{2, 2, 2, 1}, b{4, 4, 4, 1}, c{8, 8, 8, 1};
-  const Config d{16, 16, 16, 1}, e{32, 32, 32, 1};
-  problem.evaluate(a);
-  problem.evaluate(b);
-  problem.evaluate(c);
-  EXPECT_EQ(problem.variantCacheSize(), 3u);
-  EXPECT_TRUE(problem.variantCached(a));
-  EXPECT_TRUE(problem.variantCached(b));
-  EXPECT_TRUE(problem.variantCached(c));
-  EXPECT_EQ(problem.variantEvictions(), 0u);
-
-  // Cache full: the insert sweeps the hand over the (all-referenced)
-  // slots, clears their second-chance bits, and evicts the oldest entry —
-  // never the whole cache.
-  problem.evaluate(d);
-  EXPECT_EQ(problem.variantCacheSize(), 3u);
-  EXPECT_EQ(problem.variantEvictions(), 1u);
-  EXPECT_FALSE(problem.variantCached(a));
-  EXPECT_TRUE(problem.variantCached(b));
-  EXPECT_TRUE(problem.variantCached(c));
-  EXPECT_TRUE(problem.variantCached(d));
-
-  // A hit re-arms b's second-chance bit, so the next eviction passes b
-  // over and takes c, the least recently touched entry.
-  problem.evaluate(b);
-  problem.evaluate(e);
-  EXPECT_EQ(problem.variantEvictions(), 2u);
-  EXPECT_TRUE(problem.variantCached(b));
-  EXPECT_FALSE(problem.variantCached(c));
-  EXPECT_TRUE(problem.variantCached(d));
-  EXPECT_TRUE(problem.variantCached(e));
-
-  // Evicted tiles rebuild on demand and re-enter the cache.
-  problem.evaluate(a);
-  EXPECT_TRUE(problem.variantCached(a));
-  EXPECT_EQ(problem.variantEvictions(), 3u);
-
-  // Different thread counts over the same tiles share one variant: no
-  // growth, no eviction.
-  const auto evictionsBefore = problem.variantEvictions();
-  for (std::int64_t threads : {1, 2, 4, 8})
-    problem.evaluate({32, 32, 32, threads});
-  EXPECT_EQ(problem.variantEvictions(), evictionsBefore);
-  EXPECT_EQ(problem.variantCacheSize(), 3u);
-}
-
 TEST(KernelProblem, RejectsMalformedConfigs) {
   KernelTuningProblem prob(kernels::kernelByName("mm"),
                            machine::westmere(), 64);
   EXPECT_THROW(prob.evaluate({8, 8, 8}), support::CheckError);
   EXPECT_THROW(prob.evaluate({0, 8, 8, 4}), support::CheckError);
+  const std::int64_t tileHi = prob.space()[1].hi;
+  const std::int64_t threadsHi = prob.space().back().hi;
+  EXPECT_THROW(prob.evaluate({8, 8, 8, 0}), support::CheckError);
+  EXPECT_THROW(prob.evaluate({8, 8, 8, threadsHi + 1}), support::CheckError);
+  EXPECT_THROW(prob.evaluate({8, tileHi + 1, 8, 4}), support::CheckError);
+  try {
+    prob.predictFull({8, tileHi + 1, 8, 4});
+    ADD_FAILURE() << "out-of-range tile accepted";
+  } catch (const support::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("parameter out of range: t_j"),
+              std::string::npos)
+        << e.what();
+  }
+  // The edges of the space stay legal.
+  EXPECT_NO_THROW(prob.evaluate({8, tileHi, 8, threadsHi}));
 }
 
 TEST(NativeEvaluator, MeasuresRealExecution) {
