@@ -1,7 +1,7 @@
 // Hot-path microbenchmark suite with a committed baseline gate.
 //
 // Times the paths the tuning pipeline spends its cycles in — the memoizing
-// evaluator (serial and under thread contention), one configuration's
+// evaluator's hit path, one configuration's
 // evaluation on the parametric nest, the reference path's skeleton
 // instantiation + nest analysis, IR execution (tree walker vs. the flat
 // bytecode engine), and batched cache simulation — and emits the
@@ -11,9 +11,9 @@
 // gate flaking on runner speed (the floors are deliberately conservative).
 //
 // Every value is a rate (higher is better): lookups/s, evaluations/s,
-// variants/s, statements/s, accesses/s — plus derived "ratio" entries
-// (interp.bytecode_speedup, memo.mt4_speedup) that are machine-independent
-// and therefore gated tightly.
+// variants/s, statements/s, accesses/s — plus a derived "ratio" entry
+// (interp.bytecode_speedup) that is machine-independent and therefore
+// gated tightly.
 //
 //   bench_hotpath [--out BENCH_hotpath.json]
 //                 [--baseline bench/baselines/hotpath_baseline.json]
@@ -44,7 +44,6 @@
 #include <span>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace motune;
@@ -96,34 +95,21 @@ std::vector<tuning::Config> makeConfigs(const tuning::ObjectiveFunction& fn,
   return configs;
 }
 
-/// Memo-hit throughput: `threads` workers hammer one shared
-/// CountingEvaluator with an already-memoized config set; the aggregate
-/// lookup rate measures shard/lock scalability, not evaluation cost.
-double memoLookupRate(int threads, double minSeconds) {
+/// Memo-hit throughput: the owning thread looks up an already-memoized
+/// config set, so the rate measures the memo, not evaluation cost.
+double memoLookupRate(double minSeconds) {
   opt::SyntheticProblem problem = opt::makeSchaffer();
   tuning::CountingEvaluator counting(problem);
   const auto configs = makeConfigs(counting, 512);
   for (const auto& c : configs) counting.evaluate(c); // warm the memo
 
-  constexpr int kPasses = 16; // amortize thread spawn over the round
-  const auto hammer = [&] {
+  constexpr int kPasses = 16;
+  return throughput(minSeconds, [&] {
     double acc = 0.0;
     for (int p = 0; p < kPasses; ++p)
       for (const auto& c : configs) acc += counting.evaluate(c)[0];
     escape(&acc);
-  };
-
-  if (threads <= 1)
-    return throughput(minSeconds, [&] {
-      hammer();
-      return kPasses * configs.size();
-    });
-
-  return throughput(minSeconds, [&] {
-    std::vector<std::thread> workers;
-    for (int t = 0; t < threads; ++t) workers.emplace_back(hammer);
-    for (auto& w : workers) w.join();
-    return static_cast<std::size_t>(threads) * kPasses * configs.size();
+    return kPasses * configs.size();
   });
 }
 
@@ -315,12 +301,7 @@ int main(int argc, char** argv) {
     results.push_back({std::move(name), value, std::move(unit)});
   };
 
-  const double memoSerial = memoLookupRate(1, minTime);
-  add("memo.lookup.serial", memoSerial, "lookups/s");
-  const double memoMt2 = memoLookupRate(2, minTime);
-  add("memo.lookup.mt2", memoMt2, "lookups/s");
-  const double memoMt4 = memoLookupRate(4, minTime);
-  add("memo.lookup.mt4", memoMt4, "lookups/s");
+  add("memo.lookup.serial", memoLookupRate(minTime), "lookups/s");
   add("eval.kernel_problem", kernelEvalRate(minTime), "evaluations/s");
   add("variant.instantiate_analyze", variantRate(minTime), "variants/s");
   const double tree = interpRate(/*bytecode=*/false, minTime);
@@ -330,10 +311,8 @@ int main(int argc, char** argv) {
   add("cachesim.batch", cachesimRate(minTime), "accesses/s");
   add("dispatch.adaptive_select", adaptiveDispatchRate(minTime),
       "selections/s");
-  // Machine-independent ratios: gated tighter than the absolute floors.
+  // Machine-independent ratio: gated tighter than the absolute floors.
   add("interp.bytecode_speedup", tree > 0.0 ? bytecode / tree : 0.0, "ratio");
-  add("memo.mt4_speedup", memoSerial > 0.0 ? memoMt4 / memoSerial : 0.0,
-      "ratio");
 
   auto& metrics = observe::MetricsRegistry::global();
   for (const auto& r : results)

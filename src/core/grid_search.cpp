@@ -66,8 +66,7 @@ OptResult GridSearch::run() {
   }
 
   tuning::CountingEvaluator counter(fn_);
-  tuning::BatchEvaluator batch(counter, pool_, parallel_);
-  const auto objectives = batch.evaluateAll(configs);
+  const auto objectives = counter.evaluateBatch(configs, pool_, parallel_);
 
   OptResult res;
   res.population.reserve(configs.size());

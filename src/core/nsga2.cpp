@@ -54,13 +54,13 @@ OptResult NSGA2::run() {
                         : 1.0 / static_cast<double>(dims);
 
   tuning::CountingEvaluator counter(fn_);
-  tuning::BatchEvaluator batch(counter, pool_, options_.parallelEvaluation);
 
   auto evaluateGenomes = [&](std::vector<std::vector<double>> genomes) {
     std::vector<tuning::Config> configs;
     configs.reserve(genomes.size());
     for (const auto& g : genomes) configs.push_back(bounds.closestTo(g));
-    auto objs = batch.evaluateAll(configs);
+    auto objs =
+        counter.evaluateBatch(configs, pool_, options_.parallelEvaluation);
     std::vector<Individual> out;
     out.reserve(genomes.size());
     for (std::size_t i = 0; i < genomes.size(); ++i)

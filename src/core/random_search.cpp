@@ -17,7 +17,6 @@ OptResult RandomSearch::run() {
   support::Rng rng(options_.seed);
 
   tuning::CountingEvaluator counter(fn_);
-  tuning::BatchEvaluator batch(counter, pool_, options_.parallelEvaluation);
 
   // Draw until `budget` unique configurations were evaluated (duplicates in
   // small spaces would otherwise silently shrink the budget).
@@ -33,7 +32,8 @@ OptResult RandomSearch::run() {
       configs.push_back(bounds.closestTo(g));
       genomes.push_back(std::move(g));
     }
-    auto objectives = batch.evaluateAll(configs);
+    auto objectives =
+        counter.evaluateBatch(configs, pool_, options_.parallelEvaluation);
     for (std::size_t i = 0; i < configs.size(); ++i)
       all.push_back({std::move(genomes[i]), std::move(configs[i]),
                      std::move(objectives[i])});

@@ -117,8 +117,8 @@ tuning::KernelTuningProblem problemFromSpec(const JobSpec& spec);
 /// engine's thread, warm-start journals when surrogate_keep < 1). Session
 /// resume is enabled when a journal already exists (daemon restart). Each call
 /// builds a fresh options value: one AutoTuner — and therefore one
-/// CountingEvaluator — per job, never shared (see
-/// CountingEvaluator::preload).
+/// CountingEvaluator, owned by the job's search thread — per job, never
+/// shared (see the ownership contract in tuning/evaluator.h).
 autotune::TunerOptions tunerOptionsFromSpec(
     const JobSpec& spec, const std::string& sessionDir, unsigned jobThreads,
     int checkpointEvery,

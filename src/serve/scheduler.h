@@ -3,13 +3,15 @@
 // durable state (serve/store.h).
 //
 // Concurrency model: each worker thread runs one job at a time through its
-// own AutoTuner — its own evaluation thread pool and its own memoizing
-// CountingEvaluator — so jobs never share mutable tuning state and every
-// job's artifact is bit-identical regardless of how many workers run or in
-// which order jobs are dequeued (pinned by tests/serve_test.cpp). The only
-// cross-job state is the process-wide MetricsRegistry, which feeds the
-// daemon gauges (queue depth, active jobs, admission rejects, latency
-// histograms) and never feeds back into a search.
+// own AutoTuner, whose search engine owns the job's memoizing
+// CountingEvaluator (see the ownership contract in tuning/evaluator.h); the
+// job's thread pool serves only random search. Jobs never share mutable
+// tuning state, and every job's artifact is bit-identical regardless of
+// how many workers run or in which order jobs are dequeued (pinned by
+// tests/serve_test.cpp). The only cross-job state is the process-wide
+// MetricsRegistry, which feeds the daemon gauges (queue depth, active
+// jobs, admission rejects, latency histograms) and never feeds back into a
+// search.
 //
 // Admission control: the queue is bounded. A submit against a full queue
 // is rejected immediately with a retry-after hint — backpressure at the

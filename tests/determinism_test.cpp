@@ -70,8 +70,8 @@ RunOutcome runRSGDE3(unsigned poolWorkers, bool parallelEvaluation,
 }
 
 /// Objective function that records how often each configuration reaches
-/// the inner evaluation and sleeps long enough that concurrent duplicates
-/// overlap in time — the probe for the memo's single-flight guarantee.
+/// the inner evaluation and sleeps long enough that concurrent calls
+/// overlap in time — the probe for "each duplicate is evaluated once".
 class SlowProbe final : public tuning::ObjectiveFunction {
 public:
   SlowProbe() : space_{{"x", 0, 1000}} {}
@@ -108,18 +108,17 @@ TEST(Determinism, SingleFlightEvaluatesConcurrentDuplicatesExactlyOnce) {
   SlowProbe probe;
   tuning::CountingEvaluator counting(probe);
 
-  // Each config appears 8 times back-to-back, so the 4 pool workers pick
-  // up duplicates of the same config while its first evaluation is still
-  // sleeping inside SlowProbe — the duplicates must wait for that one
-  // in-flight evaluation, not start their own.
+  // Each config appears 8 times back-to-back, so a fan-out of the whole
+  // batch would hand duplicates of one config to several of the 4 pool
+  // workers at once; each config must still reach SlowProbe exactly once.
   const std::vector<std::int64_t> xs{3, 14, 159, 265};
   std::vector<tuning::Config> configs;
   for (const std::int64_t x : xs)
     for (int dup = 0; dup < 8; ++dup) configs.push_back({x});
 
   runtime::ThreadPool pool(4);
-  tuning::BatchEvaluator batch(counting, pool, /*parallel=*/true);
-  const auto results = batch.evaluateAll(configs);
+  const auto results =
+      counting.evaluateBatch(configs, pool, /*parallel=*/true);
 
   for (const auto& [config, times] : probe.counts())
     EXPECT_EQ(times, 1) << "config " << config.front()
@@ -168,7 +167,7 @@ TEST(Determinism, RSGDE3IdenticalAcrossPoolSizesAndEvaluationModes) {
     }
 }
 
-TEST(Determinism, BatchEvaluatorParallelMatchesSerialBitExactly) {
+TEST(Determinism, ParallelBatchMatchesSerialBitExactly) {
   opt::SyntheticProblem problem = opt::makeZDT1();
   support::Rng rng(123);
   std::vector<tuning::Config> configs;
@@ -180,10 +179,10 @@ TEST(Determinism, BatchEvaluatorParallelMatchesSerialBitExactly) {
   }
 
   runtime::ThreadPool pool(4);
-  tuning::BatchEvaluator serial(problem, pool, /*parallel=*/false);
-  tuning::BatchEvaluator parallel(problem, pool, /*parallel=*/true);
-  const auto a = serial.evaluateAll(configs);
-  const auto b = parallel.evaluateAll(configs);
+  tuning::CountingEvaluator serial(problem);
+  tuning::CountingEvaluator parallel(problem);
+  const auto a = serial.evaluateBatch(configs, pool, /*parallel=*/false);
+  const auto b = parallel.evaluateBatch(configs, pool, /*parallel=*/true);
   ASSERT_EQ(a.size(), configs.size());
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -213,13 +212,13 @@ TEST(Determinism, CountingEvaluatorMemoConsistentUnderConcurrentBatches) {
   }
 
   runtime::ThreadPool pool(4);
-  tuning::BatchEvaluator batch(counting, pool, /*parallel=*/true);
-  const auto first = batch.evaluateAll(configs);
+  const auto first = counting.evaluateBatch(configs, pool, /*parallel=*/true);
   EXPECT_EQ(counting.evaluations(), unique.size());
 
   // Re-evaluating the identical batch is served fully from the memo.
   const auto hitsBefore = counting.memoHits();
-  const auto second = batch.evaluateAll(configs);
+  const auto second =
+      counting.evaluateBatch(configs, pool, /*parallel=*/true);
   EXPECT_EQ(counting.evaluations(), unique.size());
   EXPECT_EQ(counting.memoHits(), hitsBefore + configs.size());
   ASSERT_EQ(first.size(), second.size());

@@ -5,6 +5,7 @@
 #include "autotune/autotuner.h"
 #include "core/testproblems.h"
 #include "observe/metrics.h"
+#include "runtime/parallel_for.h"
 #include "support/check.h"
 #include "tuning/fault.h"
 
@@ -259,8 +260,9 @@ TEST(FaultTolerant, SearchSurvivesInjectedFaults) {
 }
 
 TEST(FaultTolerant, ThreadSafeUnderParallelEvaluation) {
-  // The wrapper sits under the parallel BatchEvaluator in real runs; hammer
-  // it from the pool with a mix of healthy and flaky configurations.
+  // Pool threads call the wrapper concurrently when a batch fans out; hammer
+  // it from the pool with a mix of healthy and flaky configurations,
+  // repeats included, so concurrent calls on the same config reach it too.
   observe::MetricsRegistry::global().reset();
   Probe probe;
   Fallback fallback;
@@ -271,13 +273,17 @@ TEST(FaultTolerant, ThreadSafeUnderParallelEvaluation) {
   tuning::FaultTolerantEvaluator tolerant(probe, policy, &fallback);
 
   runtime::ThreadPool pool(4);
-  tuning::BatchEvaluator batch(tolerant, pool, /*parallel=*/true);
   std::vector<tuning::Config> configs;
   for (int round = 0; round < 8; ++round) {
     for (std::int64_t x = 1; x <= 8; ++x) configs.push_back({x});
     configs.push_back({Probe::kAlwaysFails});
   }
-  const auto results = batch.evaluateAll(configs);
+  std::vector<tuning::Objectives> results(configs.size());
+  runtime::parallelFor(pool, 0, static_cast<std::int64_t>(configs.size()), 4,
+                       [&](std::int64_t i) {
+                         const auto k = static_cast<std::size_t>(i);
+                         results[k] = tolerant.evaluate(configs[k]);
+                       });
   ASSERT_EQ(results.size(), configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
     const double expected = configs[i].front() == Probe::kAlwaysFails

@@ -11,9 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 
 namespace motune::tuning {
 namespace {
@@ -84,51 +84,142 @@ TEST(CountingEvaluator, CountsUniqueOnly) {
   counter.evaluate({3});
   counter.evaluate({4});
   EXPECT_EQ(counter.evaluations(), 2u);
+  EXPECT_EQ(counter.memoHits(), 1u);
   EXPECT_EQ(fn.calls.load(), 2);
-  counter.reset();
-  EXPECT_EQ(counter.evaluations(), 0u);
-  counter.evaluate({3});
+  // The memo belongs to the instance: a fresh evaluator starts empty.
+  CountingEvaluator fresh(fn);
+  EXPECT_EQ(fresh.evaluations(), 0u);
+  fresh.evaluate({3});
   EXPECT_EQ(fn.calls.load(), 3);
 }
 
-TEST(CountingEvaluator, ResetClearsMetricCounterMirrors) {
-  auto& metrics = observe::MetricsRegistry::global();
-  metrics.reset();
+TEST(EvaluateBatch, PreservesOrderParallel) {
   ToyFn fn;
   CountingEvaluator counter(fn);
-  counter.evaluate({3});
-  counter.evaluate({3});
-  counter.evaluate({4});
-  EXPECT_EQ(metrics.counter("tuning.evaluations.unique").value(), 2u);
-  EXPECT_EQ(metrics.counter("tuning.evaluations.memo_hits").value(), 1u);
-
-  // reset() must zero the process-wide mirrors along with the local
-  // counts, or a second run in the same process reports cumulative
-  // tuning.evaluations.* values.
-  counter.reset();
-  EXPECT_EQ(counter.evaluations(), 0u);
-  EXPECT_EQ(counter.memoHits(), 0u);
-  EXPECT_EQ(metrics.counter("tuning.evaluations.unique").value(), 0u);
-  EXPECT_EQ(metrics.counter("tuning.evaluations.memo_hits").value(), 0u);
-
-  counter.evaluate({3});
-  counter.evaluate({3});
-  EXPECT_EQ(counter.evaluations(), 1u);
-  EXPECT_EQ(counter.memoHits(), 1u);
-  EXPECT_EQ(metrics.counter("tuning.evaluations.unique").value(), 1u);
-  EXPECT_EQ(metrics.counter("tuning.evaluations.memo_hits").value(), 1u);
-}
-
-TEST(BatchEvaluator, PreservesOrderParallel) {
-  ToyFn fn;
   runtime::ThreadPool pool(4);
-  BatchEvaluator batch(fn, pool, /*parallel=*/true);
   std::vector<Config> configs;
   for (std::int64_t i = 0; i <= 10; ++i) configs.push_back({i});
-  const auto out = batch.evaluateAll(configs);
+  const auto out = counter.evaluateBatch(configs, pool, /*parallel=*/true);
   ASSERT_EQ(out.size(), 11u);
   for (std::size_t i = 0; i < out.size(); ++i)
     EXPECT_DOUBLE_EQ(out[i][0], static_cast<double>(i));
+}
+
+/// One evaluateBatch() cell of the contract grid below: two configs
+/// memoized beforehand, then a batch with in-batch repeats of misses and
+/// of memoized configs.
+struct BatchOutcome {
+  std::vector<Objectives> results;
+  std::uint64_t evaluations = 0;
+  std::uint64_t memoHits = 0;
+  std::vector<Config> journal;
+  int innerCalls = 0;
+};
+
+BatchOutcome runContractBatch(unsigned workers, bool parallel) {
+  ToyFn fn;
+  CountingEvaluator counter(fn);
+  BatchOutcome outcome;
+  counter.setListener([&](const Config& c, const Objectives&) {
+    outcome.journal.push_back(c);
+  });
+  counter.evaluate({1});
+  counter.evaluate({9});
+  runtime::ThreadPool pool(workers);
+  outcome.results = counter.evaluateBatch(
+      {{5}, {3}, {5}, {7}, {3}, {1}, {7}, {9}, {2}, {5}}, pool, parallel);
+  outcome.evaluations = counter.evaluations();
+  outcome.memoHits = counter.memoHits();
+  outcome.innerCalls = fn.calls.load();
+  return outcome;
+}
+
+TEST(EvaluateBatch, SameResultsCountsAndJournalAtEveryPoolSize) {
+  const BatchOutcome reference = runContractBatch(1, false);
+  EXPECT_EQ(reference.evaluations, 6u); // 1, 9, then misses 5, 3, 7, 2
+  EXPECT_EQ(reference.memoHits, 6u);    // 5, 3, 1, 7, 9, 5
+  EXPECT_EQ(reference.innerCalls, 6);   // each distinct miss once
+  EXPECT_EQ(reference.journal,
+            (std::vector<Config>{{1}, {9}, {5}, {3}, {7}, {2}}));
+  ASSERT_EQ(reference.results.size(), 10u);
+  EXPECT_EQ(reference.results[2], (Objectives{5.0, 5.0}));
+  EXPECT_EQ(reference.results[5], (Objectives{1.0, 9.0}));
+
+  for (unsigned workers : {1u, 2u, 4u})
+    for (bool parallel : {false, true}) {
+      const BatchOutcome outcome = runContractBatch(workers, parallel);
+      const std::string cell = std::to_string(workers) + " workers, " +
+                               (parallel ? "parallel" : "serial");
+      ASSERT_EQ(outcome.results.size(), reference.results.size()) << cell;
+      for (std::size_t i = 0; i < outcome.results.size(); ++i)
+        EXPECT_EQ(std::memcmp(outcome.results[i].data(),
+                              reference.results[i].data(),
+                              2 * sizeof(double)),
+                  0)
+            << cell << ", config " << i;
+      EXPECT_EQ(outcome.evaluations, reference.evaluations) << cell;
+      EXPECT_EQ(outcome.memoHits, reference.memoHits) << cell;
+      EXPECT_EQ(outcome.innerCalls, reference.innerCalls) << cell;
+      EXPECT_EQ(outcome.journal, reference.journal) << cell;
+    }
+}
+
+/// ToyFn that throws on x == 6.
+class ThrowingFn final : public ObjectiveFunction {
+public:
+  std::size_t numObjectives() const override { return 2; }
+  const std::vector<ParamSpec>& space() const override { return space_; }
+  Objectives evaluate(const Config& c) override {
+    ++calls;
+    if (c[0] == 6) throw std::runtime_error("evaluation failed");
+    return {static_cast<double>(c[0]), 10.0 - static_cast<double>(c[0])};
+  }
+  std::atomic<int> calls{0};
+
+private:
+  std::vector<ParamSpec> space_{{"x", 0, 10}};
+};
+
+TEST(EvaluateBatch, ThrowingMissPublishesOnlyCompletedMisses) {
+  const std::vector<Config> batch{{5}, {1}, {6}, {3}, {5}, {4}};
+  for (unsigned workers : {1u, 2u, 4u})
+    for (bool parallel : {false, true}) {
+      const std::string cell = std::to_string(workers) + " workers, " +
+                               (parallel ? "parallel" : "serial");
+      ThrowingFn fn;
+      CountingEvaluator counter(fn);
+      std::vector<Config> journal;
+      counter.setListener(
+          [&](const Config& c, const Objectives&) { journal.push_back(c); });
+      counter.evaluate({1});
+      runtime::ThreadPool pool(workers);
+      EXPECT_THROW(counter.evaluateBatch(batch, pool, parallel),
+                   std::runtime_error)
+          << cell;
+
+      // The journal is the memoized misses in first-appearance order, and
+      // each journaled config is a memo hit from now on.
+      if (!parallel) {
+        // The serial path stops at the throwing miss: exactly the misses
+        // before it are memoized and journaled.
+        EXPECT_EQ(journal, (std::vector<Config>{{1}, {5}})) << cell;
+        EXPECT_EQ(fn.calls.load(), 3) << cell; // 1, 5, 6
+      } else {
+        std::vector<Config> allowed{{1}, {5}, {3}, {4}};
+        std::size_t next = 0;
+        for (const Config& c : journal) {
+          while (next < allowed.size() && allowed[next] != c) ++next;
+          EXPECT_LT(next, allowed.size())
+              << cell << ": journaled {" << c[0] << "} out of order";
+          ++next;
+        }
+      }
+      EXPECT_EQ(counter.evaluations(), journal.size()) << cell;
+      const int calls = fn.calls.load();
+      for (const Config& c : journal) counter.evaluate(c);
+      EXPECT_EQ(fn.calls.load(), calls)
+          << cell << ": a journaled config was not memoized";
+    }
 }
 
 TEST(KernelProblem, SpaceMatchesPaperSetup) {
@@ -257,96 +348,6 @@ TEST(Validation, DeduplicatesClampedConfigsAndHonorsCap) {
             2u);
 }
 
-/// Objective function whose evaluate() blocks until released — lets tests
-/// freeze a leader mid-evaluation and race reset()/preload() against its
-/// publish step deterministically.
-class GatedFn final : public ObjectiveFunction {
-public:
-  std::size_t numObjectives() const override { return 2; }
-  const std::vector<ParamSpec>& space() const override { return space_; }
-  Objectives evaluate(const Config& c) override {
-    {
-      std::unique_lock lock(mutex_);
-      ++entered_;
-      enteredCv_.notify_all();
-      releaseCv_.wait(lock, [this] { return released_; });
-    }
-    return {static_cast<double>(c[0]), 10.0 - static_cast<double>(c[0])};
-  }
-  void waitForEntry(int n) {
-    std::unique_lock lock(mutex_);
-    enteredCv_.wait(lock, [&] { return entered_ >= n; });
-  }
-  void release() {
-    std::lock_guard lock(mutex_);
-    released_ = true;
-    releaseCv_.notify_all();
-  }
-
-private:
-  std::vector<ParamSpec> space_{{"x", 0, 10}};
-  std::mutex mutex_;
-  std::condition_variable enteredCv_, releaseCv_;
-  int entered_ = 0;
-  bool released_ = false;
-};
-
-TEST(CountingEvaluator, ResetRacingLeaderPublishDoesNotInflateCounts) {
-  GatedFn fn;
-  CountingEvaluator counter(fn);
-  std::atomic<int> listenerCalls{0};
-  counter.setListener([&](const Config&, const Objectives&) {
-    listenerCalls.fetch_add(1);
-  });
-
-  // Leader blocks inside fn.evaluate({3}); reset() clears the memo while
-  // the evaluation is in flight. The leader still returns its value to its
-  // caller, but the result no longer belongs to the (new) memo epoch: it
-  // must be neither counted as a unique evaluation nor journaled —
-  // otherwise a resumed session replays a phantom eval record and E drifts
-  // from the uninterrupted run.
-  std::thread leader([&] {
-    const Objectives obj = counter.evaluate({3});
-    EXPECT_DOUBLE_EQ(obj[0], 3.0);
-  });
-  fn.waitForEntry(1);
-  counter.reset();
-  fn.release();
-  leader.join();
-
-  EXPECT_EQ(counter.evaluations(), 0u)
-      << "stale leader publish counted after reset()";
-  EXPECT_EQ(listenerCalls.load(), 0)
-      << "stale leader publish reached the journal listener";
-
-  // The next evaluation of the same config is a fresh unique eval.
-  counter.evaluate({3});
-  EXPECT_EQ(counter.evaluations(), 1u);
-  EXPECT_EQ(listenerCalls.load(), 1);
-}
-
-TEST(CountingEvaluator, PreloadLosesToInFlightEvaluation) {
-  GatedFn fn;
-  CountingEvaluator counter(fn);
-
-  std::thread leader([&] {
-    const Objectives obj = counter.evaluate({4});
-    EXPECT_DOUBLE_EQ(obj[1], 6.0);
-  });
-  fn.waitForEntry(1);
-  // A daemon-restart preload racing a live evaluation of the same config
-  // must not clobber the pending slot: the leader's identical result wins
-  // and the preload reports "already known".
-  EXPECT_FALSE(counter.preload({4}, {99.0, 99.0}));
-  fn.release();
-  leader.join();
-
-  EXPECT_EQ(counter.evaluations(), 1u);
-  const Objectives cached = counter.evaluate({4});
-  EXPECT_DOUBLE_EQ(cached[0], 4.0) << "preload overwrote the live result";
-  EXPECT_EQ(counter.evaluations(), 1u);
-}
-
 TEST(CountingEvaluator, IndependentInstancesAreIsolated) {
   // The serve daemon runs one evaluator per job; their memo, counters and
   // listeners must not bleed into each other even over the same inner fn.
@@ -361,8 +362,8 @@ TEST(CountingEvaluator, IndependentInstancesAreIsolated) {
   EXPECT_TRUE(b.preload({7}, {7.0, 3.0}));
   EXPECT_EQ(b.evaluations(), 2u);
   EXPECT_EQ(a.evaluations(), 2u) << "preload leaked across instances";
-  a.reset();
-  EXPECT_EQ(b.evaluations(), 2u) << "reset leaked across instances";
+  a.evaluate({7});
+  EXPECT_EQ(a.evaluations(), 3u) << "b's preload served a's lookup";
 }
 
 } // namespace
