@@ -4,22 +4,24 @@
 // evaluator's hit path, one configuration's
 // evaluation on the parametric nest, the reference path's skeleton
 // instantiation + nest analysis, IR execution (tree walker vs. the flat
-// bytecode engine), and batched cache simulation — and emits the
+// bytecode engine), batched cache simulation, and one checkpointed
+// generation's session-journal writes — and emits the
 // throughputs as machine-readable JSON. With --baseline the process fails
 // when any throughput drops more than the tolerance below its committed
 // floor, so order-of-magnitude hot-path regressions fail CI without the
 // gate flaking on runner speed (the floors are deliberately conservative).
 //
 // Every value is a rate (higher is better): lookups/s, evaluations/s,
-// variants/s, statements/s, accesses/s — plus a derived "ratio" entry
-// (interp.bytecode_speedup) that is machine-independent and therefore
-// gated tightly.
+// variants/s, statements/s, accesses/s, generations/s — plus a derived
+// "ratio" entry (interp.bytecode_speedup) that is machine-independent and
+// therefore gated tightly.
 //
 //   bench_hotpath [--out BENCH_hotpath.json]
 //                 [--baseline bench/baselines/hotpath_baseline.json]
 //                 [--tolerance 0.30] [--min-time 0.3] [--metrics FILE]
 #include "analyzer/region.h"
 #include "cachesim/hierarchy.h"
+#include "core/rsgde3.h"
 #include "core/testproblems.h"
 #include "ir/bytecode.h"
 #include "ir/interp.h"
@@ -28,7 +30,9 @@
 #include "observe/metrics.h"
 #include "perfmodel/footprint.h"
 #include "runtime/adaptive.h"
+#include "runtime/thread_pool.h"
 #include "runtime/traffic.h"
+#include "session/session.h"
 #include "support/check.h"
 #include "support/json.h"
 #include "support/mem_access.h"
@@ -38,6 +42,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -45,6 +50,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 using namespace motune;
 
@@ -227,6 +234,52 @@ double adaptiveDispatchRate(double minSeconds) {
   });
 }
 
+/// One checkpointed generation's journal traffic: a batch of 25 `eval`
+/// records (about one RS-GDE3 generation's unique evaluations on
+/// mm/westmere) plus a checkpoint of a real RS-GDE3 state (~7 KB), encoded
+/// and appended through the session writer to a journal in a temporary
+/// directory.
+double journalGenerationRate(double minSeconds) {
+  tuning::KernelTuningProblem problem(kernels::kernelByName("mm"),
+                                      machine::westmere());
+  runtime::ThreadPool pool(1);
+  opt::GDE3Options gde3;
+  gde3.seed = 1;
+  gde3.maxGenerations = 70;
+  gde3.noImproveLimit = 70; // run all 70 generations
+  opt::RSGDE3 engine(problem, pool, {gde3, true});
+  (void)engine.run();
+  const support::Json state = engine.serialize();
+
+  std::vector<tuning::CountingEvaluator::Entry> entries;
+  for (const tuning::Config& c : makeConfigs(problem, 25))
+    entries.emplace_back(c, problem.evaluate(c));
+  std::vector<const tuning::CountingEvaluator::Entry*> batch;
+  for (const auto& e : entries) batch.push_back(&e);
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("motune-hotpath-journal-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  session::SessionHeader header;
+  header.problem = "bench_hotpath";
+  header.algorithm = "rsgde3";
+  header.objectives = problem.numObjectives();
+  header.space = problem.space();
+  double rate = 0.0;
+  {
+    session::SessionWriter writer(dir.string(), header);
+    int generation = 0;
+    rate = throughput(minSeconds, [&] {
+      writer.recordEvaluations(batch);
+      writer.recordCheckpoint(state, ++generation, 25u * generation);
+      return 1;
+    });
+  }
+  std::filesystem::remove_all(dir);
+  return rate;
+}
+
 support::Json toJson(const std::vector<Result>& results) {
   support::JsonArray benchmarks;
   for (const auto& r : results)
@@ -311,6 +364,8 @@ int main(int argc, char** argv) {
   add("cachesim.batch", cachesimRate(minTime), "accesses/s");
   add("dispatch.adaptive_select", adaptiveDispatchRate(minTime),
       "selections/s");
+  add("session.journal_generation", journalGenerationRate(minTime),
+      "generations/s");
   // Machine-independent ratio: gated tighter than the absolute floors.
   add("interp.bytecode_speedup", tree > 0.0 ? bytecode / tree : 0.0, "ratio");
 

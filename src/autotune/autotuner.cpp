@@ -305,10 +305,8 @@ AutoTuner::optimizeImpl(tuning::ObjectiveFunction& fn,
         options_.session.directory, header);
   }
   engine.engine().evaluator().setListener(
-      [&writer](const tuning::Config& config,
-                const tuning::Objectives& objectives) {
-        writer->recordEvaluation(config, objectives);
-      });
+      [&writer](std::span<const tuning::CountingEvaluator::Entry* const>
+                    batch) { writer->recordEvaluations(batch); });
 
   opt::RunHooks hooks;
   hooks.checkpointEvery = options_.session.checkpointEvery;

@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <exception>
 #include <mutex>
 
 namespace motune::runtime {
@@ -42,11 +43,13 @@ void parallelForBlocked(
   const std::int64_t chunk = (total + nChunks - 1) / nChunks;
 
   // Completion state lives on this stack frame, so every access to it —
-  // the workers' decrement and notify, the final zero check here — happens
-  // under doneMutex. A worker that has released the lock never touches the
-  // frame again, and this call cannot see zero (and return) before the
-  // last worker has released it.
+  // the workers' decrement, error and notify, the final zero check here —
+  // happens under doneMutex. A worker that has released the lock never
+  // touches the frame again, and this call cannot see zero (and return)
+  // before the last worker has released it. A throwing chunk still counts
+  // down; the first error is rethrown here once every chunk has finished.
   std::int64_t remaining = nChunks;
+  std::exception_ptr firstError;
   std::mutex doneMutex;
   std::condition_variable doneCv;
 
@@ -54,24 +57,30 @@ void parallelForBlocked(
     const std::int64_t lo = begin + c * chunk;
     const std::int64_t hi = std::min(end, lo + chunk);
     pool.submit([&, lo, hi] {
+      std::exception_ptr error;
       if (lo < hi) {
-        // One relaxed load when tracing is off; when on, each chunk's
-        // execution window lands in the executing worker's ring.
-        observe::Tracer& tracer = observe::Tracer::process();
-        if (tracer.enabled()) {
-          observe::RuntimeEvent event;
-          event.kind = observe::RuntimeEvent::Kind::Chunk;
-          event.arg0 = lo;
-          event.arg1 = hi;
-          event.start = tracer.now();
-          fn(lo, hi);
-          event.duration = tracer.now() - event.start;
-          observe::RuntimeLog::global().ring().tryPush(event);
-        } else {
-          fn(lo, hi);
+        try {
+          // One relaxed load when tracing is off; when on, each chunk's
+          // execution window lands in the executing worker's ring.
+          observe::Tracer& tracer = observe::Tracer::process();
+          if (tracer.enabled()) {
+            observe::RuntimeEvent event;
+            event.kind = observe::RuntimeEvent::Kind::Chunk;
+            event.arg0 = lo;
+            event.arg1 = hi;
+            event.start = tracer.now();
+            fn(lo, hi);
+            event.duration = tracer.now() - event.start;
+            observe::RuntimeLog::global().ring().tryPush(event);
+          } else {
+            fn(lo, hi);
+          }
+        } catch (...) {
+          error = std::current_exception();
         }
       }
       std::lock_guard lock(doneMutex);
+      if (error && !firstError) firstError = error;
       if (--remaining == 0) doneCv.notify_all();
     });
   }
@@ -87,6 +96,7 @@ void parallelForBlocked(
       doneCv.wait_for(lock, std::chrono::milliseconds(1),
                       [&] { return remaining == 0; });
   }
+  if (firstError) std::rethrow_exception(firstError);
 }
 
 void parallelFor(ThreadPool& pool, std::int64_t begin, std::int64_t end,

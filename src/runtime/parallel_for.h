@@ -14,7 +14,9 @@ namespace motune::runtime {
 
 /// Executes fn(i) for i in [begin, end) using `threads` logical threads with
 /// static chunking (contiguous blocks, as OpenMP schedule(static) does).
-/// Blocks until all iterations complete. threads <= 1 runs inline.
+/// Blocks until all iterations complete. threads <= 1 runs inline. If fn
+/// throws, its chunk stops there, every other chunk still runs, and the
+/// first error (in completion order) is rethrown to the caller.
 void parallelFor(ThreadPool& pool, std::int64_t begin, std::int64_t end,
                  int threads, const std::function<void(std::int64_t)>& fn);
 

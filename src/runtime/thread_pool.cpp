@@ -78,19 +78,26 @@ bool ThreadPool::tryRunOne() {
   // Ring events always belong to the process tracer (which owns the rings
   // and drains them with its own epoch), never a per-job override.
   observe::Tracer& tracer = observe::Tracer::process();
-  if (tracer.enabled()) {
-    const double start = tracer.now();
-    task();
-    recordEvent(observe::RuntimeEvent::Kind::Task, start, tracer.now(),
-                /*arg0=*/1);
-  } else {
-    task();
+  try {
+    if (tracer.enabled()) {
+      const double start = tracer.now();
+      task();
+      recordEvent(observe::RuntimeEvent::Kind::Task, start, tracer.now(),
+                  /*arg0=*/1);
+    } else {
+      task();
+    }
+  } catch (...) {
+    finishTask();
+    throw;
   }
-  {
-    std::lock_guard lock(mutex_);
-    if (--inFlight_ == 0) idle_.notify_all();
-  }
+  finishTask();
   return true;
+}
+
+void ThreadPool::finishTask() {
+  std::lock_guard lock(mutex_);
+  if (--inFlight_ == 0) idle_.notify_all();
 }
 
 void ThreadPool::workerLoop() {
@@ -118,10 +125,7 @@ void ThreadPool::workerLoop() {
     } else {
       task();
     }
-    {
-      std::lock_guard lock(mutex_);
-      if (--inFlight_ == 0) idle_.notify_all();
-    }
+    finishTask();
   }
 }
 

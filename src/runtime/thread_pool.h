@@ -29,7 +29,9 @@ public:
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task for asynchronous execution.
+  /// Enqueues a task for asynchronous execution. A task that throws on a
+  /// worker ends the process; parallelFor catches its bodies' errors and
+  /// rethrows them on the calling thread.
   void submit(std::function<void()> task);
 
   /// Blocks until every task submitted so far has finished.
@@ -39,6 +41,8 @@ public:
   /// false when the queue is empty. Blocked joiners (parallel_for) use this
   /// to help drain the queue, which makes nested parallelism deadlock-free
   /// even on a single-worker pool.
+  /// A task that throws here still counts as finished; the error
+  /// propagates to the caller.
   bool tryRunOne();
 
   unsigned workers() const { return workers_; }
@@ -48,6 +52,7 @@ public:
 
 private:
   void workerLoop();
+  void finishTask();
 
   std::mutex mutex_;
   std::condition_variable wakeWorkers_;

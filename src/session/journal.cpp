@@ -73,12 +73,18 @@ JournalWriter::JournalWriter(std::string path, Mode mode)
 }
 
 void JournalWriter::write(const support::Json& record) {
-  const std::string line = record.dump(-1);
+  std::string line = record.dump(-1);
+  line += '\n';
+  writeLines(line, 1);
+}
+
+void JournalWriter::writeLines(std::string_view lines,
+                               std::uint64_t records) {
   std::lock_guard lock(mutex_);
-  out_ << line << '\n';
+  out_.write(lines.data(), static_cast<std::streamsize>(lines.size()));
   out_.flush();
   MOTUNE_CHECK_MSG(out_.good(), "session journal write failed: " + path_);
-  ++records_;
+  records_ += records;
 }
 
 } // namespace motune::session

@@ -5,8 +5,9 @@
 // record was partially flushed). readJournal() therefore tolerates exactly
 // one unparseable *tail*; garbage in the middle of the file is corruption
 // and is reported as an error. Every write is flushed before the call
-// returns, so the journal never lags the search by more than the record
-// being written.
+// returns. The session layer writes each evaluation batch's records in one
+// write, so the journal never lags the search by more than the batch in
+// flight.
 //
 // The record vocabulary and field-by-field format live in
 // docs/architecture.md ("Session journal format"); this layer only moves
@@ -18,6 +19,7 @@
 #include <fstream>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace motune::session {
@@ -30,7 +32,7 @@ std::string journalPath(const std::string& directory);
 /// NOT the tail throws support::CheckError.
 std::vector<support::Json> readJournal(const std::string& path);
 
-/// Appending record writer; thread-safe, one flushed line per record.
+/// Appending record writer; thread-safe, one flushed write per call.
 class JournalWriter {
 public:
   enum class Mode {
@@ -41,6 +43,10 @@ public:
   JournalWriter(std::string path, Mode mode);
 
   void write(const support::Json& record);
+
+  /// Appends `records` complete, pre-encoded lines (each ending in '\n')
+  /// in one flushed write.
+  void writeLines(std::string_view lines, std::uint64_t records);
 
   const std::string& path() const { return path_; }
   std::uint64_t recordsWritten() const { return records_; }

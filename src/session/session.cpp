@@ -164,16 +164,28 @@ SessionWriter::SessionWriter(const std::string& directory,
   observe::MetricsRegistry::global().counter("session.resumes").add();
 }
 
-void SessionWriter::recordEvaluation(const tuning::Config& config,
-                                     const tuning::Objectives& objectives) {
-  support::JsonArray c, o;
-  for (std::int64_t v : config) c.emplace_back(v);
-  for (double v : objectives) o.emplace_back(v);
-  journal_.write(support::JsonObject{
-      {"type", "eval"}, {"config", std::move(c)}, {"objectives", std::move(o)}});
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
+void SessionWriter::recordEvaluations(
+    std::span<const tuning::CountingEvaluator::Entry* const> batch) {
+  // The text Json::dump(-1) writes for the same record: keys in sorted
+  // order, numbers through the same formatter.
+  std::string lines;
+  for (const tuning::CountingEvaluator::Entry* e : batch) {
+    lines += R"({"config":[)";
+    for (std::size_t i = 0; i < e->first.size(); ++i) {
+      if (i > 0) lines += ',';
+      support::numberTo(static_cast<double>(e->first[i]), lines);
+    }
+    lines += R"(],"objectives":[)";
+    for (std::size_t i = 0; i < e->second.size(); ++i) {
+      if (i > 0) lines += ',';
+      support::numberTo(e->second[i], lines);
+    }
+    lines += "],\"type\":\"eval\"}\n";
+  }
+  journal_.writeLines(lines, batch.size());
+  evaluations_.fetch_add(batch.size(), std::memory_order_relaxed);
   observe::MetricsRegistry::global().counter("session.evaluations.recorded")
-      .add();
+      .add(batch.size());
 }
 
 void SessionWriter::recordCheckpoint(const support::Json& state,

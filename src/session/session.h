@@ -8,9 +8,10 @@
 //   * a `header` record binding the journal to one exact search (problem
 //     tag, algorithm, seed, search space, algorithm options) — resume
 //     refuses a journal whose header does not match the current run;
-//   * an `eval` record per *unique* evaluation (config, objectives) — on
-//     resume these pre-seed the CountingEvaluator memo, so replayed
-//     generations re-use recorded results instead of re-evaluating;
+//   * an `eval` record per *unique* evaluation (config, objectives),
+//     written one batch per write — on resume these pre-seed the
+//     CountingEvaluator memo, so replayed generations re-use recorded
+//     results instead of re-evaluating;
 //   * a `checkpoint` record every N generations carrying the serialized
 //     RS-GDE3 engine state (population, Pareto front, boundary, RNG
 //     position and any surrogate's state); its size does not grow with the
@@ -28,12 +29,14 @@
 #pragma once
 
 #include "session/journal.h"
+#include "tuning/evaluator.h"
 #include "tuning/search_space.h"
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 
 namespace motune::session {
 
@@ -96,8 +99,10 @@ bool sessionExists(const std::string& directory);
 /// journal.
 ResumeState loadSession(const std::string& directory);
 
-/// Record-level writer for one tuning run. Thread-safe; every record is
-/// flushed before the call returns. Emits session.* metrics.
+/// Record-level writer for one tuning run. Thread-safe; every call's
+/// records reach the file in one flushed write before it returns, so the
+/// journal lags the search by at most the evaluation batch in flight.
+/// Emits session.* metrics.
 class SessionWriter {
 public:
   /// Fresh session: creates the directory, writes the header record.
@@ -108,9 +113,10 @@ public:
   /// checkCompatible), appends a resume marker to the existing journal.
   SessionWriter(const std::string& directory, const ResumeState& resumed);
 
-  /// Unique-evaluation record (CountingEvaluator listener target).
-  void recordEvaluation(const tuning::Config& config,
-                        const tuning::Objectives& objectives);
+  /// One `eval` record per unique evaluation of a batch, in order
+  /// (CountingEvaluator listener target).
+  void recordEvaluations(
+      std::span<const tuning::CountingEvaluator::Entry* const> batch);
 
   /// Engine-state checkpoint (RSGDE3::serialize output).
   void recordCheckpoint(const support::Json& state, int generation,

@@ -2,8 +2,11 @@
 
 #include "support/check.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <string_view>
 
 namespace motune::support {
 
@@ -91,28 +94,28 @@ void escapeTo(const std::string& s, std::string& out) {
   out += '"';
 }
 
-void numberTo(double v, std::string& out) {
-  if (v == std::llround(v) && std::abs(v) < 1e15) {
-    out += std::to_string(std::llround(v));
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
 } // namespace
 
+void numberTo(double v, std::string& out) {
+  char buf[32];
+  // Integers print exactly; to_chars with a precision is specified as
+  // printf's "%.17g", which round-trips every other double.
+  const std::to_chars_result r =
+      std::abs(v) < 1e15 && v == std::trunc(v)
+          ? std::to_chars(buf, buf + sizeof buf, static_cast<std::int64_t>(v))
+          : std::to_chars(buf, buf + sizeof buf, v,
+                          std::chars_format::general, 17);
+  out.append(buf, r.ptr);
+}
+
 void Json::dumpTo(std::string& out, int indent, int depth) const {
-  const std::string pad =
-      indent >= 0 ? "\n" + std::string(static_cast<std::size_t>(indent) *
-                                           (depth + 1),
-                                       ' ')
-                  : "";
-  const std::string padEnd =
-      indent >= 0
-          ? "\n" + std::string(static_cast<std::size_t>(indent) * depth, ' ')
-          : "";
+  // Pretty-printing starts each element on a line indented to its level;
+  // compact output (indent < 0) adds nothing.
+  const auto newline = [&](int level) {
+    if (indent < 0) return;
+    out += '\n';
+    out.append(static_cast<std::size_t>(indent) * level, ' ');
+  };
   switch (kind_) {
   case Kind::Null: out += "null"; return;
   case Kind::Bool: out += bool_ ? "true" : "false"; return;
@@ -127,11 +130,11 @@ void Json::dumpTo(std::string& out, int indent, int depth) const {
     bool first = true;
     for (const Json& v : *array_) {
       if (!first) out += ',';
-      out += pad;
+      newline(depth + 1);
       v.dumpTo(out, indent, depth + 1);
       first = false;
     }
-    out += padEnd;
+    newline(depth);
     out += ']';
     return;
   }
@@ -144,13 +147,13 @@ void Json::dumpTo(std::string& out, int indent, int depth) const {
     bool first = true;
     for (const auto& [key, value] : *object_) {
       if (!first) out += ',';
-      out += pad;
+      newline(depth + 1);
       escapeTo(key, out);
       out += indent >= 0 ? ": " : ":";
       value.dumpTo(out, indent, depth + 1);
       first = false;
     }
-    out += padEnd;
+    newline(depth);
     out += '}';
     return;
   }
@@ -198,7 +201,7 @@ private:
     ++pos_;
   }
 
-  bool consume(const std::string& word) {
+  bool consume(std::string_view word) {
     if (text_.compare(pos_, word.size(), word) == 0) {
       pos_ += word.size();
       return true;
@@ -285,10 +288,13 @@ private:
       case 'b': out += '\b'; break;
       case 'f': out += '\f'; break;
       case 'u': {
-        MOTUNE_CHECK_MSG(pos_ + 4 <= text_.size(), "bad \\u escape");
-        const std::string hex = text_.substr(pos_, 4);
+        unsigned code = 0;
+        const char* hex = text_.data() + pos_;
+        MOTUNE_CHECK_MSG(pos_ + 4 <= text_.size() &&
+                             std::from_chars(hex, hex + 4, code, 16).ptr ==
+                                 hex + 4,
+                         "bad \\u escape");
         pos_ += 4;
-        const auto code = static_cast<unsigned>(std::stoul(hex, nullptr, 16));
         MOTUNE_CHECK_MSG(code < 0x80, "non-ASCII \\u escapes unsupported");
         out += static_cast<char>(code);
         break;
@@ -299,21 +305,44 @@ private:
     }
   }
 
+  bool digitAt(std::size_t i) const {
+    return i < text_.size() && text_[i] >= '0' && text_[i] <= '9';
+  }
+
+  // Steps over 1*DIGIT; refuses an empty run.
+  void digits() {
+    MOTUNE_CHECK_MSG(digitAt(pos_), "invalid JSON number at " + where());
+    while (digitAt(pos_)) ++pos_;
+  }
+
+  // RFC 8259: [ "-" ] ( "0" / 1-9 *DIGIT ) [ "." 1*DIGIT ]
+  // [ ( "e" / "E" ) [ "-" / "+" ] 1*DIGIT ], read exactly by from_chars.
+  // A value outside the double range is refused rather than clamped.
   Json number() {
     const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-'))
+    if (text_[pos_] == '-') ++pos_;
+    if (digitAt(pos_) && text_[pos_] == '0') {
       ++pos_;
-    MOTUNE_CHECK_MSG(pos_ > start, "invalid JSON number at " + where());
-    try {
-      return Json(std::stod(text_.substr(start, pos_ - start)));
-    } catch (const std::exception&) {
-      MOTUNE_CHECK_MSG(false, "invalid JSON number at " + where());
+      MOTUNE_CHECK_MSG(!digitAt(pos_), "invalid JSON number at " + where());
+    } else {
+      digits();
     }
-    return Json(nullptr);
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      digits();
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
+        ++pos_;
+      digits();
+    }
+    double v = 0.0;
+    const auto [end, ec] =
+        std::from_chars(text_.data() + start, text_.data() + pos_, v);
+    MOTUNE_CHECK_MSG(ec == std::errc() && end == text_.data() + pos_,
+                     "invalid JSON number at " + where());
+    return Json(v);
   }
 
   const std::string& text_;
@@ -325,17 +354,23 @@ private:
 Json Json::parse(const std::string& text) { return Parser(text).parse(); }
 
 Json hexWord(std::uint64_t word) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(word));
-  return Json(std::string(buf));
+  std::string text = "0x0000000000000000";
+  char digits[16];
+  const char* end = std::to_chars(digits, digits + 16, word, 16).ptr;
+  std::copy(static_cast<const char*>(digits), end,
+            text.end() - (end - digits));
+  return Json(std::move(text));
 }
 
 std::uint64_t hexWordValue(const Json& json) {
   const std::string& s = json.asString();
-  MOTUNE_CHECK_MSG(s.rfind("0x", 0) == 0 && s.size() > 2,
+  MOTUNE_CHECK_MSG(s.rfind("0x", 0) == 0, "malformed hex word: " + s);
+  std::uint64_t word = 0;
+  const char* last = s.data() + s.size();
+  const auto [end, ec] = std::from_chars(s.data() + 2, last, word, 16);
+  MOTUNE_CHECK_MSG(ec == std::errc() && end == last,
                    "malformed hex word: " + s);
-  return std::stoull(s.substr(2), nullptr, 16);
+  return word;
 }
 
 } // namespace motune::support

@@ -6,6 +6,8 @@
 // of the paper's multi-versioned executables, without recompiling.
 //
 // Supports the full JSON grammar except \uXXXX escapes beyond ASCII.
+// Numbers follow RFC 8259 strictly (no "+5", "01", "1." or ".5") and must
+// fit a double; every finite double dump() writes parses back bit for bit.
 #pragma once
 
 #include <bit>
@@ -75,6 +77,12 @@ private:
   std::shared_ptr<JsonArray> array_;
   std::shared_ptr<JsonObject> object_;
 };
+
+/// Appends the text dump() writes for the number `v`: integers below 1e15
+/// in magnitude in plain decimal, any other finite value as printf's
+/// "%.17g", which parse() reads back bit for bit (-0.0 prints as 0).
+/// Encoders that write JSON text by hand use this for their numbers.
+void numberTo(double v, std::string& out);
 
 /// Bit-exact carrier for a 64-bit word, as the string "0x%016x": JSON
 /// numbers are doubles (no exact integers past 2^53), dump() prints -0.0 as

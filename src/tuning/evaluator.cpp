@@ -21,16 +21,14 @@ CountingEvaluator::CountingEvaluator(ObjectiveFunction& inner)
       latency_(observe::MetricsRegistry::global().histogram(
           "tuning.evaluation.seconds")) {}
 
-const Objectives& CountingEvaluator::publish(const Config& config,
-                                             Objectives objectives,
-                                             double seconds) {
+const CountingEvaluator::Entry&
+CountingEvaluator::publish(const Config& config, Objectives objectives,
+                           double seconds) {
   latency_.observe(seconds);
-  const Objectives& stored =
-      memo_.emplace(config, std::move(objectives)).first->second;
+  const Entry& entry = *memo_.emplace(config, std::move(objectives)).first;
   ++evals_;
   uniqueCounter_.add();
-  if (listener_) listener_(config, stored);
-  return stored;
+  return entry;
 }
 
 Objectives CountingEvaluator::evaluate(const Config& config) {
@@ -40,7 +38,13 @@ Objectives CountingEvaluator::evaluate(const Config& config) {
   }
   const auto begin = Clock::now();
   Objectives objectives = inner_.evaluate(config);
-  return publish(config, std::move(objectives), secondsSince(begin));
+  const Entry& entry =
+      publish(config, std::move(objectives), secondsSince(begin));
+  if (listener_) {
+    const Entry* batch[] = {&entry};
+    listener_(batch);
+  }
+  return entry.second;
 }
 
 std::vector<Objectives>
@@ -90,16 +94,22 @@ CountingEvaluator::evaluateBatch(const std::vector<Config>& configs,
     }
   }
 
-  // Pass 3: publish the completed misses in first-appearance order, then
-  // serve the repeats and rethrow the first failure.
+  // Pass 3: publish the completed misses in first-appearance order and
+  // journal them, then serve the repeats and rethrow the first failure.
   std::exception_ptr failure;
+  std::vector<const Entry*> published;
+  if (listener_) published.reserve(n);
   for (std::size_t k = 0; k < n; ++k) {
-    if (done[k])
-      out[misses[k]] =
+    if (done[k]) {
+      const Entry& entry =
           publish(configs[misses[k]], std::move(results[k]), seconds[k]);
-    else if (!failure)
+      out[misses[k]] = entry.second;
+      if (listener_) published.push_back(&entry);
+    } else if (!failure) {
       failure = errors[k];
+    }
   }
+  if (listener_ && !published.empty()) listener_(published);
   for (const auto& [i, k] : repeats) {
     if (!done[k]) continue;
     out[i] = out[misses[k]];

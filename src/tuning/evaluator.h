@@ -17,7 +17,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace motune::tuning {
@@ -39,9 +41,15 @@ public:
   /// Lookups served from the memo, repeats within one batch included.
   std::uint64_t memoHits() const { return hits_; }
 
+  /// One memoized evaluation; the memo never moves or drops an entry, so
+  /// a pointer to one stays valid for the evaluator's lifetime.
+  using Entry = std::pair<const Config, Objectives>;
+
   /// Journal hook for durable sessions (src/session/): called once per
-  /// unique evaluation as it is memoized, never for hits or preloads.
-  using EvalListener = std::function<void(const Config&, const Objectives&)>;
+  /// evaluate() or evaluateBatch() that evaluated anything, with its
+  /// unique evaluations in first-appearance order (a single evaluate() is
+  /// a batch of one), before the call returns; never for hits or preloads.
+  using EvalListener = std::function<void(std::span<const Entry* const>)>;
   void setListener(EvalListener listener) { listener_ = std::move(listener); }
 
   /// Evaluates `configs`, preserving order: serves memo hits, evaluates
@@ -61,9 +69,9 @@ public:
   bool preload(const Config& config, const Objectives& objectives);
 
 private:
-  // Memoizes, counts and journals one unique evaluation.
-  const Objectives& publish(const Config& config, Objectives objectives,
-                            double seconds);
+  // Memoizes and counts one unique evaluation.
+  const Entry& publish(const Config& config, Objectives objectives,
+                       double seconds);
   void countHit() { ++hits_; memoHitCounter_.add(); }
 
   ObjectiveFunction& inner_;

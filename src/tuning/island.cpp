@@ -282,8 +282,8 @@ public:
       }
       dynamic_cast<JournalExchange&>(exchange).attach(k, resume);
       engine_.engine().evaluator().setListener(
-          [this](const Config& config, const Objectives& objectives) {
-            writer_->recordEvaluation(config, objectives);
+          [this](std::span<const CountingEvaluator::Entry* const> batch) {
+            writer_->recordEvaluations(batch);
           });
       hooks_.checkpointEvery = options.checkpointEvery;
       hooks_.checkpoint = [this](const support::Json& state,

@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <iterator>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -142,6 +144,58 @@ TEST(ParallelFor, BackToBackCallsFromManyThreadsShareOnePool) {
     });
   for (std::thread& caller : callers) caller.join();
   EXPECT_EQ(total.load(), 4 * kCalls * 4);
+}
+
+TEST(ParallelFor, ThrowOffTheCallersThreadReachesTheCaller) {
+  // A throwing body on a pool worker used to call std::terminate. The
+  // caller's own chunks wait until a worker has thrown, so the throw is
+  // known to happen off the caller's thread.
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> thrown{0};
+  const auto body = [&](std::int64_t) {
+    if (std::this_thread::get_id() != caller) {
+      ++thrown;
+      throw std::runtime_error("worker failed");
+    }
+    for (int spins = 0; thrown.load() == 0 && spins < 5000; ++spins)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  EXPECT_THROW(parallelFor(pool, 0, 64, 4, body), std::runtime_error);
+  EXPECT_GT(thrown.load(), 0);
+
+  // The pool is still usable.
+  std::atomic<int> calls{0};
+  parallelFor(pool, 0, 64, 4, [&](std::int64_t) { ++calls; });
+  EXPECT_EQ(calls.load(), 64);
+  pool.submit([&] { ++calls; });
+  pool.wait();
+  EXPECT_EQ(calls.load(), 65);
+}
+
+TEST(ParallelFor, ThrowOnTheCallersChunkWaitsForTheOtherChunks) {
+  // The other chunks count down on the caller's stack frame, so the
+  // caller may only rethrow once every chunk has finished.
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> offCaller{0};
+  std::atomic<int> finished{0};
+  bool threw = false;
+  try {
+    parallelForBlocked(pool, 0, 64, 4, [&](std::int64_t lo, std::int64_t hi) {
+      if (std::this_thread::get_id() == caller)
+        throw std::runtime_error("caller failed");
+      ++offCaller;
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      finished += static_cast<int>(hi - lo);
+    });
+  } catch (const std::runtime_error&) {
+    threw = true;
+  }
+  // Every chunk that ran on a worker had finished before the call returned.
+  EXPECT_EQ(finished.load(), offCaller.load() * 16);
+  EXPECT_EQ(threw, offCaller.load() < 4) << "the caller ran a chunk";
+  pool.wait();
 }
 
 mv::VersionTable makeTable() {

@@ -228,8 +228,9 @@ TEST(CountingEvaluator, PreloadSeedsMemoAndCountsAsUnique) {
 
   int listenerCalls = 0;
   counting.setListener(
-      [&listenerCalls](const tuning::Config&, const tuning::Objectives&) {
-        ++listenerCalls;
+      [&listenerCalls](
+          std::span<const tuning::CountingEvaluator::Entry* const> batch) {
+        listenerCalls += static_cast<int>(batch.size());
       });
 
   const tuning::Config config{42};
@@ -334,6 +335,55 @@ TEST(SessionResume, KilledRunResumesBitIdentically) {
     EXPECT_EQ(state.resumes, 1);
     EXPECT_EQ(state.evaluations.size(), goldenResult.evaluations);
   }
+}
+
+namespace {
+
+/// Forwards to a problem and records every configuration it evaluates.
+class RecordingFn final : public tuning::ObjectiveFunction {
+public:
+  explicit RecordingFn(tuning::ObjectiveFunction& inner) : inner_(inner) {}
+  std::size_t numObjectives() const override {
+    return inner_.numObjectives();
+  }
+  const std::vector<tuning::ParamSpec>& space() const override {
+    return inner_.space();
+  }
+  tuning::Objectives evaluate(const tuning::Config& config) override {
+    evaluated.push_back(config);
+    return inner_.evaluate(config);
+  }
+  std::vector<tuning::Config> evaluated;
+
+private:
+  tuning::ObjectiveFunction& inner_;
+};
+
+} // namespace
+
+TEST(SessionResume, CancelledRunJournalsItsLastBatch) {
+  // Each batch's eval records are written before evaluateBatch returns,
+  // so a cancelled run's journal holds every evaluation it made, the last
+  // generation's included, in evaluation order.
+  const std::string dir = freshDir("session-cancelled");
+  autotune::TunerOptions options = sessionlessOptions();
+  options.evaluationWorkers = 1;
+  options.session.directory = dir;
+  options.session.checkpointEvery = 100;
+  int generations = 0;
+  options.onProgress = [&](const opt::GenerationProgress&) { ++generations; };
+  options.stopRequested = [&] { return generations >= 3; };
+  opt::SyntheticProblem problem = opt::makeSchaffer();
+  RecordingFn recording(problem);
+  const opt::OptResult result = autotune::AutoTuner(options).optimize(recording);
+  EXPECT_EQ(generations, 3);
+
+  const session::ResumeState state = session::loadSession(dir);
+  EXPECT_FALSE(state.finished);
+  ASSERT_EQ(state.evaluations.size(), recording.evaluated.size());
+  EXPECT_EQ(state.evaluations.size(), result.evaluations);
+  for (std::size_t i = 0; i < state.evaluations.size(); ++i)
+    EXPECT_EQ(state.evaluations[i].config, recording.evaluated[i]) << i;
 }
 
 TEST(SessionResume, RefusesMismatchedSearch) {
@@ -619,4 +669,45 @@ TEST(SessionCheckpoint, SurrogateStateDoesNotGrowWithEvaluations) {
   EXPECT_LE(static_cast<double>(bytes(late)) -
                 static_cast<double>(bytes(early)),
             allowed);
+}
+
+TEST(SessionJournal, BytesOfAFixedTuneArePinned) {
+  // The journal's byte layout is part of the format: the same tune must
+  // write the same session.jsonl, byte for byte, whatever the encoder's
+  // implementation. The hash below is FNV-1a (64-bit) of the journal that
+  // this fixed short checkpointed tune writes.
+  const std::string dir = freshDir("session-pinned-bytes");
+  autotune::TunerOptions options;
+  options.gde3.seed = 1;
+  options.gde3.maxGenerations = 4;
+  options.evaluationWorkers = 1;
+  options.session.directory = dir;
+  options.session.checkpointEvery = 1;
+  tuning::KernelTuningProblem problem(kernels::kernelByName("mm"),
+                                      machine::machineByName("westmere"));
+  const autotune::TuningResult full = autotune::AutoTuner(options).tune(problem);
+
+  std::ifstream in(session::journalPath(dir), std::ios::binary);
+  const std::string bytes{std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()};
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ull;
+  }
+  EXPECT_EQ(bytes.size(), 38728u);
+  EXPECT_EQ(hash, 13656201207849221548ull);
+
+  // These bytes resume: a copy killed mid-run continues to the same result.
+  const std::string cut = freshDir("session-pinned-resume");
+  cloneTruncated(dir, cut, 60);
+  options.session.directory = cut;
+  options.session.resume = true;
+  tuning::KernelTuningProblem again(kernels::kernelByName("mm"),
+                                    machine::machineByName("westmere"));
+  const autotune::TuningResult resumed =
+      autotune::AutoTuner(options).tune(again);
+  EXPECT_EQ(canonicalFront(resumed.raw.front), canonicalFront(full.raw.front));
+  EXPECT_EQ(resumed.raw.evaluations, full.raw.evaluations);
+  EXPECT_TRUE(bitEqual(resumed.raw.hvHistory, full.raw.hvHistory));
 }

@@ -1,14 +1,130 @@
 #include "support/check.h"
+#include "support/json.h"
 #include "support/rng.h"
 #include "support/stats.h"
 #include "support/table.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 namespace motune::support {
 namespace {
+
+TEST(JsonNumber, RefusesWhatRfc8259Refuses) {
+  for (const char* text : {"[1-2]", "[+5]", "[01]", "[-01]", "[1.]", "[.5]",
+                           "[-]", "[1e]", "[1e+]", "[1.e5]", "[0x10]",
+                           "1-2", "+5", "01", "1.", ".5", "-"})
+    EXPECT_THROW(Json::parse(text), CheckError) << text;
+  // Out of the double range: refused, not clamped to inf or 0.
+  EXPECT_THROW(Json::parse("[1e400]"), CheckError);
+  EXPECT_THROW(Json::parse("[1e-400]"), CheckError);
+  // What the grammar allows.
+  EXPECT_EQ(Json::parse("[-0.5e+2]")[0].asNumber(), -50.0);
+  EXPECT_EQ(Json::parse("[0E-0]")[0].asNumber(), 0.0);
+  EXPECT_EQ(Json::parse("[10,2]")[1].asNumber(), 2.0);
+}
+
+TEST(JsonNumber, SubnormalsParse) {
+  EXPECT_EQ(Json::parse("[2.2250738585072009e-308]")[0].asNumber(),
+            std::nextafter(DBL_MIN, 0.0));
+  EXPECT_EQ(Json::parse("[4.9406564584124654e-324]")[0].asNumber(),
+            std::numeric_limits<double>::denorm_min());
+}
+
+/// dump() then parse() of one number, compared as bit patterns.
+std::uint64_t roundTripBits(double v) {
+  const Json back = Json::parse(Json(JsonArray{Json(v)}).dump(-1));
+  return std::bit_cast<std::uint64_t>(back[0].asNumber());
+}
+
+TEST(JsonNumber, DumpParseRoundTripIsBitExact) {
+  for (const double v :
+       {0.0, 5e-324, -5e-324, DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX, 1e15,
+        1e16, 999999999999999.0, 0.1, -1.0 / 3.0, 9007199254740993.0})
+    EXPECT_EQ(roundTripBits(v), std::bit_cast<std::uint64_t>(v)) << v;
+  // -0.0 is written as 0 (json.h); parse() itself keeps the sign.
+  EXPECT_EQ(Json(-0.0).dump(), "0");
+  EXPECT_TRUE(std::signbit(Json::parse("-0").asNumber()));
+
+  Rng rng(25);
+  int checked = 0;
+  while (checked < 20000) {
+    const double v = std::bit_cast<double>(rng());
+    if (!std::isfinite(v)) continue;
+    ASSERT_EQ(roundTripBits(v), std::bit_cast<std::uint64_t>(v)) << v;
+    ++checked;
+  }
+}
+
+/// The text the number formatter is specified to produce: integers below
+/// 1e15 in plain decimal, everything else as printf's "%.17g".
+std::string printfReference(double v) {
+  if (std::abs(v) < 1e15 && v == std::trunc(v))
+    return std::to_string(static_cast<long long>(v));
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+TEST(JsonNumber, NumberTextMatchesPrintfG17) {
+  std::vector<double> values{0.0,
+                             -0.0,
+                             5e-324,
+                             DBL_MIN,
+                             DBL_MAX,
+                             -DBL_MAX,
+                             1e15,
+                             -1e15,
+                             1e16,
+                             999999999999999.0,
+                             999999999999999.5,
+                             1e-5,
+                             1e21,
+                             123456.789,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()};
+  Rng rng(17);
+  for (int i = 0; i < 100000; ++i) {
+    values.push_back(std::bit_cast<double>(rng()));
+    // Magnitudes the journal holds: times, resources, tile sizes.
+    values.push_back(rng.uniform() * std::pow(10.0, static_cast<double>(rng.uniformInt(-12, 18))));
+    values.push_back(static_cast<double>(rng.uniformInt(-100000, 100000)));
+  }
+  for (const double v : values) {
+    std::string text;
+    numberTo(v, text);
+    ASSERT_EQ(text, printfReference(v)) << std::bit_cast<std::uint64_t>(v);
+  }
+}
+
+TEST(JsonString, MalformedUnicodeEscapeIsACheckError) {
+  EXPECT_EQ(Json::parse(R"("\u0041")").asString(), "A");
+  for (const char* text : {R"("\uzzzz")", R"("\u+041")", R"("\u 041")",
+                           R"("\u00")"})
+    EXPECT_THROW(Json::parse(text), CheckError) << text;
+}
+
+TEST(JsonNumber, HexWordsRoundTripAndRejectMalformedText) {
+  EXPECT_EQ(hexWord(0).asString(), "0x0000000000000000");
+  EXPECT_EQ(hexWord(0xdeadbeefcafebabeull).asString(), "0xdeadbeefcafebabe");
+  Rng rng(3);
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t word = rng();
+    EXPECT_EQ(hexWordValue(hexWord(word)), word);
+  }
+  for (const char* text : {"0x", "12", "0xg0", "0x1 ", "0x10000000000000000"})
+    EXPECT_THROW(hexWordValue(Json(text)), CheckError) << text;
+}
 
 TEST(Check, ThrowsWithMessage) {
   EXPECT_NO_THROW(MOTUNE_CHECK(1 + 1 == 2));

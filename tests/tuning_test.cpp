@@ -120,9 +120,10 @@ BatchOutcome runContractBatch(unsigned workers, bool parallel) {
   ToyFn fn;
   CountingEvaluator counter(fn);
   BatchOutcome outcome;
-  counter.setListener([&](const Config& c, const Objectives&) {
-    outcome.journal.push_back(c);
-  });
+  counter.setListener(
+      [&](std::span<const CountingEvaluator::Entry* const> published) {
+        for (const auto* e : published) outcome.journal.push_back(e->first);
+      });
   counter.evaluate({1});
   counter.evaluate({9});
   runtime::ThreadPool pool(workers);
@@ -164,6 +165,35 @@ TEST(EvaluateBatch, SameResultsCountsAndJournalAtEveryPoolSize) {
     }
 }
 
+TEST(EvaluateBatch, ListenerFiresOncePerBatchWithItsMissesInOrder) {
+  ToyFn fn;
+  CountingEvaluator counter(fn);
+  std::vector<std::vector<Config>> calls;
+  counter.setListener(
+      [&](std::span<const CountingEvaluator::Entry* const> published) {
+        std::vector<Config> batch;
+        for (const auto* e : published) {
+          EXPECT_EQ(e->second[0], static_cast<double>(e->first[0]));
+          batch.push_back(e->first);
+        }
+        calls.push_back(std::move(batch));
+      });
+  EXPECT_TRUE(counter.preload({8}, {8.0, 2.0}));
+  runtime::ThreadPool pool(4);
+  for (bool parallel : {false, true}) {
+    calls.clear();
+    const std::int64_t o = parallel ? 0 : 20; // fresh configs per pass
+    counter.evaluateBatch({{o + 4}, {8}, {o + 2}, {o + 4}, {o + 9}, {o + 2}},
+                          pool, parallel);
+    counter.evaluateBatch({{o + 2}, {8}, {o + 9}}, pool, parallel); // hits
+    counter.evaluate({o + 5});
+    counter.evaluate({o + 5}); // hit
+    EXPECT_EQ(calls, (std::vector<std::vector<Config>>{
+                         {{o + 4}, {o + 2}, {o + 9}}, {{o + 5}}}))
+        << (parallel ? "parallel" : "serial");
+  }
+}
+
 /// ToyFn that throws on x == 6.
 class ThrowingFn final : public ObjectiveFunction {
 public:
@@ -190,7 +220,9 @@ TEST(EvaluateBatch, ThrowingMissPublishesOnlyCompletedMisses) {
       CountingEvaluator counter(fn);
       std::vector<Config> journal;
       counter.setListener(
-          [&](const Config& c, const Objectives&) { journal.push_back(c); });
+          [&](std::span<const CountingEvaluator::Entry* const> published) {
+            for (const auto* e : published) journal.push_back(e->first);
+          });
       counter.evaluate({1});
       runtime::ThreadPool pool(workers);
       EXPECT_THROW(counter.evaluateBatch(batch, pool, parallel),
