@@ -236,8 +236,9 @@ double adaptiveDispatchRate(double minSeconds) {
 
 /// One checkpointed generation's journal traffic: a batch of 25 `eval`
 /// records (about one RS-GDE3 generation's unique evaluations on
-/// mm/westmere) plus a checkpoint of a real RS-GDE3 state (~7 KB), encoded
-/// and appended through the session writer to a journal in a temporary
+/// mm/westmere) plus a checkpoint of a live 70-generation RS-GDE3 engine
+/// (~7 KB), its state encoded on every iteration as the tuner does, both
+/// appended through the session writer to a journal in a temporary
 /// directory.
 double journalGenerationRate(double minSeconds) {
   tuning::KernelTuningProblem problem(kernels::kernelByName("mm"),
@@ -249,7 +250,6 @@ double journalGenerationRate(double minSeconds) {
   gde3.noImproveLimit = 70; // run all 70 generations
   opt::RSGDE3 engine(problem, pool, {gde3, true});
   (void)engine.run();
-  const support::Json state = engine.serialize();
 
   std::vector<tuning::CountingEvaluator::Entry> entries;
   for (const tuning::Config& c : makeConfigs(problem, 25))
@@ -272,7 +272,10 @@ double journalGenerationRate(double minSeconds) {
     int generation = 0;
     rate = throughput(minSeconds, [&] {
       writer.recordEvaluations(batch);
-      writer.recordCheckpoint(state, ++generation, 25u * generation);
+      ++generation;
+      writer.recordCheckpoint(
+          generation, 25u * generation,
+          [&engine](std::string& out) { engine.encodeState(out); });
       return 1;
     });
   }

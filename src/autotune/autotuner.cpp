@@ -310,9 +310,10 @@ AutoTuner::optimizeImpl(tuning::ObjectiveFunction& fn,
 
   opt::RunHooks hooks;
   hooks.checkpointEvery = options_.session.checkpointEvery;
-  hooks.checkpoint = [&writer, &engine](const support::Json& state,
-                                        int generation) {
-    writer->recordCheckpoint(state, generation, engine.engine().evaluations());
+  hooks.checkpoint = [&writer](const opt::RSGDE3& search, int generation) {
+    writer->recordCheckpoint(
+        generation, search.engine().evaluations(),
+        [&search](std::string& out) { search.encodeState(out); });
   };
   hooks.shouldStop = options_.stopRequested;
   hooks.onGeneration = options_.onProgress;

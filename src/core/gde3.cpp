@@ -350,19 +350,42 @@ OptResult GDE3::run() {
 
 namespace {
 
-template <class T> support::Json arrayToJson(const std::vector<T>& values) {
-  return support::JsonArray(values.begin(), values.end());
+// The state's JSON text, written as Json::dump(-1) writes the same tree:
+// compact, object keys in sorted order, numbers through support::numberTo.
+
+template <class T>
+void numbersTo(const std::vector<T>& values, std::string& out) {
+  out += '[';
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out += ',';
+    support::numberTo(static_cast<double>(values[i]), out);
+  }
+  out += ']';
+}
+
+void individualTo(const Individual& ind, std::string& out) {
+  out += R"({"c":)";
+  numbersTo(ind.config, out);
+  out += R"(,"g":)";
+  numbersTo(ind.genome, out);
+  out += R"(,"o":)";
+  numbersTo(ind.objectives, out);
+  out += '}';
+}
+
+void individualsTo(const std::vector<Individual>& individuals,
+                   std::string& out) {
+  out += '[';
+  for (std::size_t i = 0; i < individuals.size(); ++i) {
+    if (i > 0) out += ',';
+    individualTo(individuals[i], out);
+  }
+  out += ']';
 }
 
 std::vector<double> numbers(const support::Json& j) {
   std::vector<double> out;
   for (const auto& v : j.asArray()) out.push_back(v.asNumber());
-  return out;
-}
-
-support::Json individualsToJson(const std::vector<Individual>& individuals) {
-  support::JsonArray out;
-  for (const auto& ind : individuals) out.push_back(individualToJson(ind));
   return out;
 }
 
@@ -375,9 +398,9 @@ std::vector<Individual> individualsFromJson(const support::Json& j) {
 } // namespace
 
 support::Json individualToJson(const Individual& ind) {
-  return support::JsonObject{{"g", arrayToJson(ind.genome)},
-                             {"c", arrayToJson(ind.config)},
-                             {"o", arrayToJson(ind.objectives)}};
+  std::string text;
+  individualTo(ind, text);
+  return support::Json::parse(text);
 }
 
 Individual individualFromJson(const support::Json& j) {
@@ -386,32 +409,51 @@ Individual individualFromJson(const support::Json& j) {
   return ind;
 }
 
-support::Json GDE3::serialize() const {
+void GDE3::encodeState(std::string& out) const {
   MOTUNE_CHECK_MSG(!population_.empty(),
-                   "serialize() requires an initialized engine");
+                   "encodeState() requires an initialized engine");
+  out += R"({"best_hv":)";
+  support::numberTo(bestHv_, out);
+  out += R"(,"boundary":{"hi":)";
+  numbersTo(boundary_.hi, out);
+  out += R"(,"lo":)";
+  numbersTo(boundary_.lo, out);
+  out += R"(},"front":)";
+  individualsTo(front_, out);
+  out += R"(,"generations":)";
+  support::numberTo(generations_, out);
+  out += R"(,"hv_history":)";
+  numbersTo(hvHistory_, out);
+  out += R"(,"last_front_size":)";
+  support::numberTo(static_cast<double>(lastFrontSize_), out);
+  out += R"(,"metric_worst":)";
+  numbersTo(metric_->worst(), out);
+  out += R"(,"population":)";
+  individualsTo(population_, out);
   // RNG words are full 64-bit values, so they travel as hex words.
   const support::Rng::State rng = rng_.state();
-  support::JsonArray words;
-  for (std::uint64_t w : rng.words) words.push_back(support::hexWord(w));
+  out += R"(,"rng":{"gaussian":)";
+  support::numberTo(rng.cachedGaussian, out);
+  out += R"(,"has_gaussian":)";
+  out += rng.hasCachedGaussian ? "true" : "false";
+  out += R"(,"words":[)";
+  for (std::size_t i = 0; i < rng.words.size(); ++i) {
+    out += i > 0 ? ",\"" : "\"";
+    support::hexWordTo(rng.words[i], out);
+    out += '"';
+  }
+  out += "]}";
+  if (options_.surrogate) {
+    out += R"(,"surrogate":)";
+    out += options_.surrogate->serialize().dump(-1);
+  }
+  out += '}';
+}
 
-  support::JsonObject state{
-      {"population", individualsToJson(population_)},
-      {"front", individualsToJson(front_)},
-      {"last_front_size", lastFrontSize_},
-      {"metric_worst", arrayToJson(metric_->worst())},
-      {"hv_history", arrayToJson(hvHistory_)},
-      {"best_hv", bestHv_},
-      {"generations", generations_},
-      {"boundary", support::JsonObject{{"lo", arrayToJson(boundary_.lo)},
-                                       {"hi", arrayToJson(boundary_.hi)}}},
-      {"rng",
-       support::JsonObject{{"words", std::move(words)},
-                           {"gaussian", rng.cachedGaussian},
-                           {"has_gaussian", rng.hasCachedGaussian}}},
-  };
-  if (options_.surrogate)
-    state.emplace("surrogate", options_.surrogate->serialize());
-  return state;
+support::Json GDE3::serialize() const {
+  std::string text;
+  encodeState(text);
+  return support::Json::parse(text);
 }
 
 void GDE3::restore(const support::Json& state) {

@@ -27,8 +27,8 @@ class Surrogate;
 namespace motune::opt {
 
 /// JSON codec of one evaluated individual ({"g": genome, "c": config,
-/// "o": objectives}) — shared by the engine checkpoints and the island
-/// migrant wire format (docs/search.md).
+/// "o": objectives}) — the layout of the engine checkpoints' individuals,
+/// reused by the island migrant wire format (docs/search.md).
 support::Json individualToJson(const Individual& ind);
 Individual individualFromJson(const support::Json& json);
 
@@ -137,6 +137,12 @@ public:
   /// into a freshly constructed engine (same objective function, same
   /// options) continues the search bit-identically — the basis of the
   /// durable tuning sessions in src/session/. Only valid after initialize().
+  ///
+  /// encodeState() appends the document's text, exactly what dump(-1) of
+  /// the same tree writes, without building a tree: checkpoints encode it
+  /// straight into the journal line. serialize() is that text parsed, for
+  /// callers that want the tree.
+  void encodeState(std::string& out) const;
   support::Json serialize() const;
   void restore(const support::Json& state);
 

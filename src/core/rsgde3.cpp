@@ -41,11 +41,21 @@ void RSGDE3::reduceAndRecord() {
                  support::Json(fullVolume > 0 ? volume / fullVolume : 0.0)}});
 }
 
+void RSGDE3::encodeState(std::string& out) const {
+  // Keys in the sorted order Json::dump(-1) writes.
+  out += R"({"flat":)";
+  support::numberTo(flat_, out);
+  out += R"(,"format":"motune-rsgde3-state","gde3":)";
+  engine_.encodeState(out);
+  out += R"(,"version":)";
+  support::numberTo(kStateVersion, out);
+  out += '}';
+}
+
 support::Json RSGDE3::serialize() const {
-  return support::JsonObject{{"format", "motune-rsgde3-state"},
-                             {"version", kStateVersion},
-                             {"flat", flat_},
-                             {"gde3", engine_.serialize()}};
+  std::string text;
+  encodeState(text);
+  return support::Json::parse(text);
 }
 
 void RSGDE3::restore(const support::Json& state) {
@@ -90,7 +100,7 @@ void RSGDE3::begin(const RunHooks* hooks) {
   // Generation-0 checkpoint: a kill during the very first generation
   // resumes without repeating the initial population's evaluations.
   if (hooks_ != nullptr && hooks_->checkpoint)
-    hooks_->checkpoint(serialize(), 0);
+    hooks_->checkpoint(*this, 0);
 }
 
 // Loop of Fig. 4: one GDE3 generation, then rebuild the reduced search
@@ -120,14 +130,14 @@ void RSGDE3::endGeneration() {
   if (hooks_ == nullptr || !hooks_->checkpoint) return;
   const int every = hooks_->checkpointEvery > 0 ? hooks_->checkpointEvery : 1;
   if (++sinceCheckpoint_ >= every) {
-    hooks_->checkpoint(serialize(), engine_.generationsDone());
+    hooks_->checkpoint(*this, engine_.generationsDone());
     sinceCheckpoint_ = 0;
   }
 }
 
 OptResult RSGDE3::end() {
   if (hooks_ != nullptr && hooks_->checkpoint && sinceCheckpoint_ > 0)
-    hooks_->checkpoint(serialize(), engine_.generationsDone());
+    hooks_->checkpoint(*this, engine_.generationsDone());
   sinceCheckpoint_ = 0;
   return engine_.snapshot();
 }

@@ -6,11 +6,12 @@
 // gradually steer the search towards the area where the optimal Pareto set
 // is located"). Terminates when results stop improving.
 //
-// The engine is checkpointable: serialize() captures the complete search
-// state (delegating to GDE3::serialize for population/front/RNG, plus
-// the stagnation counter), and run() accepts RunHooks so a persistence
-// layer (src/session/) can journal state between generations and resume a
-// killed search bit-identically — without core depending on any file I/O.
+// The engine is checkpointable: encodeState() writes the complete search
+// state as JSON text (delegating to GDE3::encodeState for population/front/
+// RNG, plus the stagnation counter), and run() accepts RunHooks so a
+// persistence layer (src/session/) can journal state between generations
+// and resume a killed search bit-identically — without core depending on
+// any file I/O.
 #pragma once
 
 #include "core/gde3.h"
@@ -36,13 +37,18 @@ struct GenerationProgress {
   std::uint64_t evaluations = 0;
 };
 
-/// Checkpoint/resume callbacks for RSGDE3::run() and begin(). All state
-/// passes through as opaque JSON so the caller decides where it lives (the
-/// session journal writes one JSONL record per checkpoint).
+class RSGDE3;
+
+/// Checkpoint/resume callbacks for RSGDE3::run() and begin(). The caller
+/// decides where the state lives: the checkpoint hook receives the engine
+/// and has it encode its state wherever it writes (the session journal
+/// encodes it straight into one JSONL record per checkpoint); a resume
+/// hands the parsed state back.
 struct RunHooks {
-  /// Invoked with serialize()'d state after initialization and after every
-  /// checkpointEvery-th generation (plus the final one).
-  std::function<void(const support::Json& state, int generation)> checkpoint;
+  /// Invoked after initialization and after every checkpointEvery-th
+  /// generation (plus the final one); engine.encodeState() appends the
+  /// state's JSON text.
+  std::function<void(const RSGDE3& engine, int generation)> checkpoint;
   int checkpointEvery = 1;
   /// When set, run() restores this state instead of initializing — the
   /// engine continues exactly where the serialized search stopped.
@@ -83,13 +89,16 @@ public:
   OptResult end();
 
   /// Complete search state: the inner GDE3 engine plus the non-improving
-  /// generation counter the stop rule tracks.
+  /// generation counter the stop rule tracks. encodeState() appends its
+  /// JSON text (as GDE3::encodeState does); serialize() parses that text.
+  void encodeState(std::string& out) const;
   support::Json serialize() const;
   void restore(const support::Json& state);
 
   /// The inner GDE3 engine (evaluator access for memo pre-seeding and
   /// journaling; result snapshots).
   GDE3& engine() { return engine_; }
+  const GDE3& engine() const { return engine_; }
 
 private:
   void reduceAndRecord();

@@ -2,6 +2,7 @@
 
 #include "observe/metrics.h"
 #include "support/check.h"
+#include "support/number.h"
 
 #include <filesystem>
 
@@ -56,7 +57,12 @@ SessionHeader headerFromJson(const support::Json& json) {
   h.version = static_cast<int>(json.at("version").asInt());
   h.problem = json.at("problem").asString();
   h.algorithm = json.at("algorithm").asString();
-  h.seed = std::stoull(json.at("seed").asString());
+  const std::string& seed = json.at("seed").asString();
+  const std::optional<std::uint64_t> parsed =
+      support::parseNumber<std::uint64_t>(seed);
+  MOTUNE_CHECK_MSG(parsed.has_value(),
+                   "session header seed is not a decimal u64: '" + seed + "'");
+  h.seed = *parsed;
   h.objectives = static_cast<std::size_t>(json.at("objectives").asInt());
   h.space = spaceFromJson(json.at("space"));
   h.algorithmOptions = json.at("algorithm_options");
@@ -188,16 +194,21 @@ void SessionWriter::recordEvaluations(
       .add(batch.size());
 }
 
-void SessionWriter::recordCheckpoint(const support::Json& state,
-                                     int generation,
-                                     std::uint64_t evaluations) {
-  journal_.write(support::JsonObject{
-      {"type", "checkpoint"},
-      {"generation", generation},
-      {"evaluations", evaluations},
-      {"state", state},
-  });
-  ++checkpoints_;
+void SessionWriter::recordCheckpoint(
+    int generation, std::uint64_t evaluations,
+    const std::function<void(std::string&)>& encodeState) {
+  // The text Json::dump(-1) writes for the record, the state encoded in
+  // place. The buffer is this call's own, so concurrent calls share
+  // nothing but the journal's write.
+  std::string line = R"({"evaluations":)";
+  support::numberTo(static_cast<double>(evaluations), line);
+  line += R"(,"generation":)";
+  support::numberTo(generation, line);
+  line += R"(,"state":)";
+  encodeState(line);
+  line += ",\"type\":\"checkpoint\"}\n";
+  journal_.writeLines(line, 1);
+  checkpoints_.fetch_add(1, std::memory_order_relaxed);
   auto& metrics = observe::MetricsRegistry::global();
   metrics.counter("session.checkpoints").add();
   metrics.gauge("session.checkpoint.generation")

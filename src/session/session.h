@@ -12,10 +12,11 @@
 //     written one batch per write — on resume these pre-seed the
 //     CountingEvaluator memo, so replayed generations re-use recorded
 //     results instead of re-evaluating;
-//   * a `checkpoint` record every N generations carrying the serialized
-//     RS-GDE3 engine state (population, Pareto front, boundary, RNG
-//     position and any surrogate's state); its size does not grow with the
-//     number of evaluations, and resume refuses other state versions;
+//   * a `checkpoint` record every N generations carrying the RS-GDE3
+//     engine state (population, Pareto front, boundary, RNG position and
+//     any surrogate's state), encoded by the engine straight into the
+//     record's line; its size does not grow with the number of
+//     evaluations, and resume refuses other state versions;
 //   * a `resume` marker per resumption (provenance);
 //   * a `finish` record when the search completes.
 //
@@ -34,6 +35,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -118,9 +120,11 @@ public:
   void recordEvaluations(
       std::span<const tuning::CountingEvaluator::Entry* const> batch);
 
-  /// Engine-state checkpoint (RSGDE3::serialize output).
-  void recordCheckpoint(const support::Json& state, int generation,
-                        std::uint64_t evaluations);
+  /// Engine-state checkpoint. `encodeState` appends the state's JSON text
+  /// (RSGDE3::encodeState), which becomes the record's `state` field as it
+  /// stands: the record is encoded into one line buffer, no tree is built.
+  void recordCheckpoint(int generation, std::uint64_t evaluations,
+                        const std::function<void(std::string&)>& encodeState);
 
   /// Clean-completion marker.
   void recordFinish(std::uint64_t evaluations, std::size_t frontSize,
@@ -133,7 +137,7 @@ public:
 private:
   JournalWriter journal_;
   std::atomic<std::uint64_t> evaluations_{0};
-  std::uint64_t checkpoints_ = 0;
+  std::atomic<std::uint64_t> checkpoints_{0};
 };
 
 } // namespace motune::session

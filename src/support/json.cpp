@@ -353,12 +353,17 @@ private:
 
 Json Json::parse(const std::string& text) { return Parser(text).parse(); }
 
-Json hexWord(std::uint64_t word) {
-  std::string text = "0x0000000000000000";
+void hexWordTo(std::uint64_t word, std::string& out) {
   char digits[16];
   const char* end = std::to_chars(digits, digits + 16, word, 16).ptr;
-  std::copy(static_cast<const char*>(digits), end,
-            text.end() - (end - digits));
+  out += "0x";
+  out.append(static_cast<std::size_t>(16 - (end - digits)), '0');
+  out.append(static_cast<const char*>(digits), end);
+}
+
+Json hexWord(std::uint64_t word) {
+  std::string text;
+  hexWordTo(word, text);
   return Json(std::move(text));
 }
 

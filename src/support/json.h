@@ -88,6 +88,8 @@ void numberTo(double v, std::string& out);
 /// numbers are doubles (no exact integers past 2^53), dump() prints -0.0 as
 /// 0, and non-finite values have no JSON form.
 Json hexWord(std::uint64_t word);
+/// Appends hexWord(word)'s text, without quotes.
+void hexWordTo(std::uint64_t word, std::string& out);
 std::uint64_t hexWordValue(const Json& json);
 
 /// Bit-exact doubles, alone or nested in vectors: each value travels as

@@ -286,10 +286,10 @@ public:
             writer_->recordEvaluations(batch);
           });
       hooks_.checkpointEvery = options.checkpointEvery;
-      hooks_.checkpoint = [this](const support::Json& state,
-                                 int generation) {
-        writer_->recordCheckpoint(state, generation,
-                                  engine_.engine().evaluations());
+      hooks_.checkpoint = [this](const opt::RSGDE3& engine, int generation) {
+        writer_->recordCheckpoint(
+            generation, engine.engine().evaluations(),
+            [&engine](std::string& out) { engine.encodeState(out); });
       };
     }
     hooks_.shouldStop = options.stopRequested;

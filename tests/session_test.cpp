@@ -12,6 +12,7 @@
 #include "session/session.h"
 #include "support/check.h"
 #include "support/rng.h"
+#include "tuning/island.h"
 #include "tuning/kernel_problem.h"
 #include "tuning/surrogate.h"
 
@@ -24,6 +25,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace motune;
@@ -52,6 +54,20 @@ bool bitEqual(const std::vector<double>& a, const std::vector<double>& b) {
   if (a.size() != b.size()) return false;
   return a.empty() ||
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Size and FNV-1a (64-bit) hash of the session journal in `dir`.
+std::pair<std::size_t, std::uint64_t>
+journalFingerprint(const std::string& dir) {
+  std::ifstream in(session::journalPath(dir), std::ios::binary);
+  const std::string bytes{std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()};
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ull;
+  }
+  return {bytes.size(), hash};
 }
 
 } // namespace
@@ -220,6 +236,64 @@ TEST(SessionHeader, RoundTripAndCompatibility) {
   session::SessionHeader wrongOpts = h;
   wrongOpts.algorithmOptions = support::JsonObject{{"population", 31}};
   EXPECT_THROW(session::checkCompatible(h, wrongOpts), support::CheckError);
+}
+
+TEST(SessionHeader, MalformedSeedIsACheckError) {
+  // A journal is outside input: a seed that is not a whole u64 in decimal
+  // must fail as a CheckError (what JobStore recovery catches), never as a
+  // std:: exception, and "-1" must not wrap to 2^64 - 1.
+  session::SessionHeader h;
+  h.problem = "p";
+  h.algorithm = "rsgde3";
+  h.seed = 7;
+  h.objectives = 2;
+  const auto withSeed = [&](const std::string& seed) {
+    support::JsonObject record = session::headerToJson(h).asObject();
+    record["seed"] = seed;
+    return support::Json(std::move(record));
+  };
+  EXPECT_EQ(session::headerFromJson(withSeed("18446744073709551615")).seed,
+            18446744073709551615ull);
+  for (const char* bad : {"abc", "-1", "", "12x", " 12", "+12",
+                          "18446744073709551616"})
+    EXPECT_THROW(session::headerFromJson(withSeed(bad)), support::CheckError)
+        << bad;
+}
+
+TEST(SessionWriter, ConcurrentRecordsStayWholeLines) {
+  // The writer is thread-safe: evaluation batches and checkpoints recorded
+  // from two threads at once land as whole lines, and both counts add up.
+  const std::string dir = freshDir("session-writer-concurrent");
+  session::SessionHeader header;
+  header.problem = "concurrent";
+  header.algorithm = "rsgde3";
+  header.objectives = 2;
+  const std::vector<tuning::CountingEvaluator::Entry> entries{
+      {{1, 2}, {0.5, 1.5}}, {{3, 4}, {2.5, 0.25}}, {{5, 6}, {1e-3, 7.0}}};
+  std::vector<const tuning::CountingEvaluator::Entry*> batch;
+  for (const auto& e : entries) batch.push_back(&e);
+
+  constexpr int kRounds = 200;
+  {
+    session::SessionWriter writer(dir, header);
+    std::thread evals([&] {
+      for (int i = 0; i < kRounds; ++i) writer.recordEvaluations(batch);
+    });
+    for (int g = 1; g <= kRounds; ++g)
+      writer.recordCheckpoint(g, 3u * static_cast<std::uint64_t>(g),
+                              [g](std::string& out) {
+                                out += R"({"g":)" + std::to_string(g) + '}';
+                              });
+    evals.join();
+    EXPECT_EQ(writer.evaluationsRecorded(), kRounds * entries.size());
+    EXPECT_EQ(writer.checkpointsWritten(), static_cast<std::uint64_t>(kRounds));
+  }
+  const session::ResumeState state = session::loadSession(dir);
+  EXPECT_EQ(state.evaluations.size(), kRounds * entries.size());
+  EXPECT_EQ(state.checkpoints, static_cast<std::uint64_t>(kRounds));
+  ASSERT_TRUE(state.checkpoint.has_value());
+  EXPECT_EQ(state.checkpoint->at("g").asInt(), kRounds);
+  EXPECT_EQ(state.checkpointGeneration, kRounds);
 }
 
 TEST(CountingEvaluator, PreloadSeedsMemoAndCountsAsUnique) {
@@ -687,15 +761,8 @@ TEST(SessionJournal, BytesOfAFixedTuneArePinned) {
                                       machine::machineByName("westmere"));
   const autotune::TuningResult full = autotune::AutoTuner(options).tune(problem);
 
-  std::ifstream in(session::journalPath(dir), std::ios::binary);
-  const std::string bytes{std::istreambuf_iterator<char>(in),
-                          std::istreambuf_iterator<char>()};
-  std::uint64_t hash = 14695981039346656037ull;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  EXPECT_EQ(bytes.size(), 38728u);
+  const auto [size, hash] = journalFingerprint(dir);
+  EXPECT_EQ(size, 38728u);
   EXPECT_EQ(hash, 13656201207849221548ull);
 
   // These bytes resume: a copy killed mid-run continues to the same result.
@@ -710,4 +777,51 @@ TEST(SessionJournal, BytesOfAFixedTuneArePinned) {
   EXPECT_EQ(canonicalFront(resumed.raw.front), canonicalFront(full.raw.front));
   EXPECT_EQ(resumed.raw.evaluations, full.raw.evaluations);
   EXPECT_TRUE(bitEqual(resumed.raw.hvHistory, full.raw.hvHistory));
+}
+
+// The pins below were taken from the build that still encoded checkpoints
+// through a Json tree: the state's other shapes, a surrogate's substate and
+// per-island sessions, must keep those bytes as well.
+TEST(SessionJournal, BytesOfASurrogateTuneArePinned) {
+  const std::string dir = freshDir("session-pinned-surrogate");
+  autotune::TunerOptions options;
+  options.gde3.seed = 1;
+  options.gde3.maxGenerations = 4;
+  options.evaluationWorkers = 1;
+  options.surrogateKeep = 0.5;
+  options.session.directory = dir;
+  options.session.checkpointEvery = 1;
+  tuning::KernelTuningProblem problem(kernels::kernelByName("mm"),
+                                      machine::machineByName("westmere"));
+  (void)autotune::AutoTuner(options).tune(problem);
+
+  ASSERT_TRUE(checkpointRecords(dir).back().at("state").at("gde3").has(
+      "surrogate"));
+  const auto [size, hash] = journalFingerprint(dir);
+  EXPECT_EQ(size, 107806u);
+  EXPECT_EQ(hash, 5348080297343480569ull);
+}
+
+TEST(SessionJournal, BytesOfAnIslandTuneArePinned) {
+  const std::string dir = freshDir("session-pinned-islands");
+  autotune::TunerOptions options;
+  options.gde3.seed = 1;
+  options.gde3.maxGenerations = 4;
+  options.evaluationWorkers = 1;
+  options.islands = 2;
+  options.migrateEvery = 2;
+  options.session.directory = dir;
+  options.session.checkpointEvery = 1;
+  tuning::KernelTuningProblem problem(kernels::kernelByName("mm"),
+                                      machine::machineByName("westmere"));
+  (void)autotune::AutoTuner(options).tune(problem);
+
+  const auto [size0, hash0] =
+      journalFingerprint(tuning::islandDirectory(dir, 0));
+  const auto [size1, hash1] =
+      journalFingerprint(tuning::islandDirectory(dir, 1));
+  EXPECT_EQ(size0, 38757u);
+  EXPECT_EQ(hash0, 13091264293149453262ull);
+  EXPECT_EQ(size1, 37829u);
+  EXPECT_EQ(hash1, 13271058229870177537ull);
 }
