@@ -4,15 +4,17 @@
 // evaluator's hit path, one configuration's
 // evaluation on the parametric nest, the reference path's skeleton
 // instantiation + nest analysis, IR execution (tree walker vs. the flat
-// bytecode engine), batched cache simulation, and one checkpointed
-// generation's session-journal writes — and emits the
+// bytecode engine), batched cache simulation, one checkpointed
+// generation's session-journal writes, and the Pareto bookkeeping (a
+// generation's truncation, the thread sweep's first front) — and emits the
 // throughputs as machine-readable JSON. With --baseline the process fails
 // when any throughput drops more than the tolerance below its committed
 // floor, so order-of-magnitude hot-path regressions fail CI without the
 // gate flaking on runner speed (the floors are deliberately conservative).
 //
 // Every value is a rate (higher is better): lookups/s, evaluations/s,
-// variants/s, statements/s, accesses/s, generations/s — plus a derived
+// variants/s, statements/s, accesses/s, generations/s, truncations/s,
+// fronts/s — plus a derived
 // "ratio" entry (interp.bytecode_speedup) that is machine-independent and
 // therefore gated tightly.
 //
@@ -21,6 +23,7 @@
 //                 [--tolerance 0.30] [--min-time 0.3] [--metrics FILE]
 #include "analyzer/region.h"
 #include "cachesim/hierarchy.h"
+#include "core/pareto.h"
 #include "core/rsgde3.h"
 #include "core/testproblems.h"
 #include "ir/bytecode.h"
@@ -36,6 +39,7 @@
 #include "support/check.h"
 #include "support/json.h"
 #include "support/mem_access.h"
+#include "support/rng.h"
 #include "support/table.h"
 #include "tuning/evaluator.h"
 #include "tuning/kernel_problem.h"
@@ -283,6 +287,48 @@ double journalGenerationRate(double minSeconds) {
   return rate;
 }
 
+/// A fixed seeded two-objective population shaped like a GDE3 one: a
+/// noisy anti-correlated trade-off, so the members spread over several
+/// fronts, each with a 4-d genome and config as the kernels have.
+std::vector<opt::Individual> tradeOffPopulation(std::size_t n,
+                                                std::uint64_t seed) {
+  support::Rng rng(seed);
+  std::vector<opt::Individual> pop;
+  pop.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = rng.uniform();
+    opt::Individual ind;
+    ind.genome = {x, rng.uniform(), rng.uniform(), rng.uniform()};
+    for (double g : ind.genome)
+      ind.config.push_back(static_cast<std::int64_t>(g * 64.0));
+    ind.objectives = {x, 1.0 - x + 0.5 * rng.uniform() * rng.uniform()};
+    pop.push_back(std::move(ind));
+  }
+  return pop;
+}
+
+/// One GDE3 generation's truncation: a 60-member population (parents
+/// plus surviving trials) copied and cut back to 30 by rank and crowding.
+double truncateRate(double minSeconds) {
+  const std::vector<opt::Individual> pop = tradeOffPopulation(60, 11);
+  return throughput(minSeconds, [&] {
+    std::vector<opt::Individual> next = pop;
+    opt::truncateByRankAndCrowding(next, 30);
+    escape(next.data());
+    return 1;
+  });
+}
+
+/// The first front of 340 points, the size of the thread sweep's pool.
+double frontIndicesRate(double minSeconds) {
+  const std::vector<opt::Individual> pop = tradeOffPopulation(340, 13);
+  return throughput(minSeconds, [&] {
+    const std::vector<std::size_t> front = opt::nonDominatedIndices(pop);
+    escape(front.data());
+    return 1;
+  });
+}
+
 support::Json toJson(const std::vector<Result>& results) {
   support::JsonArray benchmarks;
   for (const auto& r : results)
@@ -369,6 +415,8 @@ int main(int argc, char** argv) {
       "selections/s");
   add("session.journal_generation", journalGenerationRate(minTime),
       "generations/s");
+  add("pareto.truncate", truncateRate(minTime), "truncations/s");
+  add("pareto.front_indices", frontIndicesRate(minTime), "fronts/s");
   // Machine-independent ratio: gated tighter than the absolute floors.
   add("interp.bytecode_speedup", tree > 0.0 ? bytecode / tree : 0.0, "ratio");
 

@@ -1,13 +1,12 @@
 // Microbenchmarks (google-benchmark) of the framework's building blocks:
-// the per-component costs behind one auto-tuning run — dominance checks,
-// non-dominated sorting, hypervolume, configuration evaluation through the
-// performance model, DE generation steps, cache-simulator throughput, and
-// the runtime's parallel_for dispatch.
+// the per-component costs behind one auto-tuning run — configuration
+// evaluation through the performance model, DE generation steps,
+// cache-simulator throughput, and the runtime's parallel_for dispatch.
+// The Pareto primitives are timed (and gated) by bench_hotpath.
 #include "bench/common.h"
 
 #include "cachesim/hierarchy.h"
 #include "core/gde3.h"
-#include "core/hypervolume.h"
 #include "core/testproblems.h"
 #include "ir/bytecode.h"
 #include "ir/interp.h"
@@ -15,7 +14,6 @@
 #include "perfmodel/costmodel.h"
 #include "perfmodel/footprint.h"
 #include "runtime/parallel_for.h"
-#include "support/rng.h"
 #include "transform/transforms.h"
 
 #include <benchmark/benchmark.h>
@@ -23,40 +21,6 @@
 namespace {
 
 using namespace motune;
-
-std::vector<opt::Individual> randomPop(std::size_t n, std::uint64_t seed) {
-  support::Rng rng(seed);
-  std::vector<opt::Individual> pop;
-  for (std::size_t i = 0; i < n; ++i)
-    pop.push_back({{},
-                   {static_cast<std::int64_t>(i)},
-                   {rng.uniform(), rng.uniform()}});
-  return pop;
-}
-
-void BM_Dominates(benchmark::State& state) {
-  const tuning::Objectives a{0.3, 0.7}, b{0.5, 0.5};
-  for (auto _ : state) benchmark::DoNotOptimize(opt::dominates(a, b));
-}
-BENCHMARK(BM_Dominates);
-
-void BM_NonDominatedSort(benchmark::State& state) {
-  const auto pop = randomPop(static_cast<std::size_t>(state.range(0)), 7);
-  for (auto _ : state) benchmark::DoNotOptimize(opt::nonDominatedSort(pop));
-}
-BENCHMARK(BM_NonDominatedSort)->Arg(30)->Arg(200);
-
-void BM_Hypervolume2d(benchmark::State& state) {
-  support::Rng rng(3);
-  std::vector<tuning::Objectives> pts;
-  for (int i = 0; i < state.range(0); ++i)
-    pts.push_back({rng.uniform(), rng.uniform()});
-  for (auto _ : state) {
-    auto copy = pts;
-    benchmark::DoNotOptimize(opt::hypervolume2d(std::move(copy), {1, 1}));
-  }
-}
-BENCHMARK(BM_Hypervolume2d)->Arg(10)->Arg(100)->Arg(1000);
 
 void BM_TileTransform(benchmark::State& state) {
   const ir::Program mm = kernels::buildMM(1400);

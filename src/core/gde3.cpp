@@ -107,7 +107,9 @@ void GDE3::setBoundary(tuning::Boundary boundary) {
 
 double GDE3::frontHypervolume() const {
   MOTUNE_CHECK(metric_.has_value());
-  return metric_->ofFront(paretoFront(population_));
+  // The population's first front, uncopied. Members sharing a config
+  // share their (memoized) objectives, which add no area, so no dedupe.
+  return metric_->ofMembers(population_, nonDominatedIndices(population_));
 }
 
 bool GDE3::step() {

@@ -3,14 +3,26 @@
 #include "support/check.h"
 
 #include <algorithm>
+#include <array>
 
 namespace motune::opt {
 
-double hypervolume2d(std::vector<Objectives> points, const Objectives& ref) {
-  MOTUNE_CHECK(ref.size() == 2);
+namespace {
+
+using Point2 = std::array<double, 2>;
+
+/// `p` divided by the two worst references.
+Point2 normalized2(const Objectives& p, const Objectives& worst) {
+  MOTUNE_CHECK(p.size() == 2);
+  return {p[0] / worst[0], p[1] / worst[1]};
+}
+
+/// hypervolume2d on a scratch buffer, which it reorders.
+double hypervolume2dOf(std::vector<Point2>& points, double ref0,
+                       double ref1) {
   // Clip and drop points that do not dominate the reference at all.
-  std::erase_if(points, [&](const Objectives& p) {
-    return p[0] >= ref[0] || p[1] >= ref[1];
+  std::erase_if(points, [&](const Point2& p) {
+    return p[0] >= ref0 || p[1] >= ref1;
   });
   if (points.empty()) return 0.0;
   for (auto& p : points) {
@@ -21,14 +33,24 @@ double hypervolume2d(std::vector<Objectives> points, const Objectives& ref) {
   // best (lowest) f1 seen so far.
   std::sort(points.begin(), points.end());
   double volume = 0.0;
-  double bestF1 = ref[1];
+  double bestF1 = ref1;
   for (const auto& p : points) {
     if (p[1] < bestF1) {
-      volume += (ref[0] - p[0]) * (bestF1 - p[1]);
+      volume += (ref0 - p[0]) * (bestF1 - p[1]);
       bestF1 = p[1];
     }
   }
   return volume;
+}
+
+} // namespace
+
+double hypervolume2d(std::vector<Objectives> points, const Objectives& ref) {
+  MOTUNE_CHECK(ref.size() == 2);
+  std::vector<Point2> flat;
+  flat.reserve(points.size());
+  for (const auto& p : points) flat.push_back({p[0], p[1]});
+  return hypervolume2dOf(flat, ref[0], ref[1]);
 }
 
 namespace {
@@ -79,6 +101,13 @@ HypervolumeMetric::HypervolumeMetric(Objectives worst)
 
 double HypervolumeMetric::operator()(
     const std::vector<Objectives>& points) const {
+  // The volume of the unit box is 1, so V(S) is already in [0, 1].
+  if (worst_.size() == 2) {
+    std::vector<Point2> normalized;
+    normalized.reserve(points.size());
+    for (const auto& p : points) normalized.push_back(normalized2(p, worst_));
+    return hypervolume2dOf(normalized, 1.0, 1.0);
+  }
   std::vector<Objectives> normalized;
   normalized.reserve(points.size());
   for (const auto& p : points) {
@@ -87,11 +116,23 @@ double HypervolumeMetric::operator()(
     for (std::size_t d = 0; d < p.size(); ++d) q[d] = p[d] / worst_[d];
     normalized.push_back(std::move(q));
   }
-  Objectives ref(worst_.size(), 1.0);
-  const double vol = worst_.size() == 2
-                         ? hypervolume2d(std::move(normalized), ref)
-                         : hypervolumeNd(std::move(normalized), ref);
-  return vol; // volume of the unit box is 1, so this is already in [0,1]
+  return hypervolumeNd(std::move(normalized), Objectives(worst_.size(), 1.0));
+}
+
+double HypervolumeMetric::ofMembers(
+    std::span<const Individual> pop,
+    std::span<const std::size_t> members) const {
+  if (worst_.size() != 2) {
+    std::vector<Objectives> pts;
+    pts.reserve(members.size());
+    for (std::size_t i : members) pts.push_back(pop[i].objectives);
+    return (*this)(pts);
+  }
+  std::vector<Point2> normalized;
+  normalized.reserve(members.size());
+  for (std::size_t i : members)
+    normalized.push_back(normalized2(pop[i].objectives, worst_));
+  return hypervolume2dOf(normalized, 1.0, 1.0);
 }
 
 double HypervolumeMetric::ofFront(const std::vector<Individual>& front) const {

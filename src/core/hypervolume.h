@@ -8,6 +8,7 @@
 
 #include "core/pareto.h"
 
+#include <span>
 #include <vector>
 
 namespace motune::opt {
@@ -33,6 +34,11 @@ public:
 
   double operator()(const std::vector<Objectives>& points) const;
   double ofFront(const std::vector<Individual>& front) const;
+
+  /// V(S) of the members `members` of `pop`, without copying them. Equal
+  /// points add no area, so repeated members do not change the value.
+  double ofMembers(std::span<const Individual> pop,
+                   std::span<const std::size_t> members) const;
 
   const Objectives& worst() const { return worst_; }
 

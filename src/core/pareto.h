@@ -28,7 +28,8 @@ struct Individual {
 /// True if a dominates b (all objectives minimized).
 bool dominates(const Objectives& a, const Objectives& b);
 
-/// Indices of the non-dominated members (first front) of `pop`.
+/// Indices of the non-dominated members (first front) of `pop`, ascending.
+/// Two objectives: one sorted sweep, O(N log N); otherwise O(m N^2).
 std::vector<std::size_t> nonDominatedIndices(std::span<const Individual> pop);
 
 /// The non-dominated subset itself, with duplicate configurations removed.
@@ -43,6 +44,19 @@ void insertIntoFront(std::vector<Individual>& front,
 
 /// Fast non-dominated sort (Deb et al.): partitions indices into fronts,
 /// best first.
+///
+/// The order within each front is part of the contract, because
+/// truncation keeps whole fronts in this order and the population's order
+/// drives DE index draws, immigrant targets and migrant slots, hence the
+/// RNG stream and every search trajectory. It is Deb's peeling order:
+/// front 0 in ascending index order; front k+1 ordered by the position,
+/// in front k's order, of each member's last dominator in front k, then by
+/// index.
+///
+/// Two objectives without NaN (every bench and paper search): O(N log N),
+/// ranks by binary search over each front's minimum f1, then the peeling
+/// order rebuilt from the f0-sorted staircases. Any other m, or a NaN:
+/// Deb's pairwise peeling, O(m N^2). Both give the same fronts.
 std::vector<std::vector<std::size_t>>
 nonDominatedSort(std::span<const Individual> pop);
 

@@ -1,9 +1,13 @@
 #include "tuning/evaluator.h"
 
 #include "runtime/parallel_for.h"
+#include "support/check.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <exception>
+#include <string>
 
 namespace motune::tuning {
 
@@ -20,6 +24,19 @@ CountingEvaluator::CountingEvaluator(ObjectiveFunction& inner)
           "tuning.evaluations.memo_hits")),
       latency_(observe::MetricsRegistry::global().histogram(
           "tuning.evaluation.seconds")) {}
+
+/// Refuses a NaN or infinite objective, naming the config: the Pareto
+/// machinery sorts objectives (a NaN breaks the strict weak order) and
+/// the session journal cannot represent either value.
+static void checkFinite(const Config& config, const Objectives& objectives) {
+  if (std::all_of(objectives.begin(), objectives.end(),
+                  [](double v) { return std::isfinite(v); }))
+    return;
+  std::string text = "non-finite objective for config [";
+  for (std::size_t d = 0; d < config.size(); ++d)
+    text += (d ? ", " : "") + std::to_string(config[d]);
+  support::checkFailed("isfinite(objective)", __FILE__, __LINE__, text + "]");
+}
 
 const CountingEvaluator::Entry&
 CountingEvaluator::publish(const Config& config, Objectives objectives,
@@ -38,6 +55,7 @@ Objectives CountingEvaluator::evaluate(const Config& config) {
   }
   const auto begin = Clock::now();
   Objectives objectives = inner_.evaluate(config);
+  checkFinite(config, objectives);
   const Entry& entry =
       publish(config, std::move(objectives), secondsSince(begin));
   if (listener_) {
@@ -78,6 +96,7 @@ CountingEvaluator::evaluateBatch(const std::vector<Config>& configs,
     const auto begin = Clock::now();
     try {
       results[k] = inner_.evaluate(configs[misses[k]]);
+      checkFinite(configs[misses[k]], results[k]);
       done[k] = 1;
     } catch (...) {
       errors[k] = std::current_exception();
@@ -121,6 +140,7 @@ CountingEvaluator::evaluateBatch(const std::vector<Config>& configs,
 
 bool CountingEvaluator::preload(const Config& config,
                                 const Objectives& objectives) {
+  checkFinite(config, objectives);
   if (!memo_.emplace(config, objectives).second) return false;
   ++evals_;
   uniqueCounter_.add();

@@ -33,6 +33,8 @@ public:
     return inner_.space();
   }
 
+  /// Memoized inner evaluation. A NaN or infinite objective is a
+  /// support::CheckError naming the config, and is not memoized.
   Objectives evaluate(const Config& config) override;
 
   /// Unique configurations evaluated or preloaded (memo hits are free).
@@ -57,7 +59,10 @@ public:
   /// memoizes, counts and journals the misses in first-appearance order,
   /// so E, memoHits() and the journal match a serial pass at any pool
   /// size. If a miss throws, the completed misses are published and the
-  /// first failure is rethrown; the serial path stops at that miss.
+  /// first failure is rethrown; the serial path stops at that miss. A miss
+  /// with a NaN or infinite objective fails the same way, with a
+  /// support::CheckError naming its config (as evaluate() and preload()
+  /// refuse one).
   std::vector<Objectives> evaluateBatch(const std::vector<Config>& configs,
                                         runtime::ThreadPool& pool,
                                         bool parallel);
@@ -65,7 +70,8 @@ public:
   /// Pre-seeds the memo with a result journaled by a previous (killed)
   /// run. It counts as a unique evaluation, so a resumed search reports
   /// the same E as an uninterrupted one. Returns false (and changes
-  /// nothing) if the config is already memoized.
+  /// nothing) if the config is already memoized. A NaN or infinite
+  /// objective is a support::CheckError.
   bool preload(const Config& config, const Objectives& objectives);
 
 private:

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -151,6 +152,181 @@ TEST(Pareto, TruncationPrefersSpreadWithinFront) {
   for (const auto& ind : pop) ids.insert(ind.config[0]);
   EXPECT_TRUE(ids.count(0));
   EXPECT_TRUE(ids.count(4));
+}
+
+// --- the two-objective sort against Deb's pairwise peeling -----------------
+
+/// Reference copy of Deb's pairwise peeling (the O(N^2) nonDominatedSort),
+/// whose exact front order the two-objective sort must reproduce.
+std::vector<std::vector<std::size_t>>
+referenceSort(const std::vector<Individual>& pop) {
+  const std::size_t n = pop.size();
+  std::vector<std::vector<std::size_t>> dominatesList(n);
+  std::vector<int> dominatedBy(n, 0);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (dominates(pop[i].objectives, pop[j].objectives)) {
+        dominatesList[i].push_back(j);
+        ++dominatedBy[j];
+      } else if (dominates(pop[j].objectives, pop[i].objectives)) {
+        dominatesList[j].push_back(i);
+        ++dominatedBy[i];
+      }
+    }
+  std::vector<std::vector<std::size_t>> fronts;
+  std::vector<std::size_t> current;
+  for (std::size_t i = 0; i < n; ++i)
+    if (dominatedBy[i] == 0) current.push_back(i);
+  while (!current.empty()) {
+    std::vector<std::size_t> next;
+    for (std::size_t i : current)
+      for (std::size_t j : dominatesList[i])
+        if (--dominatedBy[j] == 0) next.push_back(j);
+    fronts.push_back(std::move(current));
+    current = std::move(next);
+  }
+  return fronts;
+}
+
+std::vector<std::size_t> bruteForceFirstFront(
+    const std::vector<Individual>& pop) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < pop.size(); ++i) {
+    bool dominated = false;
+    for (std::size_t j = 0; j < pop.size(); ++j)
+      dominated = dominated || dominates(pop[j].objectives, pop[i].objectives);
+    if (!dominated) out.push_back(i);
+  }
+  return out;
+}
+
+/// Reference truncation: the reference sort, then NSGA-II crowding on the
+/// split front with the same sorts and comparators as the library.
+std::vector<std::int64_t> referenceSurvivors(const std::vector<Individual>& pop,
+                                             std::size_t target) {
+  std::vector<std::int64_t> out;
+  if (pop.size() <= target) { // nothing to cut: the order is kept
+    for (const auto& ind : pop) out.push_back(ind.config[0]);
+    return out;
+  }
+  for (const auto& front : referenceSort(pop)) {
+    if (out.size() + front.size() <= target) {
+      for (std::size_t i : front) out.push_back(pop[i].config[0]);
+      if (out.size() == target) break;
+      continue;
+    }
+    const std::size_t n = front.size();
+    std::vector<double> dist(n, 0.0);
+    if (n <= 2) {
+      std::fill(dist.begin(), dist.end(), HUGE_VAL);
+    } else {
+      std::vector<std::size_t> order(n);
+      for (std::size_t obj = 0; obj < 2; ++obj) {
+        for (std::size_t i = 0; i < n; ++i) order[i] = i;
+        std::sort(order.begin(), order.end(),
+                  [&](std::size_t a, std::size_t b) {
+                    return pop[front[a]].objectives[obj] <
+                           pop[front[b]].objectives[obj];
+                  });
+        const double lo = pop[front[order.front()]].objectives[obj];
+        const double hi = pop[front[order.back()]].objectives[obj];
+        dist[order.front()] = HUGE_VAL;
+        dist[order.back()] = HUGE_VAL;
+        if (hi <= lo) continue;
+        for (std::size_t k = 1; k + 1 < n; ++k)
+          dist[order[k]] += (pop[front[order[k + 1]]].objectives[obj] -
+                             pop[front[order[k - 1]]].objectives[obj]) /
+                            (hi - lo);
+      }
+    }
+    std::vector<std::size_t> order(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = i;
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return dist[a] > dist[b]; });
+    for (std::size_t k = 0; out.size() < target; ++k)
+      out.push_back(pop[front[order[k]]].config[0]);
+    break;
+  }
+  return out;
+}
+
+/// A seeded random two-objective population of 0-80 members, config i at
+/// index i, in one of four shapes: a tie-heavy integer grid (with signed
+/// zeros and infinities), a few points repeated many times, uniform
+/// continuous points, or a noisy anti-correlated front.
+std::vector<Individual> randomTwoObjectivePop(support::Rng& rng) {
+  const auto n = static_cast<std::size_t>(rng.uniformInt(0, 80));
+  const auto shape = rng.uniformInt(0, 3);
+  const auto grid = static_cast<double>(rng.uniformInt(1, 6));
+  std::vector<Objectives> pool(
+      static_cast<std::size_t>(rng.uniformInt(1, 6)));
+  for (auto& o : pool) o = {rng.uniform(), rng.uniform()};
+  const auto gridValue = [&] {
+    const auto v = static_cast<double>(rng.uniformInt(0, 7));
+    if (v > grid) return v == 7.0 ? HUGE_VAL : grid; // piles on the edge
+    return v == 0.0 && rng.uniform() < 0.5 ? -0.0 : v;
+  };
+  std::vector<Individual> pop;
+  for (std::size_t i = 0; i < n; ++i) {
+    Objectives o;
+    switch (shape) {
+    case 0: o = {gridValue(), gridValue()}; break;
+    case 1:
+      o = pool[static_cast<std::size_t>(rng.uniformInt(
+          0, static_cast<std::int64_t>(pool.size()) - 1))];
+      break;
+    case 2: o = {rng.uniform(), rng.uniform()}; break;
+    default: {
+      const double x = rng.uniform();
+      o = {x, 1.0 - x + 0.3 * rng.uniform() * rng.uniform()};
+    }
+    }
+    pop.push_back({{}, {static_cast<std::int64_t>(i)}, std::move(o)});
+  }
+  return pop;
+}
+
+TEST(Pareto, TwoObjectiveSortMatchesPairwisePeelingExactly) {
+  // Population order drives the search's RNG stream, so the sorted
+  // two-objective path must return the pairwise peeling's fronts in the
+  // same order, not just the same partition.
+  support::Rng rng(20261019);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const std::vector<Individual> pop = randomTwoObjectivePop(rng);
+    ASSERT_EQ(nonDominatedSort(pop), referenceSort(pop)) << "trial " << trial;
+    ASSERT_EQ(nonDominatedIndices(pop), bruteForceFirstFront(pop))
+        << "trial " << trial;
+    const auto target = static_cast<std::size_t>(
+        rng.uniformInt(0, static_cast<std::int64_t>(pop.size())));
+    // Crowding distances over an infinite span are NaN, which the
+    // descending-distance sort cannot order: compare finite cuts only.
+    if (std::any_of(pop.begin(), pop.end(), [](const Individual& ind) {
+          return std::isinf(ind.objectives[0]) || std::isinf(ind.objectives[1]);
+        }))
+      continue;
+    std::vector<Individual> truncated = pop;
+    truncateByRankAndCrowding(truncated, target);
+    std::vector<std::int64_t> survivors;
+    for (const auto& ind : truncated) survivors.push_back(ind.config[0]);
+    ASSERT_EQ(survivors, referenceSurvivors(pop, target)) << "trial " << trial;
+  }
+}
+
+TEST(Pareto, NaNPopulationTakesThePairwisePath) {
+  // A NaN breaks the strict weak order the sorted path needs; such a
+  // population is peeled pairwise, as before the sorted path existed.
+  support::Rng rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<Individual> pop = randomTwoObjectivePop(rng);
+    if (pop.empty()) continue;
+    const auto victim = static_cast<std::size_t>(
+        rng.uniformInt(0, static_cast<std::int64_t>(pop.size()) - 1));
+    pop[victim].objectives[static_cast<std::size_t>(rng.uniformInt(0, 1))] =
+        std::nan("");
+    ASSERT_EQ(nonDominatedSort(pop), referenceSort(pop)) << "trial " << trial;
+    ASSERT_EQ(nonDominatedIndices(pop), bruteForceFirstFront(pop))
+        << "trial " << trial;
+  }
 }
 
 // --- hypervolume --------------------------------------------------------------

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -458,6 +459,73 @@ TEST(SessionResume, CancelledRunJournalsItsLastBatch) {
   EXPECT_EQ(state.evaluations.size(), result.evaluations);
   for (std::size_t i = 0; i < state.evaluations.size(); ++i)
     EXPECT_EQ(state.evaluations[i].config, recording.evaluated[i]) << i;
+}
+
+/// Forwards to a problem, but one configuration's first objective is NaN.
+class PoisonedFn final : public tuning::ObjectiveFunction {
+public:
+  PoisonedFn(tuning::ObjectiveFunction& inner, tuning::Config poison)
+      : inner_(inner), poison_(std::move(poison)) {}
+  std::size_t numObjectives() const override {
+    return inner_.numObjectives();
+  }
+  const std::vector<tuning::ParamSpec>& space() const override {
+    return inner_.space();
+  }
+  tuning::Objectives evaluate(const tuning::Config& config) override {
+    tuning::Objectives objectives = inner_.evaluate(config);
+    if (config == poison_) objectives[0] = std::nan("");
+    return objectives;
+  }
+
+private:
+  tuning::ObjectiveFunction& inner_;
+  tuning::Config poison_;
+};
+
+TEST(SessionResume, NonFiniteObjectiveStopsTheTuneAndKeepsTheJournal) {
+  // A NaN objective is refused where it enters, naming its config, before
+  // it can reach the Pareto sorts or the journal (which could not parse
+  // it back).
+  autotune::TunerOptions options = sessionlessOptions();
+  options.evaluationWorkers = 1;
+  opt::SyntheticProblem clean = opt::makeSchaffer();
+  RecordingFn recording(clean);
+  autotune::AutoTuner(options).optimize(recording);
+  ASSERT_GT(recording.evaluated.size(), 40u);
+  const tuning::Config poison = recording.evaluated[40];
+  std::string configText = "[";
+  for (std::size_t d = 0; d < poison.size(); ++d)
+    configText += (d ? ", " : "") + std::to_string(poison[d]);
+  configText += "]";
+
+  for (const bool checkpointed : {false, true}) {
+    const std::string dir = freshDir("session-nan");
+    if (checkpointed) options.session.directory = dir;
+    opt::SyntheticProblem problem = opt::makeSchaffer();
+    PoisonedFn poisoned(problem, poison);
+    std::string message;
+    try {
+      autotune::AutoTuner(options).optimize(poisoned);
+    } catch (const support::CheckError& e) {
+      message = e.what();
+    }
+    EXPECT_NE(message.find("non-finite objective for config " + configText),
+              std::string::npos)
+        << message;
+    if (!checkpointed) continue;
+
+    const session::ResumeState state = session::loadSession(dir);
+    EXPECT_FALSE(state.finished);
+    // Every evaluation before the poisoned one is journaled, in order; a
+    // parallel batch may also publish its other completed misses.
+    ASSERT_GE(state.evaluations.size(), 40u);
+    ASSERT_LT(state.evaluations.size(), recording.evaluated.size());
+    for (std::size_t i = 0; i < state.evaluations.size(); ++i) {
+      const std::size_t at = i < 40 ? i : i + 1; // the poison is skipped
+      EXPECT_EQ(state.evaluations[i].config, recording.evaluated[at]) << i;
+    }
+  }
 }
 
 TEST(SessionResume, RefusesMismatchedSearch) {

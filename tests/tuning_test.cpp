@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -252,6 +253,77 @@ TEST(EvaluateBatch, ThrowingMissPublishesOnlyCompletedMisses) {
       EXPECT_EQ(fn.calls.load(), calls)
           << cell << ": a journaled config was not memoized";
     }
+}
+
+/// ToyFn whose first objective is NaN at x == 6 and +infinity at x == 8.
+class NonFiniteFn final : public ObjectiveFunction {
+public:
+  std::size_t numObjectives() const override { return 2; }
+  const std::vector<ParamSpec>& space() const override { return space_; }
+  Objectives evaluate(const Config& c) override {
+    ++calls;
+    const auto x = static_cast<double>(c[0]);
+    if (c[0] == 6) return {std::nan(""), 10.0 - x};
+    if (c[0] == 8) return {HUGE_VAL, 10.0 - x};
+    return {x, 10.0 - x};
+  }
+  std::atomic<int> calls{0};
+
+private:
+  std::vector<ParamSpec> space_{{"x", 0, 10}};
+};
+
+/// The CheckError message of `call`, or "" if it did not throw one.
+template <typename Fn> std::string checkErrorOf(Fn&& call) {
+  try {
+    call();
+  } catch (const support::CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CountingEvaluator, RefusesNonFiniteObjectives) {
+  NonFiniteFn fn;
+  CountingEvaluator counter(fn);
+  EXPECT_NE(checkErrorOf([&] { counter.evaluate({6}); })
+                .find("non-finite objective for config [6]"),
+            std::string::npos);
+  EXPECT_NE(checkErrorOf([&] { counter.evaluate({8}); }).find("[8]"),
+            std::string::npos);
+  EXPECT_EQ(counter.evaluations(), 0u); // neither was memoized
+  EXPECT_THROW(counter.evaluate({6}), support::CheckError);
+  EXPECT_EQ(fn.calls.load(), 3);
+
+  EXPECT_THROW(counter.preload({3}, {std::nan(""), 1.0}), support::CheckError);
+  EXPECT_THROW(counter.preload({3}, {1.0, -HUGE_VAL}), support::CheckError);
+  EXPECT_EQ(counter.evaluations(), 0u);
+  EXPECT_TRUE(counter.preload({3}, {3.0, 7.0}));
+}
+
+TEST(EvaluateBatch, NonFiniteMissFailsLikeAThrowingMiss) {
+  const std::vector<Config> batch{{5}, {1}, {6}, {3}, {5}, {4}};
+  for (bool parallel : {false, true}) {
+    NonFiniteFn fn;
+    CountingEvaluator counter(fn);
+    std::vector<Config> journal;
+    counter.setListener(
+        [&](std::span<const CountingEvaluator::Entry* const> published) {
+          for (const auto* e : published) journal.push_back(e->first);
+        });
+    runtime::ThreadPool pool(4);
+    const std::string error =
+        checkErrorOf([&] { counter.evaluateBatch(batch, pool, parallel); });
+    EXPECT_NE(error.find("[6]"), std::string::npos)
+        << (parallel ? "parallel" : "serial");
+    // The completed misses are published; the non-finite one is not.
+    if (parallel)
+      EXPECT_EQ(journal, (std::vector<Config>{{5}, {1}, {3}, {4}}));
+    else
+      EXPECT_EQ(journal, (std::vector<Config>{{5}, {1}}));
+    EXPECT_EQ(counter.evaluations(), journal.size());
+    EXPECT_THROW(counter.evaluate({6}), support::CheckError);
+  }
 }
 
 TEST(KernelProblem, SpaceMatchesPaperSetup) {
