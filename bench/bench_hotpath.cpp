@@ -50,6 +50,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
@@ -240,10 +241,12 @@ double adaptiveDispatchRate(double minSeconds) {
 
 /// One checkpointed generation's journal traffic: a batch of 25 `eval`
 /// records (about one RS-GDE3 generation's unique evaluations on
-/// mm/westmere) plus a checkpoint of a live 70-generation RS-GDE3 engine
-/// (~7 KB), its state encoded on every iteration as the tuner does, both
-/// appended through the session writer to a journal in a temporary
-/// directory.
+/// mm/westmere) plus a checkpoint (~7 KB at the end), both appended through
+/// the session writer to a journal in a temporary directory. The
+/// checkpoints cycle through the 71 states a 70-generation RS-GDE3 run
+/// passed through, each held by an engine restored to it, and encode
+/// through one memo as the tuner's checkpoints do: each iteration pays for
+/// what changed since the previous state, not for a memo that always hits.
 double journalGenerationRate(double minSeconds) {
   tuning::KernelTuningProblem problem(kernels::kernelByName("mm"),
                                       machine::westmere());
@@ -252,8 +255,21 @@ double journalGenerationRate(double minSeconds) {
   gde3.seed = 1;
   gde3.maxGenerations = 70;
   gde3.noImproveLimit = 70; // run all 70 generations
-  opt::RSGDE3 engine(problem, pool, {gde3, true});
-  (void)engine.run();
+  std::vector<support::Json> states;
+  {
+    opt::RSGDE3 engine(problem, pool, {gde3, true});
+    opt::RunHooks hooks;
+    hooks.checkpoint = [&states](const opt::RSGDE3& search, int) {
+      states.push_back(search.serialize());
+    };
+    (void)engine.run(&hooks);
+  }
+  std::vector<std::unique_ptr<opt::RSGDE3>> engines;
+  for (const support::Json& state : states) {
+    engines.push_back(std::make_unique<opt::RSGDE3>(
+        problem, pool, opt::RSGDE3Options{gde3, true}));
+    engines.back()->restore(state);
+  }
 
   std::vector<tuning::CountingEvaluator::Entry> entries;
   for (const tuning::Config& c : makeConfigs(problem, 25))
@@ -273,13 +289,16 @@ double journalGenerationRate(double minSeconds) {
   double rate = 0.0;
   {
     session::SessionWriter writer(dir.string(), header);
+    opt::EncodeMemo memo;
     int generation = 0;
     rate = throughput(minSeconds, [&] {
       writer.recordEvaluations(batch);
+      const opt::RSGDE3& engine = *engines[static_cast<std::size_t>(
+          generation % static_cast<int>(engines.size()))];
       ++generation;
       writer.recordCheckpoint(
           generation, 25u * generation,
-          [&engine](std::string& out) { engine.encodeState(out); });
+          [&](std::string& out) { engine.encodeState(out, &memo); });
       return 1;
     });
   }

@@ -310,10 +310,12 @@ AutoTuner::optimizeImpl(tuning::ObjectiveFunction& fn,
 
   opt::RunHooks hooks;
   hooks.checkpointEvery = options_.session.checkpointEvery;
-  hooks.checkpoint = [&writer](const opt::RSGDE3& search, int generation) {
+  opt::EncodeMemo memo; // consecutive checkpoints share most of their text
+  hooks.checkpoint = [&writer, &memo](const opt::RSGDE3& search,
+                                      int generation) {
     writer->recordCheckpoint(
         generation, search.engine().evaluations(),
-        [&search](std::string& out) { search.encodeState(out); });
+        [&](std::string& out) { search.encodeState(out, &memo); });
   };
   hooks.shouldStop = options_.stopRequested;
   hooks.onGeneration = options_.onProgress;

@@ -6,6 +6,7 @@
 #include "tuning/surrogate.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -19,7 +20,14 @@ GDE3::GDE3(tuning::ObjectiveFunction& fn, runtime::ThreadPool& pool,
       options_(options),
       fullBoundary_(tuning::Boundary::fromSpace(fn.space())),
       boundary_(fullBoundary_),
-      rng_(options.seed) {
+      rng_(options.seed),
+      generationsCounter_(
+          observe::MetricsRegistry::global().counter("gde3.generations")),
+      bestHvGauge_(observe::MetricsRegistry::global().gauge("gde3.best_hv")),
+      frontSizeGauge_(
+          observe::MetricsRegistry::global().gauge("gde3.front_size")),
+      boundaryVolumeGauge_(
+          observe::MetricsRegistry::global().gauge("gde3.boundary_volume")) {
   MOTUNE_CHECK(options_.population >= 4); // DE needs 4 distinct members
   MOTUNE_CHECK(options_.cr >= 0.0 && options_.cr <= 1.0);
   MOTUNE_CHECK(options_.f > 0.0);
@@ -97,7 +105,7 @@ void GDE3::initialize() {
   lastFrontSize_ = 0; // the first step() counts the initial front as growth
   span.setAttr("seeds", support::Json(seeded));
   span.setAttr("initial_hv", support::Json(bestHv_));
-  observe::MetricsRegistry::global().gauge("gde3.best_hv").set(bestHv_);
+  bestHvGauge_.set(bestHv_);
 }
 
 void GDE3::setBoundary(tuning::Boundary boundary) {
@@ -233,13 +241,13 @@ bool GDE3::step() {
   span.setAttr("boundary_volume", support::Json(boundary_.volume()));
   span.setAttr("improved", support::Json(improved));
   if (options_.surrogate) span.setAttr("culled", support::Json(culledCount));
-  auto& metrics = observe::MetricsRegistry::global();
-  metrics.counter("gde3.generations").add();
-  metrics.gauge("gde3.best_hv").set(bestHv_);
-  metrics.gauge("gde3.front_size")
-      .set(static_cast<double>(lastFrontSize_));
-  metrics.gauge("gde3.boundary_volume").set(boundary_.volume());
-  if (immigrants > 0) metrics.counter("gde3.immigrants").add(immigrants);
+  generationsCounter_.add();
+  bestHvGauge_.set(bestHv_);
+  frontSizeGauge_.set(static_cast<double>(lastFrontSize_));
+  boundaryVolumeGauge_.set(boundary_.volume());
+  if (immigrants > 0)
+    observe::MetricsRegistry::global().counter("gde3.immigrants").add(
+        immigrants);
   return improved;
 }
 
@@ -375,14 +383,13 @@ void individualTo(const Individual& ind, std::string& out) {
   out += '}';
 }
 
-void individualsTo(const std::vector<Individual>& individuals,
-                   std::string& out) {
-  out += '[';
-  for (std::size_t i = 0; i < individuals.size(); ++i) {
-    if (i > 0) out += ',';
-    individualTo(individuals[i], out);
-  }
-  out += ']';
+/// Appends the bits of `values`, length first, to a member key.
+template <class T>
+void keyTo(const std::vector<T>& values, std::string& key) {
+  const auto count = static_cast<std::uint32_t>(values.size());
+  key.append(reinterpret_cast<const char*>(&count), sizeof count);
+  key.append(reinterpret_cast<const char*>(values.data()),
+             values.size() * sizeof(T));
 }
 
 std::vector<double> numbers(const support::Json& j) {
@@ -411,9 +418,78 @@ Individual individualFromJson(const support::Json& j) {
   return ind;
 }
 
-void GDE3::encodeState(std::string& out) const {
+void EncodeMemo::memberTo(const Individual& ind, std::string& out) {
+  key_.clear();
+  keyTo(ind.genome, key_);
+  keyTo(ind.config, key_);
+  keyTo(ind.objectives, key_);
+  auto it = members_.find(key_);
+  if (it != members_.end()) {
+    out += it->second.text;
+  } else {
+    const std::size_t begin = out.size();
+    individualTo(ind, out);
+    // A dropped entry's node and buffers are reused when there is one.
+    if (spare_.empty()) {
+      it = members_.try_emplace(key_).first;
+    } else {
+      Members::node_type node = std::move(spare_.back());
+      spare_.pop_back();
+      node.key() = key_;
+      it = members_.insert(std::move(node)).position;
+    }
+    it->second.text.assign(out, begin);
+  }
+  it->second.epoch = epoch_;
+}
+
+void EncodeMemo::hvHistoryTo(const std::vector<double>& history,
+                             std::string& out) {
+  // Within a search the history only grows: the known text is reused
+  // while its values still lead the history bit for bit.
+  if (hv_.size() > history.size() ||
+      !std::equal(hv_.begin(), hv_.end(), history.begin(),
+                  [](double a, double b) {
+                    return std::bit_cast<std::uint64_t>(a) ==
+                           std::bit_cast<std::uint64_t>(b);
+                  })) {
+    hv_.clear();
+    hvText_.clear();
+  }
+  for (std::size_t i = hv_.size(); i < history.size(); ++i) {
+    if (i > 0) hvText_ += ',';
+    support::numberTo(history[i], hvText_);
+    hv_.push_back(history[i]);
+  }
+  out += '[';
+  out += hvText_;
+  out += ']';
+}
+
+void EncodeMemo::endEncode() {
+  for (auto it = members_.begin(); it != members_.end();) {
+    const auto stale = it++;
+    if (stale->second.epoch != epoch_)
+      spare_.push_back(members_.extract(stale));
+  }
+  ++epoch_;
+}
+
+void GDE3::encodeState(std::string& out, EncodeMemo* memo) const {
   MOTUNE_CHECK_MSG(!population_.empty(),
                    "encodeState() requires an initialized engine");
+  const auto individuals = [&](const std::vector<Individual>& members) {
+    out += '[';
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      if (i > 0) out += ',';
+      if (memo != nullptr)
+        memo->memberTo(members[i], out);
+      else
+        individualTo(members[i], out);
+    }
+    out += ']';
+  };
+
   out += R"({"best_hv":)";
   support::numberTo(bestHv_, out);
   out += R"(,"boundary":{"hi":)";
@@ -421,17 +497,20 @@ void GDE3::encodeState(std::string& out) const {
   out += R"(,"lo":)";
   numbersTo(boundary_.lo, out);
   out += R"(},"front":)";
-  individualsTo(front_, out);
+  individuals(front_);
   out += R"(,"generations":)";
   support::numberTo(generations_, out);
   out += R"(,"hv_history":)";
-  numbersTo(hvHistory_, out);
+  if (memo != nullptr)
+    memo->hvHistoryTo(hvHistory_, out);
+  else
+    numbersTo(hvHistory_, out);
   out += R"(,"last_front_size":)";
   support::numberTo(static_cast<double>(lastFrontSize_), out);
   out += R"(,"metric_worst":)";
   numbersTo(metric_->worst(), out);
   out += R"(,"population":)";
-  individualsTo(population_, out);
+  individuals(population_);
   // RNG words are full 64-bit values, so they travel as hex words.
   const support::Rng::State rng = rng_.state();
   out += R"(,"rng":{"gaussian":)";
@@ -450,6 +529,7 @@ void GDE3::encodeState(std::string& out) const {
     out += options_.surrogate->serialize().dump(-1);
   }
   out += '}';
+  if (memo != nullptr) memo->endEncode();
 }
 
 support::Json GDE3::serialize() const {
@@ -490,7 +570,7 @@ void GDE3::restore(const support::Json& state) {
   if (options_.surrogate && state.has("surrogate"))
     options_.surrogate->restore(state.at("surrogate"));
 
-  observe::MetricsRegistry::global().gauge("gde3.best_hv").set(bestHv_);
+  bestHvGauge_.set(bestHv_);
 }
 
 OptResult GDE3::snapshot() const {

@@ -13,12 +13,16 @@
 
 #include "core/hypervolume.h"
 #include "core/result.h"
+#include "observe/metrics.h"
 #include "runtime/thread_pool.h"
 #include "support/json.h"
 #include "support/rng.h"
 #include "tuning/evaluator.h"
 
+#include <cstdint>
 #include <optional>
+#include <string>
+#include <unordered_map>
 
 namespace motune::tuning {
 class Surrogate;
@@ -73,6 +77,40 @@ struct GDE3Options {
   /// uninterrupted one would.
   tuning::Surrogate* surrogate = nullptr;
   double surrogateKeep = 1.0;
+};
+
+/// What one GDE3::encodeState() wrote, for the next encode handed the same
+/// memo to reuse: the text of every member (population and front) keyed by
+/// the bits of its genome, config and objectives, and the hv_history text
+/// with the values it encodes. Text is reused only on an exact bit match,
+/// so nothing can make it stale: a restore(), a migrant or another
+/// engine's state simply misses. After each encode it holds only the
+/// members just written; the entries it drops are kept as spare storage
+/// for the next misses, at most as many as two encodes' members. A
+/// generation replaces few members and appends one hypervolume, so
+/// consecutive checkpoints of one search mostly hit.
+/// Owned by whoever writes the checkpoints, one per search; its fields are
+/// GDE3's alone.
+class EncodeMemo {
+  friend class GDE3;
+  /// Appends `ind`'s text, copied when the last encode wrote it.
+  void memberTo(const Individual& ind, std::string& out);
+  /// Appends the hv_history array, reusing the text of its known prefix.
+  void hvHistoryTo(const std::vector<double>& history, std::string& out);
+  /// Ends an encode: what it did not write becomes spare storage.
+  void endEncode();
+
+  struct Member {
+    std::string text;
+    std::uint64_t epoch = 0; ///< the encode that last wrote the member
+  };
+  using Members = std::unordered_map<std::string, Member>;
+  Members members_;
+  std::vector<Members::node_type> spare_; ///< dropped entries, for reuse
+  std::uint64_t epoch_ = 0; ///< of the encode in progress
+  std::string key_; ///< the key being looked up (reused buffer)
+  std::vector<double> hv_;
+  std::string hvText_; ///< hv_ as encoded, without the brackets
 };
 
 /// Step-wise GDE3 engine. RS-GDE3 drives it one generation at a time,
@@ -140,9 +178,11 @@ public:
   ///
   /// encodeState() appends the document's text, exactly what dump(-1) of
   /// the same tree writes, without building a tree: checkpoints encode it
-  /// straight into the journal line. serialize() is that text parsed, for
+  /// straight into the journal line. With a memo it copies the text of
+  /// what the memo's last encode already wrote instead of formatting it
+  /// again; the bytes are the same. serialize() is that text parsed, for
   /// callers that want the tree.
-  void encodeState(std::string& out) const;
+  void encodeState(std::string& out, EncodeMemo* memo = nullptr) const;
   support::Json serialize() const;
   void restore(const support::Json& state);
 
@@ -173,6 +213,11 @@ private:
   double bestHv_ = 0.0;
   int generations_ = 0;
   std::vector<double> hvHistory_;
+  // Per-generation gauges, resolved once (the registry never drops one).
+  observe::Counter& generationsCounter_;
+  observe::Gauge& bestHvGauge_;
+  observe::Gauge& frontSizeGauge_;
+  observe::Gauge& boundaryVolumeGauge_;
 };
 
 } // namespace motune::opt

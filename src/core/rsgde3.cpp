@@ -41,12 +41,12 @@ void RSGDE3::reduceAndRecord() {
                  support::Json(fullVolume > 0 ? volume / fullVolume : 0.0)}});
 }
 
-void RSGDE3::encodeState(std::string& out) const {
+void RSGDE3::encodeState(std::string& out, EncodeMemo* memo) const {
   // Keys in the sorted order Json::dump(-1) writes.
   out += R"({"flat":)";
   support::numberTo(flat_, out);
   out += R"(,"format":"motune-rsgde3-state","gde3":)";
-  engine_.encodeState(out);
+  engine_.encodeState(out, memo);
   out += R"(,"version":)";
   support::numberTo(kStateVersion, out);
   out += '}';

@@ -42,8 +42,9 @@ class RSGDE3;
 /// Checkpoint/resume callbacks for RSGDE3::run() and begin(). The caller
 /// decides where the state lives: the checkpoint hook receives the engine
 /// and has it encode its state wherever it writes (the session journal
-/// encodes it straight into one JSONL record per checkpoint); a resume
-/// hands the parsed state back.
+/// encodes it straight into one JSONL record per checkpoint, through an
+/// EncodeMemo the hook's owner keeps); a resume hands the parsed state
+/// back.
 struct RunHooks {
   /// Invoked after initialization and after every checkpointEvery-th
   /// generation (plus the final one); engine.encodeState() appends the
@@ -90,8 +91,9 @@ public:
 
   /// Complete search state: the inner GDE3 engine plus the non-improving
   /// generation counter the stop rule tracks. encodeState() appends its
-  /// JSON text (as GDE3::encodeState does); serialize() parses that text.
-  void encodeState(std::string& out) const;
+  /// JSON text (as GDE3::encodeState does, through `memo` when given);
+  /// serialize() parses that text.
+  void encodeState(std::string& out, EncodeMemo* memo = nullptr) const;
   support::Json serialize() const;
   void restore(const support::Json& state);
 

@@ -76,7 +76,8 @@ Prediction CostModel::predictLowered(const LoweredNest& nest,
   // Westmere regardless of the thread count (§V.C).
   const std::size_t numClasses = nest.classShared.size();
   const std::size_t numCaches = machine_.caches.size();
-  std::vector<double> perThreadTraffic(numCaches, 0.0);
+  // Per-thread bytes per level; scaled to machine-wide at the end.
+  out.trafficBytes.assign(numCaches, 0.0);
   double memCycles = 0.0;
   double socketDramBytes = 0.0;
   for (std::size_t c = 0; c < numCaches; ++c) {
@@ -131,7 +132,7 @@ Prediction CostModel::predictLowered(const LoweredNest& nest,
       if (lastLevel)
         socketDramBytes += classBytes * (shared ? 1.0 : sharers);
     }
-    perThreadTraffic[c] = bytes;
+    out.trafficBytes[c] = bytes;
   }
 
   // --- compute and loop overhead --------------------------------------------
@@ -185,9 +186,7 @@ Prediction CostModel::predictLowered(const LoweredNest& nest,
                            machine_.socketsUsed(hwThreads)) +
                dramBytesTotal * machine_.dramEnergyPerByteNj * 1e-9;
 
-  out.trafficBytes.resize(numCaches);
-  for (std::size_t c = 0; c < numCaches; ++c)
-    out.trafficBytes[c] = perThreadTraffic[c] * pEff;
+  for (double& bytes : out.trafficBytes) bytes *= pEff;
   return out;
 }
 

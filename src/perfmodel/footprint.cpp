@@ -5,6 +5,7 @@
 #include "transform/transforms.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <set>
 
@@ -202,13 +203,40 @@ bool dependsOnAny(const LoopAffine& e, const std::vector<char>& loops) {
   return false;
 }
 
-/// lowerNest with `bounds` standing in for na.bounds (a TiledNest passes
-/// the headers of one tile vector; nothing else about the nest changes).
-LoweredNest lowerWith(const NestAnalysis& na,
-                      std::span<const LoopBounds> bounds,
-                      std::int64_t lineBytes) {
+/// Per access class (arrays in order, then their classes): its subscripts
+/// use no parallel iv, so every thread touches the same data. Parallel ivs
+/// are the collapsed header loops plus every loop whose lower bound depends
+/// on one (a point loop inherits its tile loop's); no tile size moves them.
+std::vector<char> classSharing(const NestAnalysis& na,
+                               std::span<const LoopBounds> bounds) {
   const std::size_t depth = bounds.size();
-  LoweredNest out;
+  const LoopDesc& header = na.loops.front();
+  std::vector<char> parallelLoop(depth, 0);
+  if (header.parallel) {
+    for (int l = 0; l < header.collapse && l < static_cast<int>(depth); ++l)
+      parallelLoop[static_cast<std::size_t>(l)] = 1;
+    for (std::size_t l = 0; l < depth; ++l)
+      if (dependsOnAny(bounds[l].lower, parallelLoop)) parallelLoop[l] = 1;
+  }
+  std::vector<char> classShared;
+  for (const ArrayUsage& usage : na.arrays) {
+    for (const AccessClass& cls : usage.classes) {
+      bool shared = true;
+      for (const LoopAffine& sub : cls.linear)
+        shared = shared && !dependsOnAny(sub, parallelLoop);
+      classShared.push_back(shared ? 1 : 0);
+    }
+  }
+  return classShared;
+}
+
+/// lowerNest into `out`, with `bounds` standing in for na.bounds (a
+/// TiledNest passes the headers of one tile vector; nothing else about the
+/// nest changes) and `classShared` = classSharing(na, bounds).
+void lowerInto(const NestAnalysis& na, std::span<const LoopBounds> bounds,
+               std::span<const char> classShared, std::int64_t lineBytes,
+               LoweredNest& out) {
+  const std::size_t depth = bounds.size();
   out.avgTrip.resize(depth);
   for (std::size_t l = 0; l < depth; ++l)
     out.avgTrip[l] = averageTrip(bounds, l);
@@ -217,36 +245,16 @@ LoweredNest lowerWith(const NestAnalysis& na,
   out.flopsPerIter = na.flopsPerIter;
   out.heavyOpsPerIter = na.heavyOpsPerIter;
   out.innermostUnitStride = na.innermostUnitStride;
+  out.classShared.assign(classShared.begin(), classShared.end());
 
-  // Parallel ivs: the collapsed header loops plus every loop whose lower
-  // bound depends on one (a point loop inherits its tile loop's).
-  std::vector<char> parallelLoop(depth, 0);
-  if (out.parallel) {
-    for (int l = 0; l < out.collapse && l < static_cast<int>(depth); ++l)
-      parallelLoop[static_cast<std::size_t>(l)] = 1;
-    for (std::size_t l = 0; l < depth; ++l)
-      if (dependsOnAny(bounds[l].lower, parallelLoop)) parallelLoop[l] = 1;
-  }
-  std::size_t numClasses = 0;
-  for (const ArrayUsage& usage : na.arrays)
-    numClasses += usage.classes.size();
-  out.classShared.reserve(numClasses);
-  for (const ArrayUsage& usage : na.arrays) {
-    for (const AccessClass& cls : usage.classes) {
-      bool shared = true;
-      for (const LoopAffine& sub : cls.linear)
-        shared = shared && !dependsOnAny(sub, parallelLoop);
-      out.classShared.push_back(shared ? 1 : 0);
-    }
-  }
-
-  // Intervals of every level, then every class's footprint at each.
-  std::vector<Interval> ivs;
-  ivs.reserve((depth + 1) * depth);
+  // Intervals of every level, then every class's footprint at each. The
+  // interval buffer is the thread's own and only lives through this call.
+  thread_local std::vector<Interval> ivs;
+  ivs.clear();
   for (std::size_t lvl = 0; lvl <= depth; ++lvl)
     appendIntervalsAtLevel(bounds, lvl, ivs);
   const auto line = static_cast<double>(lineBytes);
-  out.footprints.reserve(numClasses * (depth + 1));
+  out.footprints.clear();
   for (const ArrayUsage& usage : na.arrays) {
     const double cap = arrayCap(*usage.decl, line);
     for (const AccessClass& cls : usage.classes)
@@ -256,7 +264,11 @@ LoweredNest lowerWith(const NestAnalysis& na,
             std::span<const Interval>(ivs).subspan(lvl * depth, depth), line,
             cap));
   }
-  return out;
+}
+
+std::uint64_t nextNestId() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<std::int64_t> lowCorner(
@@ -409,7 +421,9 @@ NestAnalysis analyzeNest(const ir::Program& program) {
 }
 
 LoweredNest lowerNest(const NestAnalysis& na, std::int64_t lineBytes) {
-  return lowerWith(na, na.bounds, lineBytes);
+  LoweredNest out;
+  lowerInto(na, na.bounds, classSharing(na, na.bounds), lineBytes, out);
+  return out;
 }
 
 double footprintBytes(const NestAnalysis& na, std::size_t arrayIdx,
@@ -427,7 +441,9 @@ double totalFootprintBytes(const NestAnalysis& na, std::size_t level,
 TiledNest::TiledNest(const analyzer::TransformationSkeleton& skeleton)
     : variant_(skeleton.instantiate(lowCorner(skeleton))),
       analysis_(analyzeNest(variant_)),
-      tileDims_(skeleton.tileDepth()) {
+      tileDims_(skeleton.tileDepth()),
+      classShared_(classSharing(analysis_, analysis_.bounds)),
+      id_(nextNestId()) {
   const std::vector<LoopBounds>& b = analysis_.bounds;
   MOTUNE_CHECK_MSG(b.size() >= 2 * tileDims_,
                    "tiled nest is shallower than twice its tile band");
@@ -451,10 +467,18 @@ TiledNest::TiledNest(const analyzer::TransformationSkeleton& skeleton)
                          " below the tile band has non-constant bounds");
 }
 
-std::vector<LoopBounds> TiledNest::boundsAt(
+std::span<const LoopBounds> TiledNest::boundsAt(
     std::span<const std::int64_t> tiles) const {
   MOTUNE_CHECK(tiles.size() == tileDims_);
-  std::vector<LoopBounds> bounds = analysis_.bounds;
+  // Every query overwrites all the fields a tile vector sets, so a thread
+  // copies the bounds again only when it queries another nest.
+  thread_local std::uint64_t owner = 0;
+  thread_local std::vector<LoopBounds> bounds;
+  if (owner != id_) {
+    owner = 0; // a copy that throws leaves no owner behind
+    bounds = analysis_.bounds;
+    owner = id_;
+  }
   for (std::size_t p = 0; p < tileDims_; ++p) {
     MOTUNE_CHECK(tiles[p] >= 1);
     bounds[p].step = tiles[p];
@@ -463,9 +487,9 @@ std::vector<LoopBounds> TiledNest::boundsAt(
   return bounds;
 }
 
-LoweredNest TiledNest::lower(std::span<const std::int64_t> tiles,
-                             std::int64_t lineBytes) const {
-  return lowerWith(analysis_, boundsAt(tiles), lineBytes);
+void TiledNest::lower(std::span<const std::int64_t> tiles,
+                      std::int64_t lineBytes, LoweredNest& out) const {
+  lowerInto(analysis_, boundsAt(tiles), classShared_, lineBytes, out);
 }
 
 double TiledNest::totalFootprintBytes(std::span<const std::int64_t> tiles,

@@ -137,9 +137,11 @@ double totalFootprintBytes(const NestAnalysis& na, std::size_t level,
 /// iv in [iv_t, min(iv_t + t_p, N)), then the constant-bound loops below
 /// the band. Access classes, body counts and thread sharing are therefore
 /// fixed; only the tile loops' steps and the point loops' upper constants
-/// change with a configuration. The constructor analyzes one instantiation
-/// and checks that shape; queries patch the tile sizes into its lowered
-/// bounds. Immutable after construction, so concurrent queries are safe.
+/// change with a configuration. The constructor analyzes one instantiation,
+/// checks that shape and computes the class sharing once; queries patch
+/// the tile sizes into a per-thread copy of its lowered bounds, so a query
+/// allocates nothing once its thread has seen the nest. Immutable after
+/// construction, so concurrent queries are safe.
 class TiledNest {
 public:
   explicit TiledNest(const analyzer::TransformationSkeleton& skeleton);
@@ -149,10 +151,12 @@ public:
   std::size_t depth() const { return analysis_.loops.size(); }
   std::size_t tileDims() const { return tileDims_; }
 
-  /// lowerNest(analyzeNest(skeleton.instantiate(tiles, ...)), lineBytes),
-  /// bit for bit, without building or analyzing a variant.
-  LoweredNest lower(std::span<const std::int64_t> tiles,
-                    std::int64_t lineBytes) const;
+  /// Writes lowerNest(analyzeNest(skeleton.instantiate(tiles, ...)),
+  /// lineBytes) into `out`, bit for bit, without building or analyzing a
+  /// variant. Every field of `out` is overwritten; its vectors keep their
+  /// capacity, so a reused `out` costs no allocation.
+  void lower(std::span<const std::int64_t> tiles, std::int64_t lineBytes,
+             LoweredNest& out) const;
 
   /// totalFootprintBytes of that instantiation.
   double totalFootprintBytes(std::span<const std::int64_t> tiles,
@@ -160,11 +164,16 @@ public:
                              std::int64_t lineBytes) const;
 
 private:
-  std::vector<LoopBounds> boundsAt(std::span<const std::int64_t> tiles) const;
+  /// The calling thread's copy of the lowered bounds with `tiles` patched
+  /// in; valid until the thread's next query on any TiledNest.
+  std::span<const LoopBounds> boundsAt(
+      std::span<const std::int64_t> tiles) const;
 
   ir::Program variant_;
   NestAnalysis analysis_;
   std::size_t tileDims_;
+  std::vector<char> classShared_; ///< LoweredNest::classShared, any tiles
+  std::uint64_t id_;              ///< process-unique: keys threads' copies
 };
 
 } // namespace motune::perf

@@ -154,14 +154,24 @@ ResumeState loadSession(const std::string& directory) {
 }
 
 SessionWriter::SessionWriter(const std::string& directory,
+                             JournalWriter::Mode mode)
+    : journal_(journalPath(directory), mode),
+      evaluationsCounter_(observe::MetricsRegistry::global().counter(
+          "session.evaluations.recorded")),
+      checkpointsCounter_(
+          observe::MetricsRegistry::global().counter("session.checkpoints")),
+      checkpointGeneration_(observe::MetricsRegistry::global().gauge(
+          "session.checkpoint.generation")) {}
+
+SessionWriter::SessionWriter(const std::string& directory,
                              const SessionHeader& header)
-    : journal_(journalPath(directory), JournalWriter::Mode::Truncate) {
+    : SessionWriter(directory, JournalWriter::Mode::Truncate) {
   journal_.write(headerToJson(header));
 }
 
 SessionWriter::SessionWriter(const std::string& directory,
                              const ResumeState& resumed)
-    : journal_(journalPath(directory), JournalWriter::Mode::Append) {
+    : SessionWriter(directory, JournalWriter::Mode::Append) {
   journal_.write(support::JsonObject{
       {"type", "resume"},
       {"recorded_evaluations", resumed.evaluations.size()},
@@ -190,8 +200,7 @@ void SessionWriter::recordEvaluations(
   }
   journal_.writeLines(lines, batch.size());
   evaluations_.fetch_add(batch.size(), std::memory_order_relaxed);
-  observe::MetricsRegistry::global().counter("session.evaluations.recorded")
-      .add(batch.size());
+  evaluationsCounter_.add(batch.size());
 }
 
 void SessionWriter::recordCheckpoint(
@@ -209,10 +218,8 @@ void SessionWriter::recordCheckpoint(
   line += ",\"type\":\"checkpoint\"}\n";
   journal_.writeLines(line, 1);
   checkpoints_.fetch_add(1, std::memory_order_relaxed);
-  auto& metrics = observe::MetricsRegistry::global();
-  metrics.counter("session.checkpoints").add();
-  metrics.gauge("session.checkpoint.generation")
-      .set(static_cast<double>(generation));
+  checkpointsCounter_.add();
+  checkpointGeneration_.set(static_cast<double>(generation));
 }
 
 void SessionWriter::recordFinish(std::uint64_t evaluations,

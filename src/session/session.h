@@ -29,6 +29,7 @@
 // docs/architecture.md.
 #pragma once
 
+#include "observe/metrics.h"
 #include "session/journal.h"
 #include "tuning/evaluator.h"
 #include "tuning/search_space.h"
@@ -135,9 +136,15 @@ public:
   std::uint64_t checkpointsWritten() const { return checkpoints_; }
 
 private:
+  SessionWriter(const std::string& directory, JournalWriter::Mode mode);
+
   JournalWriter journal_;
   std::atomic<std::uint64_t> evaluations_{0};
   std::atomic<std::uint64_t> checkpoints_{0};
+  // session.* instruments, resolved once (the registry never drops one).
+  observe::Counter& evaluationsCounter_;
+  observe::Counter& checkpointsCounter_;
+  observe::Gauge& checkpointGeneration_;
 };
 
 } // namespace motune::session

@@ -71,20 +71,35 @@ CountingEvaluator::evaluateBatch(const std::vector<Config>& configs,
   // Pass 1: serve memo hits; note each miss at its first appearance and
   // each repeat of a miss as (position, miss slot).
   std::vector<Objectives> out(configs.size());
-  std::vector<std::size_t> misses;
-  std::unordered_map<Config, std::size_t, ConfigHash> missOf;
-  std::vector<std::pair<std::size_t, std::size_t>> repeats;
+  std::vector<std::size_t> missed;
   for (std::size_t i = 0; i < configs.size(); ++i) {
     if (auto it = memo_.find(configs[i]); it != memo_.end()) {
       out[i] = it->second;
       countHit();
-    } else if (auto [slot, fresh] = missOf.emplace(configs[i], misses.size());
-               fresh) {
-      misses.push_back(i);
     } else {
-      repeats.emplace_back(i, slot->second);
+      missed.push_back(i);
     }
   }
+  // Group equal configs by sorting the missed positions (stable, so a
+  // group starts at its first appearance): no allocation per miss, and
+  // O(n log n) for the thousands of configs a random or grid batch holds.
+  std::stable_sort(missed.begin(), missed.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return configs[a] < configs[b];
+                   });
+  std::vector<std::size_t> misses;
+  std::vector<std::pair<std::size_t, std::size_t>> repeats;
+  for (std::size_t k = 0; k < missed.size(); ++k) {
+    if (k > 0 && configs[missed[k]] == configs[misses.back()])
+      repeats.emplace_back(missed[k], misses.back());
+    else
+      misses.push_back(missed[k]);
+  }
+  std::sort(misses.begin(), misses.end()); // first-appearance order
+  for (auto& [i, slot] : repeats)
+    slot = static_cast<std::size_t>(
+        std::lower_bound(misses.begin(), misses.end(), slot) -
+        misses.begin());
 
   // Pass 2: evaluate the distinct misses; a task touches only its slot.
   const std::size_t n = misses.size();

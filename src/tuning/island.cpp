@@ -289,7 +289,7 @@ public:
       hooks_.checkpoint = [this](const opt::RSGDE3& engine, int generation) {
         writer_->recordCheckpoint(
             generation, engine.engine().evaluations(),
-            [&engine](std::string& out) { engine.encodeState(out); });
+            [&](std::string& out) { engine.encodeState(out, &memo_); });
       };
     }
     hooks_.shouldStop = options.stopRequested;
@@ -369,6 +369,7 @@ private:
   std::optional<session::ResumeState> resumed_;
   std::unique_ptr<session::SessionWriter> writer_;
   opt::RunHooks hooks_;
+  opt::EncodeMemo memo_; ///< of this island's checkpoints
   IslandOutcome out_;
   bool done_ = false;
   int waitingFor_ = -1;

@@ -64,8 +64,12 @@ perf::Prediction KernelTuningProblem::predictFull(const Config& config) const {
     MOTUNE_CHECK_MSG(config[i] >= space_[i].lo && config[i] <= space_[i].hi,
                      "parameter out of range: " + space_[i].name);
   const std::span<const std::int64_t> tiles(config.data(), nest_.tileDims());
-  return model_.predictLowered(nest_.lower(tiles, model_.lineBytes()),
-                               static_cast<int>(config.back()));
+  // The thread's own lowered nest: lower() overwrites all of it and keeps
+  // its capacity, so an evaluation allocates only its results. Pool
+  // threads evaluate concurrently, hence one per thread.
+  thread_local perf::LoweredNest lowered;
+  nest_.lower(tiles, model_.lineBytes(), lowered);
+  return model_.predictLowered(lowered, static_cast<int>(config.back()));
 }
 
 double KernelTuningProblem::untiledSerialSeconds() const {

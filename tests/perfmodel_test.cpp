@@ -12,7 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <span>
+#include <thread>
+#include <vector>
 
 namespace motune::perf {
 namespace {
@@ -344,11 +348,106 @@ TEST(ParametricNest, NoiseHashesTheSameAverageTrips) {
                                    0, noisy);
 }
 
+/// Field-by-field bitwise comparison of two lowered nests.
+bool bitEqual(const LoweredNest& a, const LoweredNest& b) {
+  const auto same = [](const std::vector<double>& x,
+                       const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           (x.empty() ||
+            std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
+  };
+  return same(a.avgTrip, b.avgTrip) && a.parallel == b.parallel &&
+         a.collapse == b.collapse && a.classShared == b.classShared &&
+         same(a.footprints, b.footprints) &&
+         std::memcmp(&a.flopsPerIter, &b.flopsPerIter, sizeof(double)) == 0 &&
+         std::memcmp(&a.heavyOpsPerIter, &b.heavyOpsPerIter,
+                     sizeof(double)) == 0 &&
+         a.innermostUnitStride == b.innermostUnitStride;
+}
+
+TEST(ParametricNest, ReusedScratchMatchesTheReferencePath) {
+  // Kernels of different depths and tile bands, queried in turn on two
+  // threads through predictFull (per-thread scratch) and through one
+  // reused LoweredNest per thread: stale scratch from the previous query,
+  // kernel or thread would show as a bit difference.
+  const std::vector<std::unique_ptr<tuning::KernelTuningProblem>> problems = [] {
+    std::vector<std::unique_ptr<tuning::KernelTuningProblem>> out;
+    out.push_back(std::make_unique<tuning::KernelTuningProblem>(
+        kernels::kernelByName("mm"), westmere(), 48));
+    out.push_back(std::make_unique<tuning::KernelTuningProblem>(
+        kernels::kernelByName("jacobi-2d"), barcelona(), 64));
+    out.push_back(std::make_unique<tuning::KernelTuningProblem>(
+        kernels::kernelByName("3d-stencil"), westmere(), 32));
+    return out;
+  }();
+  struct Case {
+    std::size_t problem;
+    tuning::Config config;
+    Prediction reference;
+    LoweredNest lowered;
+  };
+  std::vector<Case> cases;
+  for (std::size_t p = 0; p < problems.size(); ++p) {
+    const tuning::KernelTuningProblem& problem = *problems[p];
+    const CostModel model(problem.machine());
+    const auto configs = sampleConfigs(problem.space(), 0xab + p);
+    for (std::size_t i = 0; i < 150; ++i) {
+      const ir::Program variant = problem.instantiate(configs[i]);
+      const NestAnalysis na = analyzeNest(variant);
+      cases.push_back({p, configs[i],
+                       model.predictAnalyzed(
+                           na, static_cast<int>(configs[i].back())),
+                       lowerNest(na, model.lineBytes())});
+    }
+  }
+  const auto check = [&](std::size_t stride, std::size_t offset) {
+    std::string failures;
+    LoweredNest reused;
+    for (std::size_t k = 0; k < 3 * cases.size(); ++k) {
+      // Cycle the kernels; pick each one's config by a stride.
+      const Case& c = cases[(k % 3) * 150 + (k * stride + offset) % 150];
+      const tuning::KernelTuningProblem& problem = *problems[c.problem];
+      const std::string diff = bitDiff(problem.predictFull(c.config),
+                                       c.reference);
+      const std::span<const std::int64_t> tiles(
+          c.config.data(), problem.nest().tileDims());
+      problem.nest().lower(tiles, problem.machine().caches.front().lineBytes,
+                           reused);
+      if (!diff.empty() || !bitEqual(reused, c.lowered))
+        failures += " [" + ::testing::PrintToString(c.config) + diff + "]";
+    }
+    return failures;
+  };
+  std::string other;
+  std::thread worker([&] { other = check(7, 3); });
+  const std::string mine = check(11, 0);
+  worker.join();
+  EXPECT_EQ(mine, "");
+  EXPECT_EQ(other, "");
+}
+
+TEST(ParametricNest, ANestBuiltWhereAnotherWasKeepsNoneOfItsScratch) {
+  // std::optional reuses its storage, so each problem's nest lives at the
+  // address of the one before it.
+  std::optional<tuning::KernelTuningProblem> problem;
+  for (const char* kernel : {"mm", "jacobi-2d", "mm", "dsyrk", "3d-stencil"}) {
+    problem.emplace(kernels::kernelByName(kernel), westmere(), 40);
+    const CostModel model(problem->machine());
+    for (const tuning::Config& c : sampleConfigs(problem->space(), 9)) {
+      const Prediction ref = model.predictAnalyzed(
+          analyzeNest(problem->instantiate(c)), static_cast<int>(c.back()));
+      ASSERT_EQ(bitDiff(problem->predictFull(c), ref), "")
+          << kernel << " config " << ::testing::PrintToString(c);
+    }
+  }
+}
+
 TEST(ParametricNest, RejectsATileVectorOfTheWrongLength) {
   const tuning::KernelTuningProblem problem(kernels::kernelByName("mm"),
                                             westmere(), 64);
   const std::int64_t tiles[] = {8, 8};
-  EXPECT_THROW(problem.nest().lower(tiles, 64), support::CheckError);
+  LoweredNest lowered;
+  EXPECT_THROW(problem.nest().lower(tiles, 64, lowered), support::CheckError);
 }
 
 } // namespace

@@ -5,9 +5,12 @@
 // front and evaluation count bit-identical to the uninterrupted run.
 #include "autotune/autotuner.h"
 #include "core/gde3.h"
+#include "core/rsgde3.h"
 #include "core/testproblems.h"
 #include "kernels/kernel.h"
 #include "machine/machine.h"
+#include "observe/metrics.h"
+#include "runtime/thread_pool.h"
 #include "session/journal.h"
 #include "session/session.h"
 #include "support/check.h"
@@ -24,6 +27,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -892,4 +896,144 @@ TEST(SessionJournal, BytesOfAnIslandTuneArePinned) {
   EXPECT_EQ(hash0, 13091264293149453262ull);
   EXPECT_EQ(size1, 37829u);
   EXPECT_EQ(hash1, 13271058229870177537ull);
+}
+
+namespace {
+
+/// A checkpoint hook that encodes every checkpoint twice, through one memo
+/// kept across the run and memo-free, and expects the same text.
+struct MemoDifferential {
+  opt::EncodeMemo memo;
+  int checkpoints = 0;
+
+  void operator()(const opt::RSGDE3& engine, int generation) {
+    std::string text;
+    engine.encodeState(text, &memo);
+    ASSERT_EQ(text, engine.serialize().dump(-1))
+        << "checkpoint of generation " << generation;
+    ++checkpoints;
+  }
+  opt::RunHooks hooks() {
+    opt::RunHooks hooks;
+    hooks.checkpoint = [this](const opt::RSGDE3& engine, int generation) {
+      (*this)(engine, generation);
+    };
+    return hooks;
+  }
+};
+
+tuning::KernelTuningProblem mmWestmere() {
+  return tuning::KernelTuningProblem(kernels::kernelByName("mm"),
+                                     machine::machineByName("westmere"));
+}
+
+std::uint64_t counterValue(const std::string& name) {
+  return observe::MetricsRegistry::global().counter(name).value();
+}
+
+} // namespace
+
+TEST(CheckpointMemo, PlainTuneWithImmigrantsEncodesAsWithoutTheMemo) {
+  tuning::KernelTuningProblem problem = mmWestmere();
+  runtime::ThreadPool pool(2);
+  opt::GDE3Options gde3;
+  gde3.seed = 3;
+  const std::uint64_t immigrants = counterValue("gde3.immigrants");
+  MemoDifferential check;
+  const opt::RunHooks hooks = check.hooks();
+  (void)opt::RSGDE3(problem, pool, {gde3, true}).run(&hooks);
+  EXPECT_GT(check.checkpoints, 10);
+  EXPECT_GT(counterValue("gde3.immigrants"), immigrants)
+      << "the run must inject stagnation immigrants";
+}
+
+TEST(CheckpointMemo, SurrogateTuneEncodesAsWithoutTheMemo) {
+  tuning::KernelTuningProblem problem = mmWestmere();
+  runtime::ThreadPool pool(2);
+  tuning::Surrogate surrogate(problem.space(), problem.numObjectives());
+  opt::GDE3Options gde3;
+  gde3.seed = 1;
+  gde3.surrogate = &surrogate;
+  gde3.surrogateKeep = 0.5;
+  const std::uint64_t culled = counterValue("tuning.surrogate.culled");
+  MemoDifferential check;
+  const opt::RunHooks hooks = check.hooks();
+  (void)opt::RSGDE3(problem, pool, {gde3, true}).run(&hooks);
+  EXPECT_GT(check.checkpoints, 10);
+  EXPECT_GT(counterValue("tuning.surrogate.culled"), culled);
+}
+
+TEST(CheckpointMemo, IslandsWithMigrantsEncodeAsWithoutTheMemo) {
+  // Two engines stepped in turn, trading their top members every second
+  // generation before its checkpoint, as the island model does.
+  tuning::KernelTuningProblem problem = mmWestmere();
+  runtime::ThreadPool pool(2);
+  std::vector<std::unique_ptr<opt::RSGDE3>> islands;
+  std::vector<MemoDifferential> checks(2);
+  std::vector<opt::RunHooks> hooks;
+  for (int k = 0; k < 2; ++k) {
+    opt::GDE3Options gde3;
+    gde3.seed = 5 + static_cast<std::uint64_t>(k);
+    islands.push_back(
+        std::make_unique<opt::RSGDE3>(problem, pool, opt::RSGDE3Options{gde3}));
+    hooks.push_back(checks[static_cast<std::size_t>(k)].hooks());
+  }
+  for (int k = 0; k < 2; ++k) islands[k]->begin(&hooks[k]);
+  std::size_t integrated = 0;
+  for (bool running = true; running;) {
+    running = false;
+    std::vector<char> stepped(2, 0);
+    for (int k = 0; k < 2; ++k) stepped[k] = islands[k]->nextGeneration();
+    if (stepped[0] && stepped[1] &&
+        islands[0]->engine().generationsDone() % 2 == 0) {
+      const auto outbound0 = islands[0]->engine().selectTop(3);
+      const auto outbound1 = islands[1]->engine().selectTop(3);
+      integrated += islands[0]->engine().integrateMigrants(outbound1);
+      integrated += islands[1]->engine().integrateMigrants(outbound0);
+    }
+    for (int k = 0; k < 2; ++k)
+      if (stepped[k]) {
+        islands[k]->endGeneration();
+        running = true;
+      }
+  }
+  for (auto& island : islands) (void)island->end();
+  EXPECT_GT(integrated, 0u);
+  EXPECT_GT(checks[0].checkpoints + checks[1].checkpoints, 20);
+}
+
+TEST(CheckpointMemo, RestoredStateNeverReadsAnotherRunsText) {
+  // Both runs go exactly eight generations, so their hv_history texts
+  // have the same length and differ only in their values.
+  tuning::KernelTuningProblem problem = mmWestmere();
+  runtime::ThreadPool pool(1);
+  opt::GDE3Options gde3;
+  gde3.maxGenerations = 8;
+  gde3.noImproveLimit = 100;
+  const auto finalState = [&](std::uint64_t seed, MemoDifferential& check) {
+    gde3.seed = seed;
+    opt::RSGDE3 engine(problem, pool, {gde3, true});
+    const opt::RunHooks hooks = check.hooks();
+    (void)engine.run(&hooks);
+    return engine.serialize();
+  };
+  MemoDifferential first, second;
+  const support::Json state1 = finalState(1, first);
+  const support::Json state2 = finalState(2, second);
+  const auto& hv1 = state1.at("gde3").at("hv_history").asArray();
+  const auto& hv2 = state2.at("gde3").at("hv_history").asArray();
+  ASSERT_EQ(hv1.size(), hv2.size());
+  ASSERT_NE(hv1.back().asNumber(), hv2.back().asNumber());
+
+  // first.memo holds run 1's last text; an engine restored to run 2's
+  // state, and back, must encode what it holds, not what the memo has.
+  gde3.seed = 1;
+  opt::RSGDE3 engine(problem, pool, {gde3, true});
+  engine.restore(state2);
+  first(engine, 8);
+  EXPECT_EQ(engine.serialize().dump(-1), state2.dump(-1));
+  engine.restore(state1);
+  first(engine, 8);
+  EXPECT_EQ(engine.serialize().dump(-1), state1.dump(-1));
+  EXPECT_EQ(first.checkpoints, 9 + 2);
 }
