@@ -2,7 +2,9 @@
 //
 // Times the paths the tuning pipeline spends its cycles in — the memoizing
 // evaluator's hit path, one configuration's
-// evaluation on the parametric nest, the reference path's skeleton
+// evaluation on the parametric nest, all-miss search batches through the
+// memoizing evaluator (also printed as the time they add per miss over
+// plain evaluation), the reference path's skeleton
 // instantiation + nest analysis, IR execution (tree walker vs. the flat
 // bytecode engine), batched cache simulation, one checkpointed
 // generation's session-journal writes, and the Pareto bookkeeping (a
@@ -44,6 +46,7 @@
 #include "tuning/evaluator.h"
 #include "tuning/kernel_problem.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -51,6 +54,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <set>
 #include <span>
 #include <sstream>
 #include <string>
@@ -125,19 +129,91 @@ double memoLookupRate(double minSeconds) {
   });
 }
 
-/// Configuration evaluation: KernelTuningProblem::evaluate over distinct
-/// mm/westmere configurations (no memo in front), i.e. the parametric nest
-/// plus the cost model's arithmetic that every unique search point costs.
+/// 70 generations of 30 distinct mm/westmere configurations: the unique
+/// points a default search evaluates, batch by batch.
+std::vector<std::vector<tuning::Config>> searchBatches(
+    const tuning::ObjectiveFunction& fn) {
+  std::vector<std::vector<tuning::Config>> batches(70);
+  std::set<tuning::Config> drawn;
+  support::Rng rng(31);
+  while (drawn.size() < 70 * 30) {
+    tuning::Config c;
+    for (const tuning::ParamSpec& p : fn.space())
+      c.push_back(rng.uniformInt(p.lo, p.hi));
+    if (drawn.insert(c).second)
+      batches[(drawn.size() - 1) / 30].push_back(std::move(c));
+  }
+  return batches;
+}
+
+/// Configuration evaluation: KernelTuningProblem::evaluate over the
+/// search batches' configurations (no memo in front), i.e. the parametric
+/// nest plus the cost model's arithmetic that every unique search point
+/// costs.
 double kernelEvalRate(double minSeconds) {
   tuning::KernelTuningProblem problem(kernels::kernelByName("mm"),
                                       machine::westmere());
-  const auto configs = makeConfigs(problem, 4096);
+  const auto batches = searchBatches(problem);
   return throughput(minSeconds, [&] {
     double acc = 0.0;
-    for (const auto& c : configs) acc += problem.evaluate(c)[0];
+    for (const auto& batch : batches)
+      for (const auto& c : batch) acc += problem.evaluate(c)[0];
     escape(&acc);
-    return configs.size();
+    return 70 * 30;
   });
+}
+
+/// The same configurations as all-miss batches through
+/// CountingEvaluator::evaluateBatch, a fresh evaluator (empty memo) every
+/// 70 batches: evaluation plus the memo, counting, latency and journal
+/// bookkeeping each unique point adds on the search's path.
+double batchEvalRate(double minSeconds) {
+  tuning::KernelTuningProblem problem(kernels::kernelByName("mm"),
+                                      machine::westmere());
+  const auto batches = searchBatches(problem);
+  runtime::ThreadPool pool(1);
+  return throughput(minSeconds, [&] {
+    tuning::CountingEvaluator counter(problem);
+    for (const auto& batch : batches) {
+      const auto out = counter.evaluateBatch(batch, pool, false);
+      escape(out.data());
+    }
+    return counter.evaluations();
+  });
+}
+
+/// Nanoseconds evaluateBatch adds per miss over plain evaluation of the
+/// same configurations. Plain and batched passes alternate and each side's
+/// fastest pass counts, so load that comes and goes hits both alike.
+double batchOverheadNs(double minSeconds) {
+  using clock = std::chrono::steady_clock;
+  tuning::KernelTuningProblem problem(kernels::kernelByName("mm"),
+                                      machine::westmere());
+  const auto batches = searchBatches(problem);
+  runtime::ThreadPool pool(1);
+  const auto seconds = [](clock::time_point since) {
+    return std::chrono::duration<double>(clock::now() - since).count();
+  };
+  double plain = 1e9, batched = 1e9;
+  const auto start = clock::now();
+  for (int round = 0; round < 10 || seconds(start) < minSeconds; ++round) {
+    auto t = clock::now();
+    double acc = 0.0;
+    for (const auto& batch : batches)
+      for (const auto& c : batch) acc += problem.evaluate(c)[0];
+    escape(&acc);
+    plain = std::min(plain, seconds(t));
+    t = clock::now();
+    {
+      tuning::CountingEvaluator counter(problem);
+      for (const auto& batch : batches) {
+        const auto out = counter.evaluateBatch(batch, pool, false);
+        escape(out.data());
+      }
+    }
+    batched = std::min(batched, seconds(t));
+  }
+  return (batched - plain) / (70 * 30) * 1e9;
 }
 
 /// The reference path: skeleton instantiation plus a full nest analysis,
@@ -424,6 +500,9 @@ int main(int argc, char** argv) {
 
   add("memo.lookup.serial", memoLookupRate(minTime), "lookups/s");
   add("eval.kernel_problem", kernelEvalRate(minTime), "evaluations/s");
+  add("eval.batch", batchEvalRate(minTime), "evaluations/s");
+  std::cout << "  eval.batch overhead per miss: "
+            << support::fmt(batchOverheadNs(minTime), 3) << " ns\n";
   add("variant.instantiate_analyze", variantRate(minTime), "variants/s");
   const double tree = interpRate(/*bytecode=*/false, minTime);
   add("interp.tree", tree, "statements/s");

@@ -370,17 +370,26 @@ std::uint64_t threadSweepRefinement(tuning::KernelTuningProblem& problem,
   }
   for (const auto& ind : result.population) evaluated.insert(ind.config);
 
+  // Each tile vector is lowered once for all of its new thread counts.
   std::uint64_t extra = 0;
   std::vector<opt::Individual> pool = result.front;
+  std::vector<std::int64_t> threads;
   for (const auto& t : tiles) {
+    threads.clear();
+    tuning::Config config = t;
+    config.push_back(0);
     for (std::int64_t p = 1; p <= maxThreads; ++p) {
-      tuning::Config config = t;
-      config.push_back(p);
-      if (!evaluated.insert(config).second) continue;
+      config.back() = p;
+      if (evaluated.insert(config).second) threads.push_back(p);
+    }
+    std::vector<tuning::Objectives> objectives =
+        problem.evaluateThreadCounts(t, threads);
+    for (std::size_t k = 0; k < threads.size(); ++k) {
+      config.back() = threads[k];
       opt::Individual ind;
       ind.genome.assign(config.begin(), config.end());
-      ind.objectives = problem.evaluate(config);
-      ind.config = std::move(config);
+      ind.config = config;
+      ind.objectives = std::move(objectives[k]);
       pool.push_back(std::move(ind));
       ++extra;
     }

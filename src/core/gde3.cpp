@@ -41,7 +41,7 @@ GDE3::evaluateAll(std::vector<std::vector<double>> genomes,
   configs.reserve(genomes.size());
   for (const auto& g : genomes) configs.push_back(projection.closestTo(g));
 
-  std::vector<tuning::Objectives> objectives =
+  const std::vector<const tuning::Objectives*> objectives =
       counter_.evaluateBatch(configs, pool_, options_.parallelEvaluation);
 
   // Every evaluated point is offered to the front, so the reported Pareto
@@ -50,8 +50,8 @@ GDE3::evaluateAll(std::vector<std::vector<double>> genomes,
   std::vector<Individual> out;
   out.reserve(genomes.size());
   for (std::size_t i = 0; i < genomes.size(); ++i) {
-    out.push_back({std::move(genomes[i]), std::move(configs[i]),
-                   std::move(objectives[i])});
+    out.push_back(
+        {std::move(genomes[i]), std::move(configs[i]), *objectives[i]});
     insertIntoFront(front_, out.back());
     if (options_.surrogate)
       options_.surrogate->observe(out.back().config, out.back().objectives);

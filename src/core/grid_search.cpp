@@ -73,7 +73,7 @@ OptResult GridSearch::run() {
   for (std::size_t i = 0; i < configs.size(); ++i) {
     std::vector<double> genome(configs[i].begin(), configs[i].end());
     res.population.push_back(
-        {std::move(genome), configs[i], objectives[i]});
+        {std::move(genome), configs[i], *objectives[i]});
   }
   res.front = paretoFront(res.population);
   res.evaluations = counter.evaluations();

@@ -59,13 +59,12 @@ OptResult NSGA2::run() {
     std::vector<tuning::Config> configs;
     configs.reserve(genomes.size());
     for (const auto& g : genomes) configs.push_back(bounds.closestTo(g));
-    auto objs =
+    const auto objs =
         counter.evaluateBatch(configs, pool_, options_.parallelEvaluation);
     std::vector<Individual> out;
     out.reserve(genomes.size());
     for (std::size_t i = 0; i < genomes.size(); ++i)
-      out.push_back({std::move(genomes[i]), std::move(configs[i]),
-                     std::move(objs[i])});
+      out.push_back({std::move(genomes[i]), std::move(configs[i]), *objs[i]});
     return out;
   };
 

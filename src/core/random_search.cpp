@@ -32,11 +32,11 @@ OptResult RandomSearch::run() {
       configs.push_back(bounds.closestTo(g));
       genomes.push_back(std::move(g));
     }
-    auto objectives =
+    const auto objectives =
         counter.evaluateBatch(configs, pool_, options_.parallelEvaluation);
     for (std::size_t i = 0; i < configs.size(); ++i)
-      all.push_back({std::move(genomes[i]), std::move(configs[i]),
-                     std::move(objectives[i])});
+      all.push_back(
+          {std::move(genomes[i]), std::move(configs[i]), *objectives[i]});
     if (all.size() > 4 * options_.budget) break; // tiny space: give up
   }
 

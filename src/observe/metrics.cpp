@@ -26,6 +26,20 @@ double bucketValue(int index) {
 
 void Histogram::observe(double v) {
   std::lock_guard lock(mutex_);
+  record(v);
+}
+
+void Histogram::observe(std::span<const double> values) {
+  if (values.empty()) return;
+  std::lock_guard lock(mutex_);
+  for (const double v : values) record(v);
+}
+
+void Histogram::record(double v) {
+  if (!std::isfinite(v)) {
+    ++nonFinite_;
+    return;
+  }
   ++count_;
   sum_ += v;
   min_ = std::min(min_, v);
@@ -46,6 +60,7 @@ Histogram::Snapshot Histogram::snapshot() const {
     s.max = max_;
   }
   s.nonPositive = nonPositive_;
+  s.nonFinite = nonFinite_;
   s.buckets = buckets_;
   return s;
 }
@@ -75,6 +90,7 @@ void Histogram::reset() {
   min_ = std::numeric_limits<double>::infinity();
   max_ = -std::numeric_limits<double>::infinity();
   nonPositive_ = 0;
+  nonFinite_ = 0;
   buckets_.clear();
 }
 
@@ -119,6 +135,7 @@ support::Json MetricsRegistry::toJson() const {
         obj["p90"] = support::Json(s.p90());
         obj["p99"] = support::Json(s.p99());
       }
+      if (s.nonFinite > 0) obj["non_finite"] = support::Json(s.nonFinite);
       histograms[name] = support::Json(std::move(obj));
     }
   }

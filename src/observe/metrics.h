@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 
 namespace motune::observe {
@@ -87,6 +88,7 @@ public:
     double min = 0.0;
     double max = 0.0;
     std::uint64_t nonPositive = 0;         ///< observations <= 0
+    std::uint64_t nonFinite = 0; ///< NaN and ±inf, outside every other field
     std::map<int, std::uint64_t> buckets;  ///< log-bucket index -> count
 
     double mean() const {
@@ -101,17 +103,24 @@ public:
     double p99() const { return quantile(0.99); }
   };
 
+  /// Records one value. A NaN or infinite value only counts in
+  /// Snapshot::nonFinite: it would poison sum and has no bucket.
   void observe(double v);
+  /// observe() of each value in order, under one lock.
+  void observe(std::span<const double> values);
   Snapshot snapshot() const;
   void reset();
 
 private:
+  void record(double v); // observe() with mutex_ held
+
   mutable std::mutex mutex_;
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
   std::uint64_t nonPositive_ = 0;
+  std::uint64_t nonFinite_ = 0;
   std::map<int, std::uint64_t> buckets_;
 };
 

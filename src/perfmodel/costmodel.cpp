@@ -40,8 +40,8 @@ Prediction CostModel::predictAnalyzed(const NestAnalysis& na,
   return predictLowered(lowerNest(na, lineBytes()), threads);
 }
 
-Prediction CostModel::predictLowered(const LoweredNest& nest,
-                                     int threads) const {
+Prediction CostModel::predictLowered(const LoweredNest& nest, int threads,
+                                     bool trafficBytes) const {
   MOTUNE_CHECK(threads >= 1);
   Prediction out;
   out.threads = threads;
@@ -77,7 +77,7 @@ Prediction CostModel::predictLowered(const LoweredNest& nest,
   const std::size_t numClasses = nest.classShared.size();
   const std::size_t numCaches = machine_.caches.size();
   // Per-thread bytes per level; scaled to machine-wide at the end.
-  out.trafficBytes.assign(numCaches, 0.0);
+  if (trafficBytes) out.trafficBytes.assign(numCaches, 0.0);
   double memCycles = 0.0;
   double socketDramBytes = 0.0;
   for (std::size_t c = 0; c < numCaches; ++c) {
@@ -132,7 +132,7 @@ Prediction CostModel::predictLowered(const LoweredNest& nest,
       if (lastLevel)
         socketDramBytes += classBytes * (shared ? 1.0 : sharers);
     }
-    out.trafficBytes[c] = bytes;
+    if (trafficBytes) out.trafficBytes[c] = bytes;
   }
 
   // --- compute and loop overhead --------------------------------------------

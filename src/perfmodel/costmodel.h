@@ -68,8 +68,11 @@ public:
   Prediction predictAnalyzed(const NestAnalysis& na, int threads) const;
 
   /// The model's arithmetic, on a lowered nest. Every other predict path
-  /// (and KernelTuningProblem's parametric nest) ends here.
-  Prediction predictLowered(const LoweredNest& nest, int threads) const;
+  /// (and KernelTuningProblem's parametric nest) ends here. With
+  /// `trafficBytes` false, Prediction::trafficBytes is left empty and
+  /// nothing is allocated; every other field is the same.
+  Prediction predictLowered(const LoweredNest& nest, int threads,
+                            bool trafficBytes = true) const;
 
   /// Line size the footprints are counted in (the first cache level's).
   std::int64_t lineBytes() const { return machine_.caches.front().lineBytes; }

@@ -5,7 +5,6 @@
 #include "transform/transforms.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <set>
 
@@ -187,16 +186,6 @@ double arrayFootprint(const ArrayUsage& usage, std::span<const Interval> ivs,
   return std::min(total, cap);
 }
 
-double totalFootprint(const NestAnalysis& na,
-                      std::span<const LoopBounds> bounds, std::size_t level,
-                      std::int64_t lineBytes) {
-  const std::vector<Interval> ivs = intervalsAtLevel(bounds, level);
-  double total = 0.0;
-  for (const ArrayUsage& usage : na.arrays)
-    total += arrayFootprint(usage, ivs, static_cast<double>(lineBytes));
-  return total;
-}
-
 bool dependsOnAny(const LoopAffine& e, const std::vector<char>& loops) {
   for (const auto& term : e.terms)
     if (loops[term.first]) return true;
@@ -207,16 +196,15 @@ bool dependsOnAny(const LoopAffine& e, const std::vector<char>& loops) {
 /// use no parallel iv, so every thread touches the same data. Parallel ivs
 /// are the collapsed header loops plus every loop whose lower bound depends
 /// on one (a point loop inherits its tile loop's); no tile size moves them.
-std::vector<char> classSharing(const NestAnalysis& na,
-                               std::span<const LoopBounds> bounds) {
-  const std::size_t depth = bounds.size();
+std::vector<char> classSharing(const NestAnalysis& na) {
+  const std::size_t depth = na.bounds.size();
   const LoopDesc& header = na.loops.front();
   std::vector<char> parallelLoop(depth, 0);
   if (header.parallel) {
     for (int l = 0; l < header.collapse && l < static_cast<int>(depth); ++l)
       parallelLoop[static_cast<std::size_t>(l)] = 1;
     for (std::size_t l = 0; l < depth; ++l)
-      if (dependsOnAny(bounds[l].lower, parallelLoop)) parallelLoop[l] = 1;
+      if (dependsOnAny(na.bounds[l].lower, parallelLoop)) parallelLoop[l] = 1;
   }
   std::vector<char> classShared;
   for (const ArrayUsage& usage : na.arrays) {
@@ -230,45 +218,11 @@ std::vector<char> classSharing(const NestAnalysis& na,
   return classShared;
 }
 
-/// lowerNest into `out`, with `bounds` standing in for na.bounds (a
-/// TiledNest passes the headers of one tile vector; nothing else about the
-/// nest changes) and `classShared` = classSharing(na, bounds).
-void lowerInto(const NestAnalysis& na, std::span<const LoopBounds> bounds,
-               std::span<const char> classShared, std::int64_t lineBytes,
-               LoweredNest& out) {
-  const std::size_t depth = bounds.size();
-  out.avgTrip.resize(depth);
-  for (std::size_t l = 0; l < depth; ++l)
-    out.avgTrip[l] = averageTrip(bounds, l);
-  out.parallel = na.loops.front().parallel;
-  out.collapse = na.loops.front().collapse;
-  out.flopsPerIter = na.flopsPerIter;
-  out.heavyOpsPerIter = na.heavyOpsPerIter;
-  out.innermostUnitStride = na.innermostUnitStride;
-  out.classShared.assign(classShared.begin(), classShared.end());
-
-  // Intervals of every level, then every class's footprint at each. The
-  // interval buffer is the thread's own and only lives through this call.
-  thread_local std::vector<Interval> ivs;
-  ivs.clear();
-  for (std::size_t lvl = 0; lvl <= depth; ++lvl)
-    appendIntervalsAtLevel(bounds, lvl, ivs);
-  const auto line = static_cast<double>(lineBytes);
-  out.footprints.clear();
-  for (const ArrayUsage& usage : na.arrays) {
-    const double cap = arrayCap(*usage.decl, line);
-    for (const AccessClass& cls : usage.classes)
-      for (std::size_t lvl = 0; lvl <= depth; ++lvl)
-        out.footprints.push_back(classFootprint(
-            cls, *usage.decl,
-            std::span<const Interval>(ivs).subspan(lvl * depth, depth), line,
-            cap));
-  }
-}
-
-std::uint64_t nextNestId() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
+/// `x` rounded up to a multiple of `line`; for the non-negative integer
+/// sizes below 2^53 that footprints round, equal to roundUpTo.
+std::int64_t roundUpBytes(std::int64_t x, std::int64_t line) {
+  if ((line & (line - 1)) == 0) return (x + line - 1) & ~(line - 1);
+  return (x + line - 1) / line * line;
 }
 
 std::vector<std::int64_t> lowCorner(
@@ -285,13 +239,6 @@ double NestAnalysis::outerIterations(std::size_t level) const {
   MOTUNE_CHECK(level <= loops.size());
   double prod = 1.0;
   for (std::size_t l = 0; l < level; ++l) prod *= loops[l].avgTrip;
-  return prod;
-}
-
-double LoweredNest::outerIterations(std::size_t level) const {
-  MOTUNE_CHECK(level <= avgTrip.size());
-  double prod = 1.0;
-  for (std::size_t l = 0; l < level; ++l) prod *= avgTrip[l];
   return prod;
 }
 
@@ -422,7 +369,33 @@ NestAnalysis analyzeNest(const ir::Program& program) {
 
 LoweredNest lowerNest(const NestAnalysis& na, std::int64_t lineBytes) {
   LoweredNest out;
-  lowerInto(na, na.bounds, classSharing(na, na.bounds), lineBytes, out);
+  const std::size_t depth = na.loops.size();
+  out.outer.push_back(1.0);
+  for (const LoopDesc& loop : na.loops) {
+    out.avgTrip.push_back(loop.avgTrip);
+    out.outer.push_back(out.outer.back() * loop.avgTrip);
+  }
+  out.parallel = na.loops.front().parallel;
+  out.collapse = na.loops.front().collapse;
+  out.flopsPerIter = na.flopsPerIter;
+  out.heavyOpsPerIter = na.heavyOpsPerIter;
+  out.innermostUnitStride = na.innermostUnitStride;
+  out.classShared = classSharing(na);
+
+  // Intervals of every level, then every class's footprint at each.
+  std::vector<Interval> ivs;
+  for (std::size_t lvl = 0; lvl <= depth; ++lvl)
+    appendIntervalsAtLevel(na.bounds, lvl, ivs);
+  const auto line = static_cast<double>(lineBytes);
+  for (const ArrayUsage& usage : na.arrays) {
+    const double cap = arrayCap(*usage.decl, line);
+    for (const AccessClass& cls : usage.classes)
+      for (std::size_t lvl = 0; lvl <= depth; ++lvl)
+        out.footprints.push_back(classFootprint(
+            cls, *usage.decl,
+            std::span<const Interval>(ivs).subspan(lvl * depth, depth), line,
+            cap));
+  }
   return out;
 }
 
@@ -435,16 +408,18 @@ double footprintBytes(const NestAnalysis& na, std::size_t arrayIdx,
 
 double totalFootprintBytes(const NestAnalysis& na, std::size_t level,
                            std::int64_t lineBytes) {
-  return totalFootprint(na, na.bounds, level, lineBytes);
+  const std::vector<Interval> ivs = intervalsAtLevel(na.bounds, level);
+  double total = 0.0;
+  for (const ArrayUsage& usage : na.arrays)
+    total += arrayFootprint(usage, ivs, static_cast<double>(lineBytes));
+  return total;
 }
 
-TiledNest::TiledNest(const analyzer::TransformationSkeleton& skeleton)
-    : variant_(skeleton.instantiate(lowCorner(skeleton))),
-      analysis_(analyzeNest(variant_)),
-      tileDims_(skeleton.tileDepth()),
-      classShared_(classSharing(analysis_, analysis_.bounds)),
-      id_(nextNestId()) {
-  const std::vector<LoopBounds>& b = analysis_.bounds;
+TiledNest::TiledNest(const analyzer::TransformationSkeleton& skeleton) {
+  const ir::Program variant = skeleton.instantiate(lowCorner(skeleton));
+  const NestAnalysis na = analyzeNest(variant);
+  const std::vector<LoopBounds>& b = na.bounds;
+  tileDims_ = skeleton.tileDepth();
   MOTUNE_CHECK_MSG(b.size() >= 2 * tileDims_,
                    "tiled nest is shallower than twice its tile band");
   for (std::size_t p = 0; p < tileDims_; ++p) {
@@ -460,42 +435,153 @@ TiledNest::TiledNest(const analyzer::TransformationSkeleton& skeleton)
                          point.cap->terms.empty() && point.step == 1,
                      "point loop " + std::to_string(p) +
                          " is not [tile iv, min(tile iv + tile, N))");
+    band_.push_back(
+        {b[p].lower.constant, b[p].upper.constant, point.cap->constant});
   }
-  for (std::size_t l = 2 * tileDims_; l < b.size(); ++l)
+  loopWidth_.assign(b.size(), 0);
+  loopTrip_.assign(b.size(), 0.0);
+  for (std::size_t l = 0; l < b.size(); ++l) {
+    if (l >= tileDims_ && l < 2 * tileDims_) continue; // point loops
     MOTUNE_CHECK_MSG(isConstant(b[l]),
                      "loop " + std::to_string(l) +
                          " below the tile band has non-constant bounds");
+    // appendIntervalsAtLevel's [lower, max(lower, upper - 1)].
+    loopWidth_[l] = std::max<std::int64_t>(
+        0, b[l].upper.constant - 1 - b[l].lower.constant);
+    loopTrip_[l] = na.loops[l].avgTrip;
+  }
+
+  for (const ArrayUsage& usage : na.arrays) {
+    for (const AccessClass& cls : usage.classes) {
+      const std::size_t dimsBegin = dims_.size();
+      for (std::size_t d = 0; d < cls.linear.size(); ++d) {
+        const std::size_t termsBegin = terms_.size();
+        for (const auto& [loop, coeff] : cls.linear[d].terms)
+          terms_.push_back({loop, coeff < 0 ? -coeff : coeff});
+        dims_.push_back({cls.spread[d], usage.decl->dims[d], termsBegin,
+                         terms_.size()});
+      }
+      classes_.push_back({dimsBegin, dims_.size(), usage.decl->elemBytes});
+    }
+    arrays_.push_back({usage.decl->bytes(), classes_.size()});
+  }
+  classShared_ = classSharing(na);
+  parallel_ = na.loops.front().parallel;
+  collapse_ = na.loops.front().collapse;
+  flopsPerIter_ = na.flopsPerIter;
+  heavyOpsPerIter_ = na.heavyOpsPerIter;
+  innermostUnitStride_ = na.innermostUnitStride;
 }
 
-std::span<const LoopBounds> TiledNest::boundsAt(
-    std::span<const std::int64_t> tiles) const {
+void TiledNest::checkTiles(std::span<const std::int64_t> tiles) const {
   MOTUNE_CHECK(tiles.size() == tileDims_);
-  // Every query overwrites all the fields a tile vector sets, so a thread
-  // copies the bounds again only when it queries another nest.
-  thread_local std::uint64_t owner = 0;
-  thread_local std::vector<LoopBounds> bounds;
-  if (owner != id_) {
-    owner = 0; // a copy that throws leaves no owner behind
-    bounds = analysis_.bounds;
-    owner = id_;
+  for (const std::int64_t t : tiles) MOTUNE_CHECK(t >= 1);
+}
+
+// width() and classFootprint() run (depth + 1) x classes times per
+// lowering; inlined into their two callers they take ~25% less time.
+[[gnu::always_inline]] inline std::int64_t
+TiledNest::width(std::size_t loop, std::size_t level,
+                 std::span<const std::int64_t> tiles) const {
+  if (loop < level) return 0; // pinned to its first iteration
+  const std::size_t p = loop - tileDims_; // wraps for tile loops
+  if (p >= tileDims_) return loopWidth_[loop];
+  // Point loop p: from the tile iv's first value to min(its last value +
+  // t_p, cap) - 1; the tile iv only moves when the tile loop varies too.
+  const Band& b = band_[p];
+  const std::int64_t tileLast =
+      p < level ? b.lower : std::max(b.lower, b.upper - 1);
+  return std::max<std::int64_t>(
+      0, std::min(tileLast + tiles[p], b.cap) - 1 - b.lower);
+}
+
+[[gnu::always_inline]] inline double
+TiledNest::classFootprint(std::size_t cls, std::size_t level,
+                          std::span<const std::int64_t> tiles,
+                          std::int64_t line, double cap) const {
+  // Every width, extent and byte count is an integer below 2^53, so this
+  // is classFootprint's double arithmetic exactly.
+  const Class& c = classes_[cls];
+  double rows = 1.0;
+  std::int64_t lastExtent = 1;
+  for (std::size_t d = c.dimsBegin; d < c.dimsEnd; ++d) {
+    const Dim& dim = dims_[d];
+    std::int64_t w = dim.spread;
+    for (std::size_t t = dim.termsBegin; t < dim.termsEnd; ++t)
+      w += terms_[t].coeff * width(terms_[t].loop, level, tiles);
+    const std::int64_t extent = std::min(w + 1, dim.extent);
+    if (d + 1 == c.dimsEnd)
+      lastExtent = extent;
+    else
+      rows *= static_cast<double>(extent);
   }
-  for (std::size_t p = 0; p < tileDims_; ++p) {
-    MOTUNE_CHECK(tiles[p] >= 1);
-    bounds[p].step = tiles[p];
-    bounds[tileDims_ + p].upper.constant = tiles[p];
-  }
-  return bounds;
+  const double bytes =
+      rows * static_cast<double>(roundUpBytes(lastExtent * c.elemBytes, line));
+  return std::min(bytes, cap);
 }
 
 void TiledNest::lower(std::span<const std::int64_t> tiles,
                       std::int64_t lineBytes, LoweredNest& out) const {
-  lowerInto(analysis_, boundsAt(tiles), classShared_, lineBytes, out);
+  checkTiles(tiles);
+  MOTUNE_CHECK(lineBytes >= 1);
+  const std::size_t depth = this->depth();
+  const std::size_t tileDims = tileDims_;
+  // averageTrip of each loop shape, and the outer products as
+  // NestAnalysis::outerIterations multiplies them.
+  out.avgTrip.resize(depth);
+  out.outer.resize(depth + 1);
+  out.outer[0] = 1.0;
+  for (std::size_t l = 0; l < depth; ++l) {
+    double trip = loopTrip_[l];
+    if (l < tileDims) {
+      const Band& b = band_[l];
+      trip = b.upper <= b.lower
+                 ? 0.0
+                 : std::ceil(static_cast<double>(b.upper - b.lower) /
+                             static_cast<double>(tiles[l]));
+    } else if (l < 2 * tileDims) {
+      const std::size_t p = l - tileDims;
+      const auto range = static_cast<double>(band_[p].cap - band_[p].lower);
+      trip = range <= 0
+                 ? 0.0
+                 : range / std::ceil(range / static_cast<double>(tiles[p]));
+    }
+    out.avgTrip[l] = trip;
+    out.outer[l + 1] = out.outer[l] * trip;
+  }
+  out.parallel = parallel_;
+  out.collapse = collapse_;
+  out.flopsPerIter = flopsPerIter_;
+  out.heavyOpsPerIter = heavyOpsPerIter_;
+  out.innermostUnitStride = innermostUnitStride_;
+  out.classShared.assign(classShared_.begin(), classShared_.end());
+
+  out.footprints.resize(classes_.size() * (depth + 1));
+  double* fp = out.footprints.data();
+  std::size_t cls = 0;
+  for (const Array& a : arrays_) {
+    const auto cap = static_cast<double>(roundUpBytes(a.bytes, lineBytes));
+    for (; cls < a.classesEnd; ++cls)
+      for (std::size_t lvl = 0; lvl <= depth; ++lvl)
+        *fp++ = classFootprint(cls, lvl, tiles, lineBytes, cap);
+  }
 }
 
 double TiledNest::totalFootprintBytes(std::span<const std::int64_t> tiles,
                                       std::size_t level,
                                       std::int64_t lineBytes) const {
-  return totalFootprint(analysis_, boundsAt(tiles), level, lineBytes);
+  checkTiles(tiles);
+  MOTUNE_CHECK(lineBytes >= 1);
+  double total = 0.0;
+  std::size_t cls = 0;
+  for (const Array& a : arrays_) {
+    const auto cap = static_cast<double>(roundUpBytes(a.bytes, lineBytes));
+    double sum = 0.0;
+    for (; cls < a.classesEnd; ++cls)
+      sum += classFootprint(cls, level, tiles, lineBytes, cap);
+    total += std::min(sum, cap); // arrayFootprint's cap on overlaps
+  }
+  return total;
 }
 
 } // namespace motune::perf

@@ -11,9 +11,9 @@
 //
 // Analysis lowers every loop bound and subscript from iv names to loop
 // indices once; all trip-count and footprint arithmetic runs on that
-// lowered form. A TiledNest keeps the lowered form of one tiling skeleton
-// and patches only the tile sizes per configuration, so the tuner never
-// instantiates or re-analyzes a variant to evaluate it.
+// lowered form. A TiledNest reduces one tiling skeleton to flat tables in
+// which every interval width has a closed form in the tile sizes, so the
+// tuner never instantiates or re-analyzes a variant to evaluate it.
 #pragma once
 
 #include "analyzer/region.h"
@@ -100,6 +100,9 @@ struct LoweredNest {
   std::vector<char> classShared;
   /// Per access class, the footprint at levels 0..depth (class-major).
   std::vector<double> footprints;
+  /// Per level 0..depth, the product of avgTrips of loops [0, level),
+  /// multiplied outermost first as NestAnalysis::outerIterations does.
+  std::vector<double> outer;
   double flopsPerIter = 0.0;
   double heavyOpsPerIter = 0.0;
   bool innermostUnitStride = true;
@@ -108,9 +111,8 @@ struct LoweredNest {
   double footprint(std::size_t cls, std::size_t level) const {
     return footprints[cls * (depth() + 1) + level];
   }
-  /// Product of avgTrips of loops [0, level), as NestAnalysis's.
-  double outerIterations(std::size_t level) const;
-  double leafIterations() const { return outerIterations(depth()); }
+  double outerIterations(std::size_t level) const { return outer[level]; }
+  double leafIterations() const { return outer[depth()]; }
 };
 
 /// Analyzes a program whose body is a single perfect loop nest (original or
@@ -136,19 +138,18 @@ double totalFootprintBytes(const NestAnalysis& na, std::size_t level,
 /// constant bounds and step t_p, then d point loops
 /// iv in [iv_t, min(iv_t + t_p, N)), then the constant-bound loops below
 /// the band. Access classes, body counts and thread sharing are therefore
-/// fixed; only the tile loops' steps and the point loops' upper constants
-/// change with a configuration. The constructor analyzes one instantiation,
-/// checks that shape and computes the class sharing once; queries patch
-/// the tile sizes into a per-thread copy of its lowered bounds, so a query
-/// allocates nothing once its thread has seen the nest. Immutable after
+/// fixed, and every loop's interval width at every level is a closed form
+/// in t_p and constants. The constructor analyzes one instantiation, checks
+/// that shape and keeps only flat tables: per loop its constant width and
+/// trip, per band dimension its bounds, per access class its (loop,
+/// |coeff|) terms, spreads, extents and element size. A query reads those
+/// tables and allocates nothing beyond `out`'s capacity. Immutable after
 /// construction, so concurrent queries are safe.
 class TiledNest {
 public:
   explicit TiledNest(const analyzer::TransformationSkeleton& skeleton);
-  TiledNest(const TiledNest&) = delete; // analysis_ points into variant_
-  TiledNest& operator=(const TiledNest&) = delete;
 
-  std::size_t depth() const { return analysis_.loops.size(); }
+  std::size_t depth() const { return loopWidth_.size(); }
   std::size_t tileDims() const { return tileDims_; }
 
   /// Writes lowerNest(analyzeNest(skeleton.instantiate(tiles, ...)),
@@ -164,16 +165,63 @@ public:
                              std::int64_t lineBytes) const;
 
 private:
-  /// The calling thread's copy of the lowered bounds with `tiles` patched
-  /// in; valid until the thread's next query on any TiledNest.
-  std::span<const LoopBounds> boundsAt(
-      std::span<const std::int64_t> tiles) const;
+  /// Band dimension p: tile loop p runs over [lower, upper) by t_p, point
+  /// loop p over [tile iv, min(tile iv + t_p, cap)).
+  struct Band {
+    std::int64_t lower = 0;
+    std::int64_t upper = 0;
+    std::int64_t cap = 0;
+  };
+  /// One subscript term: |coeff| * iv(loop).
+  struct Term {
+    std::size_t loop = 0;
+    std::int64_t coeff = 0;
+  };
+  /// One subscript dimension of an access class: terms_[termsBegin,
+  /// termsEnd) plus the spread of its constant offsets.
+  struct Dim {
+    std::int64_t spread = 0;
+    std::int64_t extent = 0; ///< the array's extent in this dimension
+    std::size_t termsBegin = 0;
+    std::size_t termsEnd = 0;
+  };
+  /// One access class: dims_[dimsBegin, dimsEnd).
+  struct Class {
+    std::size_t dimsBegin = 0;
+    std::size_t dimsEnd = 0;
+    std::int64_t elemBytes = 0;
+  };
+  /// One array; its classes end at classes_[classesEnd].
+  struct Array {
+    std::int64_t bytes = 0;
+    std::size_t classesEnd = 0;
+  };
 
-  ir::Program variant_;
-  NestAnalysis analysis_;
-  std::size_t tileDims_;
+  void checkTiles(std::span<const std::int64_t> tiles) const;
+  /// Width of loop `loop`'s iv interval when loops [level, D) vary and the
+  /// outer ones are pinned to their first iteration.
+  std::int64_t width(std::size_t loop, std::size_t level,
+                     std::span<const std::int64_t> tiles) const;
+  /// Line-granular footprint of classes_[cls] at `level`, capped at
+  /// `cap`, the line-rounded array size.
+  double classFootprint(std::size_t cls, std::size_t level,
+                        std::span<const std::int64_t> tiles,
+                        std::int64_t line, double cap) const;
+
+  std::size_t tileDims_ = 0;
+  std::vector<Band> band_;
+  std::vector<std::int64_t> loopWidth_; ///< tile and constant loops
+  std::vector<double> loopTrip_;        ///< constant loops' average trip
+  std::vector<Term> terms_;
+  std::vector<Dim> dims_;
+  std::vector<Class> classes_;
+  std::vector<Array> arrays_;
   std::vector<char> classShared_; ///< LoweredNest::classShared, any tiles
-  std::uint64_t id_;              ///< process-unique: keys threads' copies
+  bool parallel_ = false;
+  int collapse_ = 1;
+  double flopsPerIter_ = 0.0;
+  double heavyOpsPerIter_ = 0.0;
+  bool innermostUnitStride_ = true;
 };
 
 } // namespace motune::perf

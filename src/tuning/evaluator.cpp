@@ -23,41 +23,44 @@ CountingEvaluator::CountingEvaluator(ObjectiveFunction& inner)
       memoHitCounter_(observe::MetricsRegistry::global().counter(
           "tuning.evaluations.memo_hits")),
       latency_(observe::MetricsRegistry::global().histogram(
-          "tuning.evaluation.seconds")) {}
-
-/// Refuses a NaN or infinite objective, naming the config: the Pareto
-/// machinery sorts objectives (a NaN breaks the strict weak order) and
-/// the session journal cannot represent either value.
-static void checkFinite(const Config& config, const Objectives& objectives) {
-  if (std::all_of(objectives.begin(), objectives.end(),
-                  [](double v) { return std::isfinite(v); }))
-    return;
-  std::string text = "non-finite objective for config [";
-  for (std::size_t d = 0; d < config.size(); ++d)
-    text += (d ? ", " : "") + std::to_string(config[d]);
-  support::checkFailed("isfinite(objective)", __FILE__, __LINE__, text + "]");
+          "tuning.evaluation.seconds")) {
+  // A default tune evaluates 1,000-3,000 configs: rehash rarely, if ever.
+  memo_.reserve(2048);
 }
 
-const CountingEvaluator::Entry&
-CountingEvaluator::publish(const Config& config, Objectives objectives,
-                           double seconds) {
-  latency_.observe(seconds);
-  const Entry& entry = *memo_.emplace(config, std::move(objectives)).first;
-  ++evals_;
-  uniqueCounter_.add();
-  return entry;
+/// Refuses an empty objective vector or a NaN or infinite objective,
+/// naming the config: the Pareto machinery sorts objectives (a NaN breaks
+/// the strict weak order), the session journal cannot represent either
+/// value, and the memo marks a configuration still being evaluated by its
+/// empty objectives.
+static void checkObjectives(const Config& config,
+                            const Objectives& objectives) {
+  const char* problem = nullptr;
+  if (objectives.empty())
+    problem = "empty objective vector";
+  else if (!std::all_of(objectives.begin(), objectives.end(),
+                        [](double v) { return std::isfinite(v); }))
+    problem = "non-finite objective";
+  if (problem == nullptr) return;
+  std::string text = std::string(problem) + " for config [";
+  for (std::size_t d = 0; d < config.size(); ++d)
+    text += (d ? ", " : "") + std::to_string(config[d]);
+  support::checkFailed("objectives are finite and non-empty", __FILE__,
+                       __LINE__, text + "]");
 }
 
 Objectives CountingEvaluator::evaluate(const Config& config) {
   if (auto it = memo_.find(config); it != memo_.end()) {
-    countHit();
+    countHits(1);
     return it->second;
   }
   const auto begin = Clock::now();
   Objectives objectives = inner_.evaluate(config);
-  checkFinite(config, objectives);
-  const Entry& entry =
-      publish(config, std::move(objectives), secondsSince(begin));
+  checkObjectives(config, objectives);
+  latency_.observe(secondsSince(begin));
+  const Entry& entry = *memo_.emplace(config, std::move(objectives)).first;
+  ++evals_;
+  uniqueCounter_.add();
   if (listener_) {
     const Entry* batch[] = {&entry};
     listener_(batch);
@@ -65,97 +68,112 @@ Objectives CountingEvaluator::evaluate(const Config& config) {
   return entry.second;
 }
 
-std::vector<Objectives>
+std::vector<const Objectives*>
 CountingEvaluator::evaluateBatch(const std::vector<Config>& configs,
                                  runtime::ThreadPool& pool, bool parallel) {
-  // Pass 1: serve memo hits; note each miss at its first appearance and
-  // each repeat of a miss as (position, miss slot).
-  std::vector<Objectives> out(configs.size());
-  std::vector<std::size_t> missed;
+  BatchScratch& s = scratch_;
+  s.misses.clear();
+  s.repeats.clear();
+  // However the batch ends, no entry it left pending stays in the memo.
+  struct PendingCleanup {
+    CountingEvaluator& self;
+    ~PendingCleanup() {
+      for (const Miss& miss : self.scratch_.misses)
+        if (miss.entry->second.empty())
+          self.memo_.erase(self.memo_.find(miss.entry->first));
+    }
+  } cleanup{*this};
+
+  // Pass 1: one memo lookup per config. A hit is served; a new config gets
+  // a pending entry (empty objectives) at its first appearance, which its
+  // repeats in the batch then find.
+  std::vector<const Objectives*> out(configs.size(), nullptr);
+  std::uint64_t hits = 0;
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    if (auto it = memo_.find(configs[i]); it != memo_.end()) {
-      out[i] = it->second;
-      countHit();
+    auto [it, inserted] = memo_.try_emplace(configs[i]);
+    if (inserted) {
+      s.misses.push_back({&*it, i});
+    } else if (it->second.empty()) {
+      s.repeats.push_back({&*it, i});
     } else {
-      missed.push_back(i);
+      out[i] = &it->second;
+      ++hits;
     }
   }
-  // Group equal configs by sorting the missed positions (stable, so a
-  // group starts at its first appearance): no allocation per miss, and
-  // O(n log n) for the thousands of configs a random or grid batch holds.
-  std::stable_sort(missed.begin(), missed.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return configs[a] < configs[b];
-                   });
-  std::vector<std::size_t> misses;
-  std::vector<std::pair<std::size_t, std::size_t>> repeats;
-  for (std::size_t k = 0; k < missed.size(); ++k) {
-    if (k > 0 && configs[missed[k]] == configs[misses.back()])
-      repeats.emplace_back(missed[k], misses.back());
-    else
-      misses.push_back(missed[k]);
-  }
-  std::sort(misses.begin(), misses.end()); // first-appearance order
-  for (auto& [i, slot] : repeats)
-    slot = static_cast<std::size_t>(
-        std::lower_bound(misses.begin(), misses.end(), slot) -
-        misses.begin());
+  countHits(hits);
+  if (s.misses.empty()) return out;
 
   // Pass 2: evaluate the distinct misses; a task touches only its slot.
-  const std::size_t n = misses.size();
-  std::vector<Objectives> results(n);
-  std::vector<double> seconds(n);
-  std::vector<std::exception_ptr> errors(n);
-  std::vector<char> done(n, 0);
+  const std::size_t n = s.misses.size();
+  s.results.resize(n);
+  s.seconds.assign(n, 0.0);
+  s.errors.assign(n, nullptr);
+  s.done.assign(n, 0);
   const auto evaluateMiss = [&](std::size_t k) {
-    const auto begin = Clock::now();
+    const Config& config = s.misses[k].entry->first;
     try {
-      results[k] = inner_.evaluate(configs[misses[k]]);
-      checkFinite(configs[misses[k]], results[k]);
-      done[k] = 1;
+      s.results[k] = inner_.evaluate(config);
+      checkObjectives(config, s.results[k]);
+      s.done[k] = 1;
     } catch (...) {
-      errors[k] = std::current_exception();
+      s.errors[k] = std::current_exception();
     }
-    seconds[k] = secondsSince(begin);
   };
   if (parallel && n > 1) {
     runtime::parallelFor(pool, 0, static_cast<std::int64_t>(n),
-                         static_cast<int>(pool.workers()), evaluateMiss);
+                         static_cast<int>(pool.workers()),
+                         [&](std::size_t k) {
+                           const auto begin = Clock::now();
+                           evaluateMiss(k);
+                           s.seconds[k] = secondsSince(begin);
+                         });
   } else {
+    // Each miss ends where the next begins: one clock read per miss.
+    auto begin = Clock::now();
     for (std::size_t k = 0; k < n; ++k) {
       evaluateMiss(k);
-      if (errors[k]) break;
+      const auto end = Clock::now();
+      s.seconds[k] = std::chrono::duration<double>(end - begin).count();
+      begin = end;
+      if (s.errors[k]) break;
     }
   }
 
-  // Pass 3: publish the completed misses in first-appearance order and
-  // journal them, then serve the repeats and rethrow the first failure.
+  // Pass 3: memoize and count the completed misses in first-appearance
+  // order, serve their repeats, record the latencies and journal them;
+  // then count the served repeats as hits and rethrow the first failure.
   std::exception_ptr failure;
-  std::vector<const Entry*> published;
-  if (listener_) published.reserve(n);
+  std::size_t timed = 0;
+  s.published.clear();
   for (std::size_t k = 0; k < n; ++k) {
-    if (done[k]) {
-      const Entry& entry =
-          publish(configs[misses[k]], std::move(results[k]), seconds[k]);
-      out[misses[k]] = entry.second;
-      if (listener_) published.push_back(&entry);
+    Entry& entry = *s.misses[k].entry;
+    if (s.done[k]) {
+      entry.second = std::move(s.results[k]);
+      out[s.misses[k].position] = &entry.second;
+      s.seconds[timed++] = s.seconds[k];
+      s.published.push_back(&entry);
     } else if (!failure) {
-      failure = errors[k];
+      failure = s.errors[k];
     }
   }
-  if (listener_ && !published.empty()) listener_(published);
-  for (const auto& [i, k] : repeats) {
-    if (!done[k]) continue;
-    out[i] = out[misses[k]];
-    countHit();
+  hits = 0;
+  for (const Miss& repeat : s.repeats) {
+    if (repeat.entry->second.empty()) continue; // its miss failed
+    out[repeat.position] = &repeat.entry->second;
+    ++hits;
   }
+  evals_ += timed;
+  uniqueCounter_.add(timed);
+  latency_.observe(std::span<const double>(s.seconds.data(), timed));
+  if (listener_ && !s.published.empty()) listener_(s.published);
+  countHits(hits);
   if (failure) std::rethrow_exception(failure);
   return out;
 }
 
 bool CountingEvaluator::preload(const Config& config,
                                 const Objectives& objectives) {
-  checkFinite(config, objectives);
+  checkObjectives(config, objectives);
   if (!memo_.emplace(config, objectives).second) return false;
   ++evals_;
   uniqueCounter_.add();

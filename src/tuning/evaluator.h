@@ -16,7 +16,9 @@
 #include "tuning/kernel_problem.h"
 
 #include <cstdint>
+#include <exception>
 #include <functional>
+#include <memory_resource>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -33,8 +35,9 @@ public:
     return inner_.space();
   }
 
-  /// Memoized inner evaluation. A NaN or infinite objective is a
-  /// support::CheckError naming the config, and is not memoized.
+  /// Memoized inner evaluation. An empty objective vector or a NaN or
+  /// infinite objective is a support::CheckError naming the config, and
+  /// is not memoized.
   Objectives evaluate(const Config& config) override;
 
   /// Unique configurations evaluated or preloaded (memo hits are free).
@@ -58,33 +61,56 @@ public:
   /// each distinct miss once (through `pool` when `parallel`), then
   /// memoizes, counts and journals the misses in first-appearance order,
   /// so E, memoHits() and the journal match a serial pass at any pool
-  /// size. If a miss throws, the completed misses are published and the
-  /// first failure is rethrown; the serial path stops at that miss. A miss
-  /// with a NaN or infinite objective fails the same way, with a
-  /// support::CheckError naming its config (as evaluate() and preload()
-  /// refuse one).
-  std::vector<Objectives> evaluateBatch(const std::vector<Config>& configs,
-                                        runtime::ThreadPool& pool,
-                                        bool parallel);
+  /// size. Returns, per config, the memo's objectives for it (which stay
+  /// valid for the evaluator's lifetime). If a miss throws, the completed
+  /// misses are published and the first failure is rethrown; the serial
+  /// path stops at that miss. A miss with empty, NaN or infinite
+  /// objectives fails the same way, with a support::CheckError naming its
+  /// config (as evaluate() and preload() refuse one).
+  std::vector<const Objectives*> evaluateBatch(
+      const std::vector<Config>& configs, runtime::ThreadPool& pool,
+      bool parallel);
 
   /// Pre-seeds the memo with a result journaled by a previous (killed)
   /// run. It counts as a unique evaluation, so a resumed search reports
   /// the same E as an uninterrupted one. Returns false (and changes
-  /// nothing) if the config is already memoized. A NaN or infinite
-  /// objective is a support::CheckError.
+  /// nothing) if the config is already memoized. Empty, NaN or infinite
+  /// objectives are a support::CheckError.
   bool preload(const Config& config, const Objectives& objectives);
 
 private:
-  // Memoizes and counts one unique evaluation.
-  const Entry& publish(const Config& config, Objectives objectives,
-                       double seconds);
-  void countHit() { ++hits_; memoHitCounter_.add(); }
+  void countHits(std::uint64_t n) {
+    if (n == 0) return;
+    hits_ += n;
+    memoHitCounter_.add(n);
+  }
+
+  /// A memo entry a batch evaluates, at a position of the batch.
+  struct Miss {
+    Entry* entry;
+    std::size_t position;
+  };
+  /// evaluateBatch's per-miss state, kept across batches so a batch
+  /// allocates only what its results need.
+  struct BatchScratch {
+    std::vector<Miss> misses;  ///< first appearances, in batch order
+    std::vector<Miss> repeats; ///< later appearances of a miss
+    std::vector<Objectives> results;
+    std::vector<double> seconds;
+    std::vector<std::exception_ptr> errors;
+    std::vector<char> done;
+    std::vector<const Entry*> published;
+  };
 
   ObjectiveFunction& inner_;
-  std::unordered_map<Config, Objectives, ConfigHash> memo_;
+  // The memo only grows, so its nodes come from an arena it frees whole;
+  // keys and objectives stay ordinary vectors (Entry is unchanged).
+  std::pmr::monotonic_buffer_resource arena_;
+  std::pmr::unordered_map<Config, Objectives, ConfigHash> memo_{&arena_};
   std::uint64_t evals_ = 0;
   std::uint64_t hits_ = 0;
   EvalListener listener_;
+  BatchScratch scratch_;
   // Process-wide mirrors exported through the observability layer.
   observe::Counter& uniqueCounter_;
   observe::Counter& memoHitCounter_;

@@ -2,8 +2,6 @@
 
 #include "support/check.h"
 
-#include <span>
-
 namespace motune::tuning {
 
 const char* objectiveName(Objective objective) {
@@ -44,8 +42,24 @@ KernelTuningProblem::KernelTuningProblem(const kernels::KernelSpec& kernel,
   MOTUNE_CHECK(!objectives_.empty());
 }
 
-Objectives KernelTuningProblem::evaluate(const Config& config) {
-  const perf::Prediction p = predictFull(config);
+void KernelTuningProblem::checkConfig(
+    std::span<const std::int64_t> config) const {
+  MOTUNE_CHECK(config.size() == space_.size());
+  for (std::size_t i = 0; i < config.size(); ++i)
+    MOTUNE_CHECK_MSG(config[i] >= space_[i].lo && config[i] <= space_[i].hi,
+                     "parameter out of range: " + space_[i].name);
+}
+
+const perf::LoweredNest& KernelTuningProblem::lowered(
+    std::span<const std::int64_t> config) const {
+  // lower() overwrites all of it and keeps its capacity, so a lowering
+  // allocates nothing once the thread has made one.
+  thread_local perf::LoweredNest out;
+  nest_.lower(config.first(nest_.tileDims()), model_.lineBytes(), out);
+  return out;
+}
+
+Objectives KernelTuningProblem::objectivesOf(const perf::Prediction& p) const {
   Objectives out;
   out.reserve(objectives_.size());
   for (const Objective obj : objectives_) {
@@ -58,18 +72,37 @@ Objectives KernelTuningProblem::evaluate(const Config& config) {
   return out;
 }
 
+Objectives KernelTuningProblem::evaluate(const Config& config) {
+  checkConfig(config);
+  return objectivesOf(model_.predictLowered(
+      lowered(config), static_cast<int>(config.back()),
+      /*trafficBytes=*/false));
+}
+
+std::vector<Objectives> KernelTuningProblem::evaluateThreadCounts(
+    std::span<const std::int64_t> tiles,
+    std::span<const std::int64_t> threads) const {
+  MOTUNE_CHECK(tiles.size() == nest_.tileDims());
+  Config config(tiles.begin(), tiles.end());
+  config.push_back(0);
+  std::vector<Objectives> out;
+  out.reserve(threads.size());
+  for (const std::int64_t t : threads) {
+    config.back() = t;
+    checkConfig(config);
+  }
+  if (threads.empty()) return out;
+  const perf::LoweredNest& nest = lowered(config);
+  for (const std::int64_t t : threads)
+    out.push_back(objectivesOf(model_.predictLowered(
+        nest, static_cast<int>(t), /*trafficBytes=*/false)));
+  return out;
+}
+
 perf::Prediction KernelTuningProblem::predictFull(const Config& config) const {
-  MOTUNE_CHECK(config.size() == space_.size());
-  for (std::size_t i = 0; i < config.size(); ++i)
-    MOTUNE_CHECK_MSG(config[i] >= space_[i].lo && config[i] <= space_[i].hi,
-                     "parameter out of range: " + space_[i].name);
-  const std::span<const std::int64_t> tiles(config.data(), nest_.tileDims());
-  // The thread's own lowered nest: lower() overwrites all of it and keeps
-  // its capacity, so an evaluation allocates only its results. Pool
-  // threads evaluate concurrently, hence one per thread.
-  thread_local perf::LoweredNest lowered;
-  nest_.lower(tiles, model_.lineBytes(), lowered);
-  return model_.predictLowered(lowered, static_cast<int>(config.back()));
+  checkConfig(config);
+  return model_.predictLowered(lowered(config),
+                               static_cast<int>(config.back()));
 }
 
 double KernelTuningProblem::untiledSerialSeconds() const {

@@ -2,9 +2,9 @@
 // target machine, map a configuration (t_0..t_{d-1}, threads) to the two
 // objectives (execution time, resource usage) of the variant the
 // transformation skeleton yields — on the analytical machine model in this
-// reproduction (DESIGN.md §1). The skeleton's nest is analyzed once; a
-// configuration only patches its tile sizes into that analysis
-// (perf::TiledNest), so evaluation builds no variant.
+// reproduction (DESIGN.md §1). The skeleton's nest is analyzed once into
+// flat tables (perf::TiledNest) that a configuration's tile sizes are
+// read against, so evaluation builds no variant.
 #pragma once
 
 #include "analyzer/region.h"
@@ -12,6 +12,8 @@
 #include "machine/machine.h"
 #include "perfmodel/costmodel.h"
 #include "tuning/search_space.h"
+
+#include <span>
 
 namespace motune::tuning {
 
@@ -58,6 +60,12 @@ public:
   /// The selected objective values for one configuration.
   Objectives evaluate(const Config& config) override;
 
+  /// evaluate() of `tiles` joined with each of `threads`, in order, from
+  /// one lowering of the tiles: the thread sweep's batch.
+  std::vector<Objectives> evaluateThreadCounts(
+      std::span<const std::int64_t> tiles,
+      std::span<const std::int64_t> threads) const;
+
   /// Full cost breakdown (same path as evaluate()). Equal, bit for bit, to
   /// predictAnalyzed(analyzeNest(instantiate(config)), threads). Throws on
   /// a config of the wrong size or with a parameter out of its range.
@@ -87,6 +95,14 @@ public:
   ir::Program instantiate(const Config& config) const;
 
 private:
+  /// Throws unless `config` has one value per parameter, each in range.
+  void checkConfig(std::span<const std::int64_t> config) const;
+  /// The calling thread's lowering of `config`'s tiles; valid until its
+  /// next call. Pool threads evaluate concurrently, hence one per thread.
+  const perf::LoweredNest& lowered(std::span<const std::int64_t> config) const;
+  /// The selected objectives, in order, read off a prediction.
+  Objectives objectivesOf(const perf::Prediction& p) const;
+
   kernels::KernelSpec kernel_;
   std::int64_t n_;
   analyzer::TransformationSkeleton skeleton_;

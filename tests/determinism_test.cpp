@@ -23,6 +23,14 @@ using namespace motune;
 
 namespace {
 
+/// The objectives an evaluateBatch() result points at, copied out.
+std::vector<tuning::Objectives> valuesOf(
+    const std::vector<const tuning::Objectives*>& batch) {
+  std::vector<tuning::Objectives> out;
+  for (const tuning::Objectives* objectives : batch) out.push_back(*objectives);
+  return out;
+}
+
 /// Canonical, order-insensitive rendering of a front for comparison:
 /// configs with bit-exact objective values.
 std::multiset<std::pair<tuning::Config, tuning::Objectives>>
@@ -118,7 +126,7 @@ TEST(Determinism, SingleFlightEvaluatesConcurrentDuplicatesExactlyOnce) {
 
   runtime::ThreadPool pool(4);
   const auto results =
-      counting.evaluateBatch(configs, pool, /*parallel=*/true);
+      valuesOf(counting.evaluateBatch(configs, pool, /*parallel=*/true));
 
   for (const auto& [config, times] : probe.counts())
     EXPECT_EQ(times, 1) << "config " << config.front()
@@ -181,8 +189,10 @@ TEST(Determinism, ParallelBatchMatchesSerialBitExactly) {
   runtime::ThreadPool pool(4);
   tuning::CountingEvaluator serial(problem);
   tuning::CountingEvaluator parallel(problem);
-  const auto a = serial.evaluateBatch(configs, pool, /*parallel=*/false);
-  const auto b = parallel.evaluateBatch(configs, pool, /*parallel=*/true);
+  const auto a =
+      valuesOf(serial.evaluateBatch(configs, pool, /*parallel=*/false));
+  const auto b =
+      valuesOf(parallel.evaluateBatch(configs, pool, /*parallel=*/true));
   ASSERT_EQ(a.size(), configs.size());
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -212,13 +222,14 @@ TEST(Determinism, CountingEvaluatorMemoConsistentUnderConcurrentBatches) {
   }
 
   runtime::ThreadPool pool(4);
-  const auto first = counting.evaluateBatch(configs, pool, /*parallel=*/true);
+  const auto first =
+      valuesOf(counting.evaluateBatch(configs, pool, /*parallel=*/true));
   EXPECT_EQ(counting.evaluations(), unique.size());
 
   // Re-evaluating the identical batch is served fully from the memo.
   const auto hitsBefore = counting.memoHits();
   const auto second =
-      counting.evaluateBatch(configs, pool, /*parallel=*/true);
+      valuesOf(counting.evaluateBatch(configs, pool, /*parallel=*/true));
   EXPECT_EQ(counting.evaluations(), unique.size());
   EXPECT_EQ(counting.memoHits(), hitsBefore + configs.size());
   ASSERT_EQ(first.size(), second.size());

@@ -11,6 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <set>
+#include <string>
+#include <vector>
+
 namespace motune {
 namespace {
 
@@ -49,6 +54,67 @@ TEST(EndToEnd, RsGde3ProducesUsableParetoSet) {
 
   // Versions beat the untiled serial baseline on time.
   EXPECT_LT(result.front.front().timeSeconds, result.timeRef);
+}
+
+/// threadSweepRefinement's reference: one KernelTuningProblem::evaluate()
+/// per (front tiles, threads) configuration the search has not evaluated.
+std::uint64_t sweepPerConfig(tuning::KernelTuningProblem& problem,
+                             opt::OptResult& result) {
+  const std::size_t tileDims = problem.skeleton().tileDepth();
+  std::set<tuning::Config> tiles, evaluated;
+  for (const auto& ind : result.front)
+    tiles.insert(tuning::Config(
+        ind.config.begin(),
+        ind.config.begin() + static_cast<std::ptrdiff_t>(tileDims)));
+  for (const auto& ind : result.population) evaluated.insert(ind.config);
+  std::uint64_t extra = 0;
+  std::vector<opt::Individual> pool = result.front;
+  for (const auto& t : tiles)
+    for (std::int64_t p = 1; p <= problem.space().back().hi; ++p) {
+      tuning::Config config = t;
+      config.push_back(p);
+      if (!evaluated.insert(config).second) continue;
+      opt::Individual ind;
+      ind.genome.assign(config.begin(), config.end());
+      ind.objectives = problem.evaluate(config);
+      ind.config = std::move(config);
+      pool.push_back(std::move(ind));
+      ++extra;
+    }
+  result.front = opt::paretoFront(pool);
+  result.evaluations += extra;
+  return extra;
+}
+
+TEST(EndToEnd, ThreadSweepMatchesPerConfigEvaluation) {
+  for (const char* kernel : {"mm", "jacobi-2d", "n-body"})
+    for (const machine::MachineModel& m :
+         {machine::westmere(), machine::barcelona()}) {
+      tuning::KernelTuningProblem problem(kernels::kernelByName(kernel), m);
+      autotune::TunerOptions options;
+      options.gde3.seed = 5;
+      autotune::AutoTuner tuner(options);
+      const opt::OptResult raw = tuner.optimize(problem);
+      opt::OptResult swept = raw, reference = raw;
+      const std::uint64_t extra =
+          autotune::threadSweepRefinement(problem, swept);
+      const std::string cell = std::string(kernel) + "/" + m.name;
+      EXPECT_GT(extra, 0u) << cell;
+      EXPECT_EQ(extra, sweepPerConfig(problem, reference)) << cell;
+      EXPECT_EQ(swept.evaluations, reference.evaluations) << cell;
+      ASSERT_EQ(swept.front.size(), reference.front.size()) << cell;
+      for (std::size_t i = 0; i < swept.front.size(); ++i) {
+        const opt::Individual& a = swept.front[i];
+        const opt::Individual& b = reference.front[i];
+        EXPECT_EQ(a.config, b.config) << cell << " member " << i;
+        EXPECT_EQ(a.genome, b.genome) << cell << " member " << i;
+        ASSERT_EQ(a.objectives.size(), b.objectives.size()) << cell;
+        EXPECT_EQ(std::memcmp(a.objectives.data(), b.objectives.data(),
+                              a.objectives.size() * sizeof(double)),
+                  0)
+            << cell << " member " << i;
+      }
+    }
 }
 
 TEST(EndToEnd, EvaluationBudgetFarBelowBruteForce) {

@@ -11,8 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <span>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 namespace motune {
 namespace {
@@ -273,6 +277,64 @@ TEST(Metrics, HistogramQuantileHandlesNonPositiveValues) {
   const observe::Histogram::Snapshot s = h.snapshot();
   EXPECT_DOUBLE_EQ(s.quantile(0.0), 0.0);  // non-positive ranks -> min
   EXPECT_NEAR(s.quantile(0.9), 10.0, 0.25);
+}
+
+/// Every field of two snapshots, bit for bit where they are doubles.
+void expectSameSnapshot(const observe::Histogram::Snapshot& a,
+                        const observe::Histogram::Snapshot& b) {
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(std::memcmp(&a.sum, &b.sum, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&a.min, &b.min, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&a.max, &b.max, sizeof(double)), 0);
+  EXPECT_EQ(a.nonPositive, b.nonPositive);
+  EXPECT_EQ(a.nonFinite, b.nonFinite);
+  EXPECT_EQ(a.buckets, b.buckets);
+}
+
+TEST(Metrics, HistogramBatchObserveEqualsOneAtATime) {
+  const std::vector<double> values{3e-7, 1.2e-6, 0.0,  9.5e-7, -2.0,
+                                   4e-3, 1.2e-6, 0.31, 7.0,    2e-9};
+  MetricsRegistry registry;
+  observe::Histogram& single = registry.histogram("single");
+  observe::Histogram& batch = registry.histogram("batch");
+  for (const double v : values) single.observe(v);
+  batch.observe(std::span<const double>(values).first(4));
+  batch.observe(std::span<const double>());
+  batch.observe(std::span<const double>(values).subspan(4));
+  expectSameSnapshot(batch.snapshot(), single.snapshot());
+}
+
+TEST(Metrics, HistogramCountsNonFiniteValuesApart) {
+  MetricsRegistry registry;
+  observe::Histogram& clean = registry.histogram("clean");
+  observe::Histogram& mixed = registry.histogram("mixed");
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double v : {2.0, 0.5, 0.0, 8.0}) clean.observe(v);
+  mixed.observe(2.0);
+  mixed.observe(inf);
+  mixed.observe(0.5);
+  mixed.observe(nan);
+  const std::vector<double> rest{0.0, -inf, 8.0};
+  mixed.observe(rest);
+
+  const observe::Histogram::Snapshot s = mixed.snapshot();
+  EXPECT_EQ(s.nonFinite, 3u);
+  observe::Histogram::Snapshot finite = s;
+  finite.nonFinite = 0;
+  expectSameSnapshot(finite, clean.snapshot());
+  EXPECT_DOUBLE_EQ(s.sum, 10.5);
+  EXPECT_DOUBLE_EQ(s.quantile(1.0), 8.0);
+  EXPECT_EQ(registry.toJson()
+                .at("histograms")
+                .at("mixed")
+                .at("non_finite")
+                .asInt(),
+            3);
+  EXPECT_FALSE(registry.toJson().at("histograms").at("clean").has(
+      "non_finite"));
+  mixed.reset();
+  EXPECT_EQ(mixed.snapshot().nonFinite, 0u);
 }
 
 TEST(RuntimeLog, DrainsRingEventsWithThreadIdsAndDropCounter) {

@@ -1,5 +1,7 @@
+#include "analyzer/region.h"
 #include "cachesim/hierarchy.h"
 #include "ir/interp.h"
+#include "ir/print.h"
 #include "kernels/kernel.h"
 #include "machine/machine.h"
 #include "perfmodel/costmodel.h"
@@ -8,6 +10,7 @@
 #include "support/rng.h"
 #include "transform/transforms.h"
 #include "tuning/kernel_problem.h"
+#include "verify/generator.h"
 
 #include <gtest/gtest.h>
 
@@ -440,6 +443,67 @@ TEST(ParametricNest, ANestBuiltWhereAnotherWasKeepsNoneOfItsScratch) {
           << kernel << " config " << ::testing::PrintToString(c);
     }
   }
+}
+
+TEST(ParametricNest, GeneratedNestsMatchTheReferencePathBitForBit) {
+  // Random single-nest programs with constant bounds: non-unit subscript
+  // coefficients, constant-offset spreads, and several depths and ranks.
+  // Each one the skeleton accepts, and whose accesses the model can
+  // analyze (a perfect nest), is lowered at tile vectors that include 1,
+  // the whole range and sizes that do not divide it, and at line sizes
+  // whose rounding takes the power-of-two and the generic path.
+  verify::GeneratorOptions options;
+  options.maxTopLoops = 1;
+  options.allowParametricBounds = false;
+  support::Rng rng(0xd1ff);
+  int nests = 0;
+  for (int draw = 0; draw < 300 && nests < 40; ++draw) {
+    const ir::Program program = verify::randomProgram(rng, options);
+    std::optional<analyzer::TransformationSkeleton> skeleton;
+    try {
+      analyzeNest(program);
+      skeleton.emplace(analyzer::TransformationSkeleton::build(program, 4));
+    } catch (const support::CheckError&) {
+      continue;
+    }
+    ++nests;
+    const TiledNest nest(*skeleton);
+    const std::size_t dims = skeleton->tileDepth();
+    const std::vector<std::int64_t>& range = skeleton->region().bandTrips;
+    // The variant's parallel header, as instantiate() emits it for any tile.
+    std::vector<std::int64_t> lowCorner(dims + 1, 1);
+    const int collapse =
+        transform::perfectNest(skeleton->instantiate(lowCorner))[0]->collapse;
+
+    std::vector<std::vector<std::int64_t>> tileVectors{
+        std::vector<std::int64_t>(dims, 1), range};
+    for (int k = 0; k < 6; ++k) {
+      std::vector<std::int64_t> tiles;
+      for (std::size_t p = 0; p < dims; ++p)
+        tiles.push_back(rng.uniformInt(1, range[p]));
+      tileVectors.push_back(std::move(tiles));
+    }
+    for (const std::vector<std::int64_t>& tiles : tileVectors) {
+      const ir::Program variant = transform::parallelizeOuter(
+          transform::tile(skeleton->base(), tiles), collapse);
+      const NestAnalysis na = analyzeNest(variant);
+      const std::string where = ir::printSource(program) + "tiles " +
+                                ::testing::PrintToString(tiles);
+      LoweredNest lowered;
+      for (const std::int64_t line : {32, 48, 64, 128}) {
+        nest.lower(tiles, line, lowered);
+        ASSERT_TRUE(bitEqual(lowered, lowerNest(na, line)))
+            << where << " line " << line;
+        for (std::size_t lvl = 0; lvl <= na.loops.size(); ++lvl) {
+          const double want = totalFootprintBytes(na, lvl, line);
+          const double got = nest.totalFootprintBytes(tiles, lvl, line);
+          ASSERT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
+              << where << " line " << line << " level " << lvl;
+        }
+      }
+    }
+  }
+  EXPECT_GE(nests, 20);
 }
 
 TEST(ParametricNest, RejectsATileVectorOfTheWrongLength) {

@@ -969,6 +969,10 @@ TEST(Stream, SubscribeDeliversProgressTraceAndEnd) {
   serve::Daemon daemon(daemonOptions(freshDir("stream-subscribe"), 1));
   daemon.start();
   serve::Client submitter("127.0.0.1", daemon.port());
+  // The one worker runs another job first, so the watched job is still
+  // queued when the subscription starts: frames are live only, and a job
+  // of a few milliseconds could otherwise finish before it.
+  ASSERT_TRUE(submitter.submit(gde3Spec(2)).accepted);
   const serve::SubmitOutcome job = submitter.submit(gde3Spec(1));
   ASSERT_TRUE(job.accepted);
 

@@ -1,7 +1,9 @@
 #include "kernels/kernel.h"
 #include "machine/machine.h"
 #include "observe/metrics.h"
+#include "runtime/thread_pool.h"
 #include "support/check.h"
+#include "support/rng.h"
 #include "tuning/evaluator.h"
 #include "tuning/kernel_problem.h"
 #include "tuning/native_evaluator.h"
@@ -12,12 +14,45 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <new>
+#include <set>
 #include <stdexcept>
 #include <string>
 
+// Heap allocations made by this thread while an AllocationCount is alive;
+// everything else allocates uncounted.
+namespace {
+thread_local bool countingAllocations = false;
+thread_local std::uint64_t allocationsCounted = 0;
+} // namespace
+
+void* operator new(std::size_t bytes) {
+  if (countingAllocations) ++allocationsCounted;
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler does not pair an inlined free() with the
+// allocation site's operator new and warn.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace motune::tuning {
 namespace {
+
+/// Counts the calling thread's heap allocations over its lifetime.
+class AllocationCount {
+public:
+  AllocationCount() {
+    allocationsCounted = 0;
+    countingAllocations = true;
+  }
+  ~AllocationCount() { countingAllocations = false; }
+  std::uint64_t value() const { return allocationsCounted; }
+};
 
 TEST(Boundary, ClosestToClampsAndRounds) {
   Boundary b;
@@ -94,13 +129,21 @@ TEST(CountingEvaluator, CountsUniqueOnly) {
   EXPECT_EQ(fn.calls.load(), 3);
 }
 
+/// The objectives an evaluateBatch() result points at, copied out.
+std::vector<Objectives> valuesOf(const std::vector<const Objectives*>& batch) {
+  std::vector<Objectives> out;
+  for (const Objectives* objectives : batch) out.push_back(*objectives);
+  return out;
+}
+
 TEST(EvaluateBatch, PreservesOrderParallel) {
   ToyFn fn;
   CountingEvaluator counter(fn);
   runtime::ThreadPool pool(4);
   std::vector<Config> configs;
   for (std::int64_t i = 0; i <= 10; ++i) configs.push_back({i});
-  const auto out = counter.evaluateBatch(configs, pool, /*parallel=*/true);
+  const auto out =
+      valuesOf(counter.evaluateBatch(configs, pool, /*parallel=*/true));
   ASSERT_EQ(out.size(), 11u);
   for (std::size_t i = 0; i < out.size(); ++i)
     EXPECT_DOUBLE_EQ(out[i][0], static_cast<double>(i));
@@ -128,8 +171,8 @@ BatchOutcome runContractBatch(unsigned workers, bool parallel) {
   counter.evaluate({1});
   counter.evaluate({9});
   runtime::ThreadPool pool(workers);
-  outcome.results = counter.evaluateBatch(
-      {{5}, {3}, {5}, {7}, {3}, {1}, {7}, {9}, {2}, {5}}, pool, parallel);
+  outcome.results = valuesOf(counter.evaluateBatch(
+      {{5}, {3}, {5}, {7}, {3}, {1}, {7}, {9}, {2}, {5}}, pool, parallel));
   outcome.evaluations = counter.evaluations();
   outcome.memoHits = counter.memoHits();
   outcome.innerCalls = fn.calls.load();
@@ -323,6 +366,97 @@ TEST(EvaluateBatch, NonFiniteMissFailsLikeAThrowingMiss) {
       EXPECT_EQ(journal, (std::vector<Config>{{5}, {1}}));
     EXPECT_EQ(counter.evaluations(), journal.size());
     EXPECT_THROW(counter.evaluate({6}), support::CheckError);
+  }
+}
+
+/// ToyFn that returns no objectives at x == 4.
+class EmptyAtFourFn final : public ObjectiveFunction {
+public:
+  std::size_t numObjectives() const override { return 2; }
+  const std::vector<ParamSpec>& space() const override { return space_; }
+  Objectives evaluate(const Config& c) override {
+    ++calls;
+    if (c[0] == 4) return {};
+    return {static_cast<double>(c[0]), 10.0 - static_cast<double>(c[0])};
+  }
+  std::atomic<int> calls{0};
+
+private:
+  std::vector<ParamSpec> space_{{"x", 0, 10}};
+};
+
+TEST(EvaluateBatch, FailedMissLeavesNoMemoEntry) {
+  // A batch marks each new config in the memo before evaluating it; a
+  // miss that fails, and its repeats, must leave no trace, so the next
+  // lookup evaluates (and fails) again.
+  for (bool parallel : {false, true}) {
+    EmptyAtFourFn fn;
+    CountingEvaluator counter(fn);
+    runtime::ThreadPool pool(2);
+    EXPECT_NE(checkErrorOf([&] {
+                counter.evaluateBatch({{3}, {4}, {5}, {4}}, pool, parallel);
+              }).find("empty objective vector for config [4]"),
+              std::string::npos);
+    const int calls = fn.calls.load();
+    EXPECT_THROW(counter.evaluate({4}), support::CheckError);
+    EXPECT_THROW(counter.evaluateBatch({{4}}, pool, parallel),
+                 support::CheckError);
+    EXPECT_EQ(fn.calls.load(), calls + 2);
+    EXPECT_EQ(*counter.evaluateBatch({{3}}, pool, parallel)[0],
+              (Objectives{3.0, 7.0}));
+    EXPECT_THROW(counter.preload({4}, {}), support::CheckError);
+  }
+}
+
+TEST(EvaluateBatch, AllocatesAtMostThreeTimesPerUniqueEvaluation) {
+  // All-miss 30-config mm batches, a fresh evaluator every 70 batches, as
+  // a search's generations arrive. Batch scratch and the returned pointer
+  // vector count against the evaluations they serve.
+  KernelTuningProblem problem(kernels::kernelByName("mm"),
+                              machine::westmere());
+  std::vector<std::vector<Config>> batches(70);
+  std::set<Config> drawn;
+  support::Rng rng(31);
+  while (drawn.size() < 70 * 30) {
+    Config c;
+    for (const ParamSpec& p : problem.space())
+      c.push_back(rng.uniformInt(p.lo, p.hi));
+    if (drawn.insert(c).second)
+      batches[(drawn.size() - 1) / 30].push_back(std::move(c));
+  }
+  runtime::ThreadPool pool(1);
+  problem.evaluate(batches[0][0]); // the thread's lowering scratch
+  std::uint64_t allocations = 0, evaluations = 0;
+  for (int round = 0; round < 3; ++round) {
+    CountingEvaluator counter(problem);
+    {
+      const AllocationCount count;
+      for (const std::vector<Config>& batch : batches)
+        counter.evaluateBatch(batch, pool, /*parallel=*/false);
+      allocations += count.value();
+    }
+    evaluations += counter.evaluations();
+    EXPECT_EQ(counter.memoHits(), 0u);
+  }
+  ASSERT_EQ(evaluations, 3u * 70 * 30);
+  EXPECT_LE(static_cast<double>(allocations) /
+                static_cast<double>(evaluations),
+            3.0)
+      << allocations << " allocations for " << evaluations << " evaluations";
+
+  // A memo hit copies its objectives out of evaluate() and nothing else;
+  // a batch of hits allocates only the vector it returns.
+  CountingEvaluator counter(problem);
+  counter.evaluateBatch(batches[0], pool, /*parallel=*/false);
+  {
+    const AllocationCount count;
+    counter.evaluate(batches[0][7]);
+    EXPECT_LE(count.value(), 1u);
+  }
+  {
+    const AllocationCount count;
+    counter.evaluateBatch(batches[0], pool, /*parallel=*/false);
+    EXPECT_LE(count.value(), 1u);
   }
 }
 
