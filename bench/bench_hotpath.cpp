@@ -7,8 +7,9 @@
 // plain evaluation), the reference path's skeleton
 // instantiation + nest analysis, IR execution (tree walker vs. the flat
 // bytecode engine), batched cache simulation, one checkpointed
-// generation's session-journal writes, and the Pareto bookkeeping (a
-// generation's truncation, the thread sweep's first front) — and emits the
+// generation's session-journal writes, the Pareto bookkeeping (a
+// generation's truncation, the thread sweep's first front) and whole
+// steady-state RS-GDE3 generations — and emits the
 // throughputs as machine-readable JSON. With --baseline the process fails
 // when any throughput drops more than the tolerance below its committed
 // floor, so order-of-magnitude hot-path regressions fail CI without the
@@ -49,11 +50,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
+#include <new>
 #include <set>
 #include <span>
 #include <sstream>
@@ -61,6 +65,25 @@
 #include <vector>
 
 #include <unistd.h>
+
+// Heap allocations made by this thread while counting is on (the
+// engine.generation row reports them per generation).
+namespace {
+thread_local bool countingAllocations = false;
+thread_local std::uint64_t allocationsCounted = 0;
+} // namespace
+
+void* operator new(std::size_t bytes) {
+  if (countingAllocations) ++allocationsCounted;
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler does not pair an inlined free() with the
+// allocation site's operator new and warn.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 using namespace motune;
 
@@ -242,8 +265,8 @@ double variantRate(double minSeconds) {
   });
 }
 
-/// Statements per second executing matrix multiply (N = 24, matching
-/// bench_micro's BM_InterpreterMm) through either engine. Construction is
+/// Statements per second executing matrix multiply (N = 24) through
+/// either engine. Construction is
 /// inside the timed region — the tuning pipeline rebuilds the executor per
 /// simulated variant, so that cost is part of the path.
 double interpRate(bool bytecode, double minSeconds) {
@@ -414,6 +437,40 @@ double truncateRate(double minSeconds) {
   });
 }
 
+/// Steady-state generations of a default RS-GDE3 search on mm/westmere
+/// whose stop rule never fires: variation, evaluation of the trials
+/// through the memo, selection, truncation, hypervolume, immigrants and
+/// the rough-set reduction, after 20 warm-up generations. Also returns the
+/// heap allocations per generation.
+double generationRate(double minSeconds, double& allocationsPerGeneration) {
+  tuning::KernelTuningProblem problem(kernels::kernelByName("mm"),
+                                      machine::westmere());
+  runtime::ThreadPool pool(1);
+  opt::RSGDE3Options options;
+  options.gde3.parallelEvaluation = false;
+  options.gde3.noImproveLimit = std::numeric_limits<int>::max();
+  options.maxTotalGenerations = std::numeric_limits<int>::max();
+  opt::RSGDE3 engine(problem, pool, options);
+  engine.begin();
+  const auto generation = [&engine] {
+    MOTUNE_CHECK(engine.nextGeneration());
+    engine.endGeneration();
+  };
+  for (int g = 0; g < 20; ++g) generation();
+  std::uint64_t generations = 0;
+  allocationsCounted = 0;
+  countingAllocations = true;
+  const double rate = throughput(minSeconds, [&] {
+    generation();
+    ++generations;
+    return 1;
+  });
+  countingAllocations = false;
+  allocationsPerGeneration = static_cast<double>(allocationsCounted) /
+                             static_cast<double>(generations);
+  return rate;
+}
+
 /// The first front of 340 points, the size of the thread sweep's pool.
 double frontIndicesRate(double minSeconds) {
   const std::vector<opt::Individual> pop = tradeOffPopulation(340, 13);
@@ -515,6 +572,11 @@ int main(int argc, char** argv) {
       "generations/s");
   add("pareto.truncate", truncateRate(minTime), "truncations/s");
   add("pareto.front_indices", frontIndicesRate(minTime), "fronts/s");
+  double allocationsPerGeneration = 0.0;
+  add("engine.generation", generationRate(minTime, allocationsPerGeneration),
+      "generations/s");
+  std::cout << "  engine.generation heap allocations per generation: "
+            << support::fmt(allocationsPerGeneration, 3) << "\n";
   // Machine-independent ratio: gated tighter than the absolute floors.
   add("interp.bytecode_speedup", tree > 0.0 ? bytecode / tree : 0.0, "ratio");
 

@@ -1,5 +1,5 @@
-# Benchmark harness: one binary per paper table/figure, plus ablation and
-# microbenchmark binaries. All binaries land in ${CMAKE_BINARY_DIR}/bench.
+# Benchmark harness: one binary per paper table/figure, plus the ablation,
+# gate and hot-path binaries. All binaries land in ${CMAKE_BINARY_DIR}/bench.
 
 add_library(motune_bench_common STATIC
   ${CMAKE_SOURCE_DIR}/bench/common.cpp)
@@ -43,10 +43,3 @@ motune_bench(bench_adaptive)
 # against bench/baselines/serve_baseline.json (floors for rates, ceilings
 # for latencies).
 motune_bench(bench_serve)
-
-# google-benchmark microbenchmarks of the framework's building blocks.
-add_executable(bench_micro ${CMAKE_SOURCE_DIR}/bench/bench_micro.cpp)
-target_link_libraries(bench_micro PRIVATE motune_bench_common
-                                          benchmark::benchmark)
-set_target_properties(bench_micro PROPERTIES
-  RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
 
 namespace motune::autotune {
 
@@ -360,41 +359,90 @@ std::uint64_t threadSweepRefinement(tuning::KernelTuningProblem& problem,
   const std::size_t tileDims = problem.skeleton().tileDepth();
   const auto maxThreads = space.back().hi;
 
-  // Distinct tile settings on the current front.
-  std::set<tuning::Config> tiles;
-  std::set<tuning::Config> evaluated;
-  for (const auto& ind : result.front) {
-    tiles.insert(tuning::Config(ind.config.begin(),
-                                ind.config.begin() +
-                                    static_cast<std::ptrdiff_t>(tileDims)));
-  }
-  for (const auto& ind : result.population) evaluated.insert(ind.config);
+  // Distinct tile settings on the current front, ascending.
+  std::vector<tuning::Config> tiles;
+  tiles.reserve(result.front.size());
+  for (const auto& ind : result.front)
+    tiles.emplace_back(ind.config.begin(),
+                       ind.config.begin() +
+                           static_cast<std::ptrdiff_t>(tileDims));
+  std::sort(tiles.begin(), tiles.end());
+  tiles.erase(std::unique(tiles.begin(), tiles.end()), tiles.end());
+  // The population's configs, sorted for lookup. A sweep config is new
+  // unless the population has it: distinct tiles or thread counts never
+  // collide with each other.
+  std::vector<const tuning::Config*> evaluated;
+  evaluated.reserve(result.population.size());
+  for (const auto& ind : result.population) evaluated.push_back(&ind.config);
+  const auto byConfig = [](const tuning::Config* a, const tuning::Config* b) {
+    return *a < *b;
+  };
+  std::sort(evaluated.begin(), evaluated.end(), byConfig);
 
   // Each tile vector is lowered once for all of its new thread counts.
-  std::uint64_t extra = 0;
-  std::vector<opt::Individual> pool = result.front;
+  // The candidates' objectives follow the front's in one flat table, so
+  // the new front is ranked without building a dominated candidate.
+  struct Candidate {
+    std::size_t tile;
+    std::int64_t threads;
+  };
+  std::vector<Candidate> candidates;
+  std::vector<double> flat;
+  const std::size_t m = result.front.empty()
+                            ? 0
+                            : result.front.front().objectives.size();
+  for (const auto& ind : result.front)
+    flat.insert(flat.end(), ind.objectives.begin(), ind.objectives.end());
   std::vector<std::int64_t> threads;
-  for (const auto& t : tiles) {
+  tuning::Config config;
+  for (std::size_t t = 0; t < tiles.size(); ++t) {
     threads.clear();
-    tuning::Config config = t;
+    config = tiles[t];
     config.push_back(0);
     for (std::int64_t p = 1; p <= maxThreads; ++p) {
       config.back() = p;
-      if (evaluated.insert(config).second) threads.push_back(p);
+      if (!std::binary_search(evaluated.begin(), evaluated.end(), &config,
+                              byConfig))
+        threads.push_back(p);
     }
-    std::vector<tuning::Objectives> objectives =
-        problem.evaluateThreadCounts(t, threads);
+    const std::vector<tuning::Objectives> objectives =
+        problem.evaluateThreadCounts(tiles[t], threads);
     for (std::size_t k = 0; k < threads.size(); ++k) {
-      config.back() = threads[k];
-      opt::Individual ind;
-      ind.genome.assign(config.begin(), config.end());
-      ind.config = config;
-      ind.objectives = std::move(objectives[k]);
-      pool.push_back(std::move(ind));
-      ++extra;
+      MOTUNE_CHECK(objectives[k].size() == m);
+      flat.insert(flat.end(), objectives[k].begin(), objectives[k].end());
+      candidates.push_back({t, threads[k]});
     }
   }
-  result.front = opt::paretoFront(pool);
+  const std::uint64_t extra = candidates.size();
+
+  // The first front of front + candidates, ascending, without repeating a
+  // config (the earliest copy stays): the old front's members, then the
+  // non-dominated candidates in sweep order.
+  std::vector<opt::Individual> front;
+  if (m > 0) {
+    opt::ParetoRanking ranking;
+    ranking.rank(flat, m, 1);
+    for (std::size_t i : ranking.front(0)) {
+      opt::Individual ind;
+      if (i < result.front.size()) {
+        ind = std::move(result.front[i]);
+      } else {
+        const Candidate& c = candidates[i - result.front.size()];
+        ind.config = tiles[c.tile];
+        ind.config.push_back(c.threads);
+        ind.genome.assign(ind.config.begin(), ind.config.end());
+        ind.objectives.assign(flat.begin() + static_cast<std::ptrdiff_t>(i * m),
+                              flat.begin() +
+                                  static_cast<std::ptrdiff_t>(i * m + m));
+      }
+      if (std::none_of(front.begin(), front.end(),
+                       [&](const opt::Individual& kept) {
+                         return kept.config == ind.config;
+                       }))
+        front.push_back(std::move(ind));
+    }
+  }
+  result.front = std::move(front);
   result.evaluations += extra;
   span.setAttr("tiles", support::Json(tiles.size()));
   span.setAttr("extra_evaluations", support::Json(extra));

@@ -34,29 +34,28 @@ GDE3::GDE3(tuning::ObjectiveFunction& fn, runtime::ThreadPool& pool,
   MOTUNE_CHECK(options_.surrogateKeep > 0.0 && options_.surrogateKeep <= 1.0);
 }
 
-std::vector<Individual>
-GDE3::evaluateAll(std::vector<std::vector<double>> genomes,
-                  const tuning::Boundary& projection) {
-  std::vector<tuning::Config> configs;
-  configs.reserve(genomes.size());
-  for (const auto& g : genomes) configs.push_back(projection.closestTo(g));
+void GDE3::evaluate(std::span<Individual> members,
+                    const tuning::Boundary& projection) {
+  if (configs_.size() < members.size()) configs_.resize(members.size());
+  for (std::size_t i = 0; i < members.size(); ++i)
+    projection.closestTo(members[i].genome, configs_[i]);
 
   const std::vector<const tuning::Objectives*> objectives =
-      counter_.evaluateBatch(configs, pool_, options_.parallelEvaluation);
+      counter_.evaluateBatch(
+          std::span<const tuning::Config>(configs_.data(), members.size()),
+          pool_, options_.parallelEvaluation);
 
   // Every evaluated point is offered to the front, so the reported Pareto
   // set is the non-dominated subset of everything measured, exactly as for
   // the brute-force and random-search baselines.
-  std::vector<Individual> out;
-  out.reserve(genomes.size());
-  for (std::size_t i = 0; i < genomes.size(); ++i) {
-    out.push_back(
-        {std::move(genomes[i]), std::move(configs[i]), *objectives[i]});
-    insertIntoFront(front_, out.back());
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    Individual& ind = members[i];
+    std::swap(ind.config, configs_[i]);
+    ind.objectives = *objectives[i];
+    insertIntoFront(front_, ind, spare_);
     if (options_.surrogate)
-      options_.surrogate->observe(out.back().config, out.back().objectives);
+      options_.surrogate->observe(ind.config, ind.objectives);
   }
-  return out;
 }
 
 void GDE3::initialize() {
@@ -65,13 +64,11 @@ void GDE3::initialize() {
       {{"population", support::Json(options_.population)},
        {"dims", support::Json(fullBoundary_.dims())}});
   const std::size_t dims = fullBoundary_.dims();
-  std::vector<std::vector<double>> genomes;
-  genomes.reserve(options_.population);
-  for (std::size_t i = 0; i < options_.population; ++i) {
-    std::vector<double> g(dims);
+  population_.resize(options_.population);
+  for (Individual& ind : population_) {
+    ind.genome.resize(dims);
     for (std::size_t d = 0; d < dims; ++d)
-      g[d] = rng_.uniform(fullBoundary_.lo[d], fullBoundary_.hi[d]);
-    genomes.push_back(std::move(g));
+      ind.genome[d] = rng_.uniform(fullBoundary_.lo[d], fullBoundary_.hi[d]);
   }
   // Analytic/island seeds overwrite the first slots AFTER the draws above,
   // so the RNG stream position is independent of the seed list (see
@@ -82,11 +79,12 @@ void GDE3::initialize() {
     const tuning::Config& c = options_.initialSeeds[i];
     MOTUNE_CHECK_MSG(c.size() == dims,
                      "initial seed dimensionality mismatch");
-    std::vector<double>& g = genomes[i];
+    std::vector<double>& g = population_[i].genome;
     for (std::size_t d = 0; d < dims; ++d)
       g[d] = static_cast<double>(c[d]);
   }
-  population_ = evaluateAll(std::move(genomes), fullBoundary_);
+  evaluate(population_, fullBoundary_);
+  refreshFirstFront();
 
   // Fix the hypervolume normalization from the initial sample: the worst
   // observed value per objective, padded so later (worse) points clip to
@@ -108,16 +106,57 @@ void GDE3::initialize() {
   bestHvGauge_.set(bestHv_);
 }
 
-void GDE3::setBoundary(tuning::Boundary boundary) {
+void GDE3::setBoundary(const tuning::Boundary& boundary) {
   MOTUNE_CHECK(boundary.dims() == fullBoundary_.dims());
-  boundary_ = boundary.intersect(fullBoundary_);
+  boundary_ = boundary;
+  boundary_.intersectWith(fullBoundary_);
 }
 
-double GDE3::frontHypervolume() const {
+void GDE3::adopt(std::span<const std::size_t> refs) {
+  const std::size_t n = population_.size();
+  MOTUNE_CHECK(refs.size() == n);
+  constexpr std::size_t kFree = static_cast<std::size_t>(-1);
+  // Surviving parents stay where they are; each surviving trial moves
+  // into the slot of a parent that did not survive.
+  slotOf_.resize(n);
+  holder_.assign(n, kFree);
+  for (std::size_t k = 0; k < n; ++k)
+    if (refs[k] < n) {
+      slotOf_[k] = refs[k];
+      holder_[refs[k]] = k;
+    }
+  std::size_t free = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (refs[k] < n) continue;
+    while (holder_[free] != kFree) ++free;
+    std::swap(population_[free], trials_[refs[k] - n]);
+    slotOf_[k] = free;
+    holder_[free] = k;
+  }
+  // Then one pass of swaps puts survivor k in slot k.
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t slot = slotOf_[k];
+    if (slot == k) continue;
+    std::swap(population_[k], population_[slot]);
+    const std::size_t displaced = holder_[k];
+    slotOf_[displaced] = slot;
+    holder_[slot] = displaced;
+  }
+}
+
+void GDE3::refreshFirstFront() {
+  ranking_.rank(population_, 1);
+  firstFront_.clear();
+  if (ranking_.frontCount() == 0) return;
+  const std::span<const std::size_t> first = ranking_.front(0);
+  firstFront_.assign(first.begin(), first.end());
+}
+
+double GDE3::frontHypervolume() {
   MOTUNE_CHECK(metric_.has_value());
   // The population's first front, uncopied. Members sharing a config
   // share their (memoized) objectives, which add no area, so no dedupe.
-  return metric_->ofMembers(population_, nonDominatedIndices(population_));
+  return metric_->ofMembers(population_, firstFront_, hvScratch_);
 }
 
 bool GDE3::step() {
@@ -127,8 +166,7 @@ bool GDE3::step() {
   const std::size_t dims = fullBoundary_.dims();
 
   // DE/rand/1/bin trial generation (paper Algorithm 1).
-  std::vector<std::vector<double>> trials;
-  trials.reserve(n);
+  trials_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     std::size_t b, c, d;
     do b = static_cast<std::size_t>(rng_.uniformInt(0, n - 1)); while (b == i);
@@ -144,72 +182,95 @@ bool GDE3::step() {
     const auto forced = static_cast<std::size_t>(
         rng_.uniformInt(0, static_cast<std::int64_t>(dims) - 1));
 
-    std::vector<double> r(dims);
+    std::vector<double>& r = trials_[i].genome;
+    r.resize(dims);
     for (std::size_t k = 0; k < dims; ++k) {
       if (rng_.uniform() < options_.cr || k == forced)
         r[k] = gb[k] + options_.f * (gc[k] - gd[k]);
       else
         r[k] = ga[k];
     }
-    trials.push_back(std::move(r));
   }
 
   // Surrogate pre-ranking: score every projected trial with the cheap
   // model and send only the top ceil(keep * n) to the full evaluation.
   // Scoring never touches rng_, so at keep == 1 (score-but-don't-cull)
   // the evaluation sequence is identical to a surrogate-free generation.
-  std::vector<char> culled(n, 0);
+  culled_.assign(n, 0);
   std::size_t culledCount = 0;
   if (options_.surrogate && options_.surrogate->ready()) {
-    std::vector<std::pair<double, std::size_t>> ranked;
-    ranked.reserve(n);
+    surrogateRanked_.clear();
     for (std::size_t i = 0; i < n; ++i) {
-      double s = options_.surrogate->score(boundary_.closestTo(trials[i]));
+      boundary_.closestTo(trials_[i].genome, scored_);
+      double s = options_.surrogate->score(scored_);
       if (std::isnan(s)) s = std::numeric_limits<double>::infinity();
-      ranked.emplace_back(s, i);
+      surrogateRanked_.emplace_back(s, i);
     }
     const auto keep = std::max<std::size_t>(
         1, static_cast<std::size_t>(std::ceil(
                options_.surrogateKeep * static_cast<double>(n))));
     if (keep < n) {
-      std::sort(ranked.begin(), ranked.end()); // ties break on trial index
-      for (std::size_t j = keep; j < n; ++j) culled[ranked[j].second] = 1;
+      // Ties break on trial index.
+      std::sort(surrogateRanked_.begin(), surrogateRanked_.end());
+      for (std::size_t j = keep; j < n; ++j)
+        culled_[surrogateRanked_[j].second] = 1;
       culledCount = n - keep;
       observe::MetricsRegistry::global()
           .counter("tuning.surrogate.culled")
           .add(culledCount);
     }
   }
-  std::vector<std::vector<double>> toEval;
-  toEval.reserve(n - culledCount);
+  // The kept trials move to the front of trials_, in order.
+  std::size_t kept = 0;
   for (std::size_t i = 0; i < n; ++i)
-    if (!culled[i]) toEval.push_back(std::move(trials[i]));
+    if (!culled_[i]) {
+      if (kept != i) std::swap(trials_[kept], trials_[i]);
+      ++kept;
+    }
+  evaluate(std::span<Individual>(trials_.data(), kept), boundary_);
 
-  std::vector<Individual> offspring = evaluateAll(std::move(toEval), boundary_);
-
-  // GDE3 selection.
-  std::vector<Individual> next;
-  next.reserve(2 * n);
+  // GDE3 selection, by reference: r < n is parent r, r >= n is trial
+  // r - n. A parent precedes its trial when both survive.
+  chosen_.clear();
   std::size_t evaluated = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    Individual& parent = population_[i];
-    if (culled[i]) { // the surrogate rejected the trial: the parent survives
-      next.push_back(std::move(parent));
+    const Individual& parent = population_[i];
+    if (culled_[i]) { // the surrogate rejected the trial: the parent survives
+      chosen_.push_back(i);
       continue;
     }
-    Individual& trial = offspring[evaluated++];
+    const std::size_t t = evaluated++;
+    const Individual& trial = trials_[t];
     if (dominates(trial.objectives, parent.objectives)) {
-      next.push_back(std::move(trial));
+      chosen_.push_back(n + t);
     } else if (dominates(parent.objectives, trial.objectives) ||
                trial.config == parent.config) {
-      next.push_back(std::move(parent));
+      chosen_.push_back(i);
     } else {
-      next.push_back(std::move(parent));
-      next.push_back(std::move(trial));
+      chosen_.push_back(i);
+      chosen_.push_back(n + t);
     }
   }
-  truncateByRankAndCrowding(next, options_.population);
-  population_ = std::move(next);
+  // Truncation back to n by rank and crowding. Its ranking also yields
+  // the new population's first front: the prefix it kept of front 0.
+  if (chosen_.size() > n) {
+    const std::size_t m = population_.front().objectives.size();
+    rows_.clear();
+    for (std::size_t r : chosen_) {
+      const Objectives& o = (r < n ? population_[r] : trials_[r - n]).objectives;
+      rows_.insert(rows_.end(), o.begin(), o.end());
+    }
+    ranking_.rank(rows_, m, n);
+    const std::span<const std::size_t> keep = ranking_.survivors(n);
+    kept_.resize(n);
+    for (std::size_t k = 0; k < n; ++k) kept_[k] = chosen_[keep[k]];
+    adopt(kept_);
+    firstFront_.resize(std::min(ranking_.front(0).size(), n));
+    for (std::size_t k = 0; k < firstFront_.size(); ++k) firstFront_[k] = k;
+  } else {
+    adopt(chosen_);
+    refreshFirstFront();
+  }
 
   ++generations_;
   const double hv = frontHypervolume();
@@ -254,21 +315,22 @@ bool GDE3::step() {
 std::size_t GDE3::injectImmigrants(std::size_t count) {
   // Replace dominated members (never the first front) with random samples
   // from the current boundary.
-  const auto fronts = nonDominatedSort(population_);
-  std::vector<std::size_t> replaceable;
-  for (std::size_t f = 1; f < fronts.size(); ++f)
-    for (std::size_t i : fronts[f]) replaceable.push_back(i);
-  if (replaceable.empty()) return 0;
+  ranking_.rank(population_);
+  const std::span<const std::size_t> dominated = ranking_.frontsFrom(1);
+  replaceable_.assign(dominated.begin(), dominated.end());
+  if (replaceable_.empty()) return 0;
+  const std::span<const std::size_t> first = ranking_.front(0);
 
-  count = std::min(count, replaceable.size());
+  count = std::min(count, replaceable_.size());
+  if (immigrants_.size() < count) immigrants_.resize(count);
   const std::size_t dims = fullBoundary_.dims();
-  std::vector<std::vector<double>> genomes;
-  std::vector<std::size_t> targets;
+  targets_.clear();
   for (std::size_t k = 0; k < count; ++k) {
-    const std::size_t pick = static_cast<std::size_t>(
-        rng_.uniformInt(0, static_cast<std::int64_t>(replaceable.size()) - 1));
-    targets.push_back(replaceable[pick]);
-    replaceable.erase(replaceable.begin() + static_cast<std::ptrdiff_t>(pick));
+    const std::size_t pick = static_cast<std::size_t>(rng_.uniformInt(
+        0, static_cast<std::int64_t>(replaceable_.size()) - 1));
+    targets_.push_back(replaceable_[pick]);
+    replaceable_.erase(replaceable_.begin() +
+                       static_cast<std::ptrdiff_t>(pick));
 
     // Elite transfer: clone a front member and resample one coordinate
     // over its FULL range. Good parameter settings carry over between
@@ -278,22 +340,22 @@ std::size_t GDE3::injectImmigrants(std::size_t count) {
     // the reduced space "may not contain all the solutions within the
     // desired optimal Pareto set"); the DE trials themselves stay confined
     // to the reduced boundary per Algorithm 1.
-    std::vector<double> g(dims);
-    const std::size_t elite = fronts.front()[static_cast<std::size_t>(
-        rng_.uniformInt(0,
-                        static_cast<std::int64_t>(fronts.front().size()) - 1))];
+    const std::size_t elite = first[static_cast<std::size_t>(
+        rng_.uniformInt(0, static_cast<std::int64_t>(first.size()) - 1))];
+    std::vector<double>& g = immigrants_[k].genome;
     g = population_[elite].genome;
     const auto d = static_cast<std::size_t>(
         rng_.uniformInt(0, static_cast<std::int64_t>(dims) - 1));
     g[d] = rng_.uniform(fullBoundary_.lo[d], fullBoundary_.hi[d] + 1e-9);
-    genomes.push_back(std::move(g));
-    if (replaceable.empty()) break;
+    if (replaceable_.empty()) break;
   }
-  std::vector<Individual> immigrants =
-      evaluateAll(std::move(genomes), fullBoundary_);
-  for (std::size_t k = 0; k < immigrants.size(); ++k)
-    population_[targets[k]] = std::move(immigrants[k]);
-  return immigrants.size();
+  const std::size_t injected = targets_.size();
+  evaluate(std::span<Individual>(immigrants_.data(), injected),
+           fullBoundary_);
+  for (std::size_t k = 0; k < injected; ++k)
+    std::swap(population_[targets_[k]], immigrants_[k]);
+  refreshFirstFront();
+  return injected;
 }
 
 std::vector<Individual> GDE3::selectTop(std::size_t count) const {
@@ -338,10 +400,11 @@ std::size_t GDE3::integrateMigrants(const std::vector<Individual>& migrants) {
   const std::size_t n = std::min(fresh.size(), population_.size());
   for (std::size_t i = 0; i < n; ++i) {
     population_[worstFirst[i]] = fresh[i];
-    insertIntoFront(front_, fresh[i]);
+    insertIntoFront(front_, fresh[i], spare_);
     if (options_.surrogate)
       options_.surrogate->observe(fresh[i].config, fresh[i].objectives);
   }
+  refreshFirstFront();
   return n;
 }
 
@@ -541,6 +604,7 @@ support::Json GDE3::serialize() const {
 void GDE3::restore(const support::Json& state) {
   population_ = individualsFromJson(state.at("population"));
   MOTUNE_CHECK_MSG(!population_.empty(), "checkpoint has an empty population");
+  refreshFirstFront();
   front_ = individualsFromJson(state.at("front"));
   lastFrontSize_ = static_cast<std::size_t>(state.at("last_front_size").asInt());
 

@@ -21,8 +21,11 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 namespace motune::tuning {
 class Surrogate;
@@ -126,7 +129,7 @@ public:
   void initialize();
 
   /// Replaces the variation boundary (rough-set reduction hook).
-  void setBoundary(tuning::Boundary boundary);
+  void setBoundary(const tuning::Boundary& boundary);
   const tuning::Boundary& boundary() const { return boundary_; }
 
   /// Runs one generation; returns true if the front hypervolume improved.
@@ -141,6 +144,13 @@ public:
   OptResult snapshot() const;
 
   const std::vector<Individual>& population() const { return population_; }
+
+  /// Indices of the population's non-dominated members, ascending (the
+  /// rough-set input). Kept current across every change to the
+  /// population: a truncation's ranking yields it as a prefix, and
+  /// initialize(), restore(), immigrants, migrants and a generation that
+  /// needed no truncation rank the population again.
+  const std::vector<std::size_t>& firstFront() const { return firstFront_; }
 
   /// The top `count` population members by non-dominated rank, ties broken
   /// by descending crowding distance — the emigrant set of the island
@@ -192,12 +202,19 @@ public:
   tuning::CountingEvaluator& evaluator() { return counter_; }
 
 private:
-  std::vector<Individual>
-  evaluateAll(std::vector<std::vector<double>> genomes,
-              const tuning::Boundary& projection);
+  /// Projects each member's genome into `projection`, evaluates the
+  /// configs as one batch and fills in config and objectives in place;
+  /// offers every member to the front and the surrogate.
+  void evaluate(std::span<Individual> members,
+                const tuning::Boundary& projection);
   /// Returns the number of immigrants actually injected (telemetry).
   std::size_t injectImmigrants(std::size_t count);
-  double frontHypervolume() const;
+  /// Makes the members `refs` name (r < n: parent r; r >= n: trial
+  /// r - n) the population, in that order, by swaps.
+  void adopt(std::span<const std::size_t> refs);
+  /// Ranks the population again for firstFront_.
+  void refreshFirstFront();
+  double frontHypervolume();
 
   tuning::CountingEvaluator counter_;
   runtime::ThreadPool& pool_;
@@ -207,12 +224,37 @@ private:
   support::Rng rng_;
 
   std::vector<Individual> population_;
+  std::vector<std::size_t> firstFront_; ///< see firstFront()
   std::vector<Individual> front_; ///< non-dominated set of all evaluations
   std::size_t lastFrontSize_ = 0; ///< front_.size() at the previous step()
   std::optional<HypervolumeMetric> metric_; ///< fixed after initialization
   double bestHv_ = 0.0;
   int generations_ = 0;
   std::vector<double> hvHistory_;
+
+  // Storage reused from one generation to the next. Members move between
+  // population_, trials_ and immigrants_ only by swap, so each Individual
+  // keeps its heap buffers, and a steady-state generation allocates
+  // little beyond the memo's new entries (a default run: about 2.5
+  // allocations per unique evaluation, 2 of them the memo's). The values
+  // written into the buffers never depend on what they held before, so a
+  // restore() into a used engine continues as into a fresh one.
+  ParetoRanking ranking_;
+  std::vector<Individual> trials_; ///< this generation's trial vectors
+  std::vector<Individual> immigrants_;
+  std::vector<Individual> spare_;       ///< members the front dropped
+  std::vector<tuning::Config> configs_; ///< a batch's projections
+  tuning::Config scored_;               ///< a surrogate-scored projection
+  std::vector<char> culled_;
+  std::vector<std::pair<double, std::size_t>> surrogateRanked_;
+  std::vector<std::size_t> chosen_; ///< selection, by reference (step())
+  std::vector<std::size_t> kept_;   ///< truncation survivors, by reference
+  std::vector<double> rows_;        ///< the chosen members' objectives
+  std::vector<std::size_t> slotOf_, holder_; ///< adopt() bookkeeping
+  std::vector<std::size_t> replaceable_;
+  std::vector<std::size_t> targets_;
+  HypervolumeMetric::Scratch hvScratch_;
+
   // Per-generation gauges, resolved once (the registry never drops one).
   observe::Counter& generationsCounter_;
   observe::Gauge& bestHvGauge_;

@@ -119,20 +119,19 @@ double HypervolumeMetric::operator()(
   return hypervolumeNd(std::move(normalized), Objectives(worst_.size(), 1.0));
 }
 
-double HypervolumeMetric::ofMembers(
-    std::span<const Individual> pop,
-    std::span<const std::size_t> members) const {
+double HypervolumeMetric::ofMembers(std::span<const Individual> pop,
+                                    std::span<const std::size_t> members,
+                                    Scratch& scratch) const {
   if (worst_.size() != 2) {
     std::vector<Objectives> pts;
     pts.reserve(members.size());
     for (std::size_t i : members) pts.push_back(pop[i].objectives);
     return (*this)(pts);
   }
-  std::vector<Point2> normalized;
-  normalized.reserve(members.size());
+  scratch.clear();
   for (std::size_t i : members)
-    normalized.push_back(normalized2(pop[i].objectives, worst_));
-  return hypervolume2dOf(normalized, 1.0, 1.0);
+    scratch.push_back(normalized2(pop[i].objectives, worst_));
+  return hypervolume2dOf(scratch, 1.0, 1.0);
 }
 
 double HypervolumeMetric::ofFront(const std::vector<Individual>& front) const {

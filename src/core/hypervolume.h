@@ -8,6 +8,7 @@
 
 #include "core/pareto.h"
 
+#include <array>
 #include <span>
 #include <vector>
 
@@ -37,8 +38,12 @@ public:
 
   /// V(S) of the members `members` of `pop`, without copying them. Equal
   /// points add no area, so repeated members do not change the value.
+  /// `scratch` is the caller's point buffer (two objectives), so a search
+  /// that measures every generation does not allocate for it.
+  using Scratch = std::vector<std::array<double, 2>>;
   double ofMembers(std::span<const Individual> pop,
-                   std::span<const std::size_t> members) const;
+                   std::span<const std::size_t> members,
+                   Scratch& scratch) const;
 
   const Objectives& worst() const { return worst_; }
 

@@ -5,222 +5,40 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <set>
 
 namespace motune::opt {
 
 namespace {
 
-/// True if every member has exactly two objectives and none is NaN: the
-/// sorted two-objective paths need `<` to be a strict weak order. Every
-/// other population takes the quadratic pairwise path.
-bool sortableTwoObjectives(std::span<const Individual> pop) {
-  for (const Individual& ind : pop)
-    if (ind.objectives.size() != 2 || std::isnan(ind.objectives[0]) ||
-        std::isnan(ind.objectives[1]))
-      return false;
-  return true;
+/// True if a's m objectives dominate b's (dominates() over flat rows; an
+/// objective that is NaN on either side is ignored).
+bool dominatesRow(const double* a, const double* b, std::size_t m) {
+  bool strictlyBetter = false;
+  for (std::size_t i = 0; i < m; ++i) {
+    if (a[i] > b[i]) return false;
+    if (a[i] < b[i]) strictlyBetter = true;
+  }
+  return strictlyBetter;
 }
 
-/// The objectives of `pop`, row-major: member i's are [i * m, i * m + m).
-std::vector<double> flatObjectives(std::span<const Individual> pop,
-                                   std::size_t m) {
-  std::vector<double> flat;
-  flat.reserve(pop.size() * m);
-  for (const Individual& ind : pop) {
-    MOTUNE_CHECK(ind.objectives.size() == m);
-    flat.insert(flat.end(), ind.objectives.begin(), ind.objectives.end());
-  }
-  return flat;
-}
-
-/// Row-major two-objective points: point i is (f[2i], f[2i + 1]).
-struct Points2 {
-  const std::vector<double>& f;
-  double f0(std::size_t i) const { return f[2 * i]; }
-  double f1(std::size_t i) const { return f[2 * i + 1]; }
-  bool same(std::size_t a, std::size_t b) const {
-    return f0(a) == f0(b) && f1(a) == f1(b);
-  }
-};
-
-/// Indices sorted by (f0, f1, index). A point's dominators all precede
-/// it, and identical points are adjacent.
-std::vector<std::size_t> lexOrder(const Points2& p, std::size_t n) {
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (p.f0(a) != p.f0(b)) return p.f0(a) < p.f0(b);
-    if (p.f1(a) != p.f1(b)) return p.f1(a) < p.f1(b);
-    return a < b;
-  });
-  return order;
-}
-
-/// First front of two-objective points in one sweep of the sorted order:
-/// a point is dominated iff some strictly earlier, non-identical point has
-/// f1 <= its f1. Ascending indices.
-std::vector<std::size_t> firstFrontTwo(const std::vector<double>& f) {
-  const Points2 p{f};
-  const std::size_t n = f.size() / 2;
-  const std::vector<std::size_t> order = lexOrder(p, n);
-  std::vector<char> nd(n, 0);
-  bool seen = false;
-  double bestF1 = 0.0; // min f1 over the earlier, non-identical points
-  bool dominated = false;
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t i = order[k];
-    if (k == 0 || !p.same(i, order[k - 1])) {
-      dominated = seen && bestF1 <= p.f1(i);
-      bestF1 = seen ? std::min(bestF1, p.f1(i)) : p.f1(i);
-      seen = true;
-    }
-    nd[i] = !dominated;
-  }
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < n; ++i)
-    if (nd[i]) out.push_back(i);
-  return out;
-}
-
-/// Deb's fast non-dominated sort for two objectives in O(N log N), with
-/// the fronts in exactly the order the pairwise peeling below produces.
-/// Stops after the first fronts that hold at least `needed` members.
-std::vector<std::vector<std::size_t>>
-nonDominatedSortTwo(const std::vector<double>& f, std::size_t needed) {
-  const Points2 p{f};
-  const std::size_t n = f.size() / 2;
-  if (n == 0) return {};
-  const std::vector<std::size_t> order = lexOrder(p, n);
-
-  // Rank by binary search over each front's minimum f1, which never
-  // decreases from one front to the next: a point joins the first front
-  // none of whose (earlier) members has f1 <= its own.
-  std::vector<std::size_t> rank(n);
-  std::vector<double> minF1;
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t i = order[k];
-    if (k > 0 && p.same(i, order[k - 1])) {
-      rank[i] = rank[order[k - 1]];
-      continue;
-    }
-    const auto r = static_cast<std::size_t>(
-        std::upper_bound(minF1.begin(), minF1.end(), p.f1(i)) -
-        minF1.begin());
-    if (r == minF1.size())
-      minF1.push_back(p.f1(i));
-    else
-      minF1[r] = p.f1(i);
-    rank[i] = r;
-  }
-
-  // Each front as a staircase: f0 ascending, f1 non-increasing.
-  std::vector<std::vector<std::size_t>> stairs(minF1.size());
-  for (std::size_t i : order) stairs[rank[i]].push_back(i);
-
-  // Peeling order. Front 0 is in ascending index order. A member of front
-  // k+1 enters when its last dominator in front k (in that front's order)
-  // releases it, dominators releasing in ascending index order; so front
-  // k+1 is ordered by (that dominator's position, index). The dominators
-  // of q in front k are the staircase members with f0 <= q.f0 (a prefix)
-  // and f1 <= q.f1 (a suffix), one contiguous run whose ends only move
-  // forward as q walks its own staircase, so a sliding-window maximum
-  // finds each last dominator.
-  std::vector<std::vector<std::size_t>> fronts(minF1.size());
-  std::vector<std::size_t> pos(n); // position within its front's order
-  for (std::size_t i = 0; i < n; ++i)
-    if (rank[i] == 0) {
-      pos[i] = fronts[0].size();
-      fronts[0].push_back(i);
-    }
-  std::vector<std::pair<std::size_t, std::size_t>> keyed;
-  std::vector<std::size_t> window; // stair offsets, pos strictly decreasing
-  std::size_t sorted = fronts[0].size();
-  for (std::size_t k = 0; k + 1 < fronts.size(); ++k) {
-    if (sorted >= needed) {
-      fronts.resize(k + 1);
-      break;
-    }
-    const std::vector<std::size_t>& prev = stairs[k];
-    keyed.clear();
-    window.clear();
-    std::size_t head = 0, lo = 0, hi = 0;
-    for (std::size_t q : stairs[k + 1]) {
-      for (; hi < prev.size() && p.f0(prev[hi]) <= p.f0(q); ++hi) {
-        while (window.size() > head &&
-               pos[prev[window.back()]] <= pos[prev[hi]])
-          window.pop_back();
-        window.push_back(hi);
-      }
-      while (lo < hi && p.f1(prev[lo]) > p.f1(q)) ++lo;
-      MOTUNE_DCHECK(lo < hi); // q has a dominator in front k
-      while (window[head] < lo) ++head;
-      keyed.emplace_back(pos[prev[window[head]]], q);
-    }
-    std::sort(keyed.begin(), keyed.end());
-    std::vector<std::size_t>& next = fronts[k + 1];
-    next.reserve(keyed.size());
-    for (const auto& [dominator, q] : keyed) {
-      pos[q] = next.size();
-      next.push_back(q);
-    }
-    sorted += next.size();
-  }
-  return fronts;
-}
-
-/// Deb's pairwise peeling, O(m N^2): any number of objectives, NaN
-/// included (dominates() ignores an objective that is NaN on either side).
-std::vector<std::vector<std::size_t>>
-nonDominatedSortPairwise(std::span<const Individual> pop) {
-  const std::size_t n = pop.size();
-  std::vector<std::vector<std::size_t>> dominatesList(n);
-  std::vector<int> dominatedBy(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (dominates(pop[i].objectives, pop[j].objectives)) {
-        dominatesList[i].push_back(j);
-        ++dominatedBy[j];
-      } else if (dominates(pop[j].objectives, pop[i].objectives)) {
-        dominatesList[j].push_back(i);
-        ++dominatedBy[i];
-      }
-    }
-  }
-
-  std::vector<std::vector<std::size_t>> fronts;
-  std::vector<std::size_t> current;
-  for (std::size_t i = 0; i < n; ++i)
-    if (dominatedBy[i] == 0) current.push_back(i);
-  while (!current.empty()) {
-    std::vector<std::size_t> next;
-    for (std::size_t i : current) {
-      for (std::size_t j : dominatesList[i]) {
-        if (--dominatedBy[j] == 0) next.push_back(j);
-      }
-    }
-    fronts.push_back(std::move(current));
-    current = std::move(next);
-  }
-  return fronts;
-}
-
-/// crowdingDistance over row-major objectives (m per member).
-std::vector<double> crowdingOf(const std::vector<double>& f, std::size_t m,
-                               const std::vector<std::size_t>& front) {
+/// crowdingDistance over row-major objectives (m per member), into `dist`;
+/// `order` is scratch.
+void crowdingOf(const std::vector<double>& f, std::size_t m,
+                std::span<const std::size_t> front, std::vector<double>& dist,
+                std::vector<std::size_t>& order) {
   const std::size_t n = front.size();
-  std::vector<double> dist(n, 0.0);
-  if (n == 0) return dist;
+  dist.assign(n, 0.0);
+  if (n == 0) return;
   if (n <= 2) {
     std::fill(dist.begin(), dist.end(),
               std::numeric_limits<double>::infinity());
-    return dist;
+    return;
   }
   const auto at = [&](std::size_t k, std::size_t obj) {
     return f[front[k] * m + obj];
   };
-  std::vector<std::size_t> order(n);
+  order.resize(n);
   for (std::size_t obj = 0; obj < m; ++obj) {
     for (std::size_t i = 0; i < n; ++i) order[i] = i;
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -236,32 +54,221 @@ std::vector<double> crowdingOf(const std::vector<double>& f, std::size_t m,
           (at(order[k + 1], obj) - at(order[k - 1], obj)) / (hi - lo);
     }
   }
-  return dist;
 }
 
 } // namespace
 
+void ParetoRanking::rank(std::span<const Individual> pop,
+                         std::size_t needed) {
+  m_ = pop.empty() ? 0 : pop.front().objectives.size();
+  f_.clear();
+  for (const Individual& ind : pop) {
+    MOTUNE_CHECK(ind.objectives.size() == m_);
+    f_.insert(f_.end(), ind.objectives.begin(), ind.objectives.end());
+  }
+  rankRows(pop.size(), needed);
+}
+
+void ParetoRanking::rank(std::span<const double> flat, std::size_t m,
+                         std::size_t needed) {
+  MOTUNE_CHECK(m > 0 && flat.size() % m == 0);
+  m_ = m;
+  f_.assign(flat.begin(), flat.end());
+  rankRows(flat.size() / m, needed);
+}
+
+void ParetoRanking::rankRows(std::size_t n, std::size_t needed) {
+  order_.clear();
+  start_.assign(1, 0);
+  if (n == 0) return;
+  // The sorted path needs `<` to be a strict weak order: no NaN.
+  if (m_ == 2 && std::none_of(f_.begin(), f_.end(),
+                              [](double v) { return std::isnan(v); }))
+    rankTwo(n, needed);
+  else
+    rankPairwise(n);
+}
+
+/// The two-objective ranking in O(N log N), with the fronts in exactly the
+/// order the pairwise peeling produces. Stops after the first fronts that
+/// hold at least `needed` members.
+void ParetoRanking::rankTwo(std::size_t n, std::size_t needed) {
+  // Keys sorted by (f0, f1, index): a point's dominators all precede it,
+  // and identical points are adjacent.
+  keys_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) keys_[i] = {f_[2 * i], f_[2 * i + 1], i};
+  std::sort(keys_.begin(), keys_.end(), [](const Key& a, const Key& b) {
+    if (a.f0 != b.f0) return a.f0 < b.f0;
+    if (a.f1 != b.f1) return a.f1 < b.f1;
+    return a.index < b.index;
+  });
+  const auto same = [](const Key& a, const Key& b) {
+    return a.f0 == b.f0 && a.f1 == b.f1;
+  };
+
+  rankOf_.resize(n);
+  if (needed <= 1) {
+    // Front 0 alone, in one sweep: a point is dominated iff some earlier,
+    // non-identical point has f1 <= its f1. rankOf_ holds 0 or 1.
+    double bestF1 = 0.0; // min f1 over the earlier, non-identical points
+    bool dominated = false;
+    for (std::size_t k = 0; k < n; ++k) {
+      const Key& key = keys_[k];
+      if (k == 0 || !same(key, keys_[k - 1])) {
+        dominated = k > 0 && bestF1 <= key.f1;
+        bestF1 = k > 0 ? std::min(bestF1, key.f1) : key.f1;
+      }
+      rankOf_[key.index] = dominated ? 1 : 0;
+    }
+    for (std::size_t i = 0; i < n; ++i)
+      if (rankOf_[i] == 0) order_.push_back(i);
+    start_.push_back(order_.size());
+    return;
+  }
+
+  // Rank by binary search over each front's minimum f1, which never
+  // decreases from one front to the next: a point joins the first front
+  // none of whose (earlier) members has f1 <= its own.
+  minF1_.clear();
+  for (std::size_t k = 0; k < n; ++k) {
+    const Key& key = keys_[k];
+    if (k > 0 && same(key, keys_[k - 1])) {
+      rankOf_[key.index] = rankOf_[keys_[k - 1].index];
+      continue;
+    }
+    const auto r = static_cast<std::size_t>(
+        std::upper_bound(minF1_.begin(), minF1_.end(), key.f1) -
+        minF1_.begin());
+    if (r == minF1_.size())
+      minF1_.push_back(key.f1);
+    else
+      minF1_[r] = key.f1;
+    rankOf_[key.index] = r;
+  }
+  const std::size_t fronts = minF1_.size();
+
+  pos_.resize(n); // position within its front's order
+  for (std::size_t i = 0; i < n; ++i)
+    if (rankOf_[i] == 0) {
+      pos_[i] = order_.size();
+      order_.push_back(i);
+    }
+  start_.push_back(order_.size());
+  if (fronts == 1 || order_.size() >= needed) return;
+
+  // Each front as a staircase of key positions: f0 ascending, f1
+  // non-increasing. stairStart_ counts, then offsets, then fill cursors.
+  stairStart_.assign(fronts + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) ++stairStart_[rankOf_[i] + 1];
+  for (std::size_t r = 0; r < fronts; ++r)
+    stairStart_[r + 1] += stairStart_[r];
+  stairs_.resize(n);
+  window_.assign(stairStart_.begin(), stairStart_.end() - 1); // cursors
+  for (std::size_t k = 0; k < n; ++k)
+    stairs_[window_[rankOf_[keys_[k].index]]++] = k;
+
+  // Peeling order. Front 0 is in ascending index order. A member of front
+  // k+1 enters when its last dominator in front k (in that front's order)
+  // releases it, dominators releasing in ascending index order; so front
+  // k+1 is ordered by (that dominator's position, index). The dominators
+  // of q in front k are the staircase members with f0 <= q.f0 (a prefix)
+  // and f1 <= q.f1 (a suffix), one contiguous run whose ends only move
+  // forward as q walks its own staircase, so a sliding-window maximum
+  // finds each last dominator.
+  for (std::size_t k = 0; k + 1 < fronts && order_.size() < needed; ++k) {
+    const std::size_t* prev = stairs_.data() + stairStart_[k];
+    const std::size_t prevSize = stairStart_[k + 1] - stairStart_[k];
+    const auto prevPos = [&](std::size_t s) {
+      return pos_[keys_[prev[s]].index];
+    };
+    keyed_.clear();
+    window_.clear(); // stair offsets, pos strictly decreasing
+    std::size_t head = 0, lo = 0, hi = 0;
+    for (std::size_t s = stairStart_[k + 1]; s < stairStart_[k + 2]; ++s) {
+      const Key& q = keys_[stairs_[s]];
+      for (; hi < prevSize && keys_[prev[hi]].f0 <= q.f0; ++hi) {
+        while (window_.size() > head && prevPos(window_.back()) <= prevPos(hi))
+          window_.pop_back();
+        window_.push_back(hi);
+      }
+      while (lo < hi && keys_[prev[lo]].f1 > q.f1) ++lo;
+      MOTUNE_DCHECK(lo < hi); // q has a dominator in front k
+      while (window_[head] < lo) ++head;
+      keyed_.emplace_back(prevPos(window_[head]), q.index);
+    }
+    std::sort(keyed_.begin(), keyed_.end());
+    const std::size_t begin = order_.size();
+    for (const auto& [dominator, q] : keyed_) {
+      pos_[q] = order_.size() - begin;
+      order_.push_back(q);
+    }
+    start_.push_back(order_.size());
+  }
+}
+
+/// Deb's pairwise peeling, O(m N^2): any number of objectives, NaN
+/// included.
+void ParetoRanking::rankPairwise(std::size_t n) {
+  const std::size_t m = m_;
+  const auto row = [&](std::size_t i) { return f_.data() + i * m; };
+  std::vector<std::vector<std::size_t>> dominatesList(n);
+  std::vector<int> dominatedBy(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (dominatesRow(row(i), row(j), m)) {
+        dominatesList[i].push_back(j);
+        ++dominatedBy[j];
+      } else if (dominatesRow(row(j), row(i), m)) {
+        dominatesList[j].push_back(i);
+        ++dominatedBy[i];
+      }
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i)
+    if (dominatedBy[i] == 0) order_.push_back(i);
+  // Front k is [start_.back(), order_.size()) while the next one grows.
+  while (order_.size() > start_.back()) {
+    const std::size_t begin = start_.back(), end = order_.size();
+    start_.push_back(end);
+    for (std::size_t at = begin; at < end; ++at)
+      for (std::size_t j : dominatesList[order_[at]])
+        if (--dominatedBy[j] == 0) order_.push_back(j);
+  }
+}
+
+std::span<const std::size_t> ParetoRanking::survivors(std::size_t target) {
+  survivors_.clear();
+  for (std::size_t k = 0; k < frontCount(); ++k) {
+    const std::span<const std::size_t> members = front(k);
+    if (survivors_.size() + members.size() <= target) {
+      survivors_.insert(survivors_.end(), members.begin(), members.end());
+      if (survivors_.size() == target) break;
+      continue;
+    }
+    // Split front: keep the most crowded-distance-diverse members.
+    crowdingOf(f_, m_, members, dist_, sortScratch_);
+    byDistance_.resize(members.size());
+    for (std::size_t i = 0; i < byDistance_.size(); ++i) byDistance_[i] = i;
+    std::sort(byDistance_.begin(), byDistance_.end(),
+              [&](std::size_t a, std::size_t b) { return dist_[a] > dist_[b]; });
+    for (std::size_t j = 0; survivors_.size() < target; ++j)
+      survivors_.push_back(members[byDistance_[j]]);
+    break;
+  }
+  return survivors_;
+}
+
 bool dominates(const Objectives& a, const Objectives& b) {
   MOTUNE_CHECK(a.size() == b.size() && !a.empty());
-  bool strictlyBetter = false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] > b[i]) return false;
-    if (a[i] < b[i]) strictlyBetter = true;
-  }
-  return strictlyBetter;
+  return dominatesRow(a.data(), b.data(), a.size());
 }
 
 std::vector<std::size_t> nonDominatedIndices(std::span<const Individual> pop) {
-  if (sortableTwoObjectives(pop)) return firstFrontTwo(flatObjectives(pop, 2));
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < pop.size(); ++i) {
-    bool dominated = false;
-    for (std::size_t j = 0; j < pop.size() && !dominated; ++j)
-      if (j != i && dominates(pop[j].objectives, pop[i].objectives))
-        dominated = true;
-    if (!dominated) out.push_back(i);
-  }
-  return out;
+  ParetoRanking ranking;
+  ranking.rank(pop, 1);
+  if (ranking.frontCount() == 0) return {};
+  const std::span<const std::size_t> first = ranking.front(0);
+  return {first.begin(), first.end()};
 }
 
 std::vector<Individual> paretoFront(std::span<const Individual> pop) {
@@ -275,56 +282,74 @@ std::vector<Individual> paretoFront(std::span<const Individual> pop) {
 
 void insertIntoFront(std::vector<Individual>& front,
                      const Individual& candidate) {
+  std::vector<Individual> spare;
+  insertIntoFront(front, candidate, spare);
+}
+
+void insertIntoFront(std::vector<Individual>& front,
+                     const Individual& candidate,
+                     std::vector<Individual>& spare) {
   for (const Individual& member : front)
     if (member.config == candidate.config ||
         dominates(member.objectives, candidate.objectives))
       return;
-  std::erase_if(front, [&](const Individual& member) {
-    return dominates(candidate.objectives, member.objectives);
-  });
-  front.push_back(candidate);
+  // Survivors keep their order; swaps carry the dropped members' buffers
+  // to the tail, from where they move to `spare`.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < front.size(); ++i) {
+    if (dominates(candidate.objectives, front[i].objectives)) continue;
+    if (kept != i) std::swap(front[kept], front[i]);
+    ++kept;
+  }
+  for (std::size_t i = kept; i < front.size(); ++i)
+    spare.push_back(std::move(front[i]));
+  front.resize(kept);
+  if (spare.empty()) {
+    front.push_back(candidate);
+    return;
+  }
+  front.push_back(std::move(spare.back()));
+  spare.pop_back();
+  front.back() = candidate;
 }
 
 std::vector<std::vector<std::size_t>>
 nonDominatedSort(std::span<const Individual> pop) {
-  if (sortableTwoObjectives(pop))
-    return nonDominatedSortTwo(flatObjectives(pop, 2), pop.size());
-  return nonDominatedSortPairwise(pop);
+  ParetoRanking ranking;
+  ranking.rank(pop);
+  std::vector<std::vector<std::size_t>> fronts;
+  for (std::size_t k = 0; k < ranking.frontCount(); ++k) {
+    const std::span<const std::size_t> members = ranking.front(k);
+    fronts.emplace_back(members.begin(), members.end());
+  }
+  return fronts;
 }
 
 std::vector<double> crowdingDistance(std::span<const Individual> pop,
-                                     const std::vector<std::size_t>& front) {
+                                     std::span<const std::size_t> front) {
   if (front.empty()) return {};
   const std::size_t m = pop[front[0]].objectives.size();
-  return crowdingOf(flatObjectives(pop, m), m, front);
+  std::vector<double> flat;
+  flat.reserve(pop.size() * m);
+  for (const Individual& ind : pop) {
+    MOTUNE_CHECK(ind.objectives.size() == m);
+    flat.insert(flat.end(), ind.objectives.begin(), ind.objectives.end());
+  }
+  std::vector<double> dist;
+  std::vector<std::size_t> order;
+  crowdingOf(flat, m, front, dist, order);
+  return dist;
 }
 
 void truncateByRankAndCrowding(std::vector<Individual>& pop,
                                std::size_t target) {
   if (pop.size() <= target) return;
-  const bool sorted = sortableTwoObjectives(pop);
-  const std::size_t m = pop.front().objectives.size();
-  const std::vector<double> flat = flatObjectives(pop, m);
-  const auto fronts = sorted ? nonDominatedSortTwo(flat, target)
-                            : nonDominatedSortPairwise(pop);
+  ParetoRanking ranking;
+  ranking.rank(pop, target);
   std::vector<Individual> out;
   out.reserve(target);
-  for (const auto& front : fronts) {
-    if (out.size() + front.size() <= target) {
-      for (std::size_t i : front) out.push_back(std::move(pop[i]));
-      if (out.size() == target) break;
-      continue;
-    }
-    // Split front: keep the most crowded-distance-diverse members.
-    const auto dist = crowdingOf(flat, m, front);
-    std::vector<std::size_t> order(front.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) { return dist[a] > dist[b]; });
-    for (std::size_t k = 0; out.size() < target; ++k)
-      out.push_back(std::move(pop[front[order[k]]]));
-    break;
-  }
+  for (std::size_t i : ranking.survivors(target))
+    out.push_back(std::move(pop[i]));
   pop = std::move(out);
 }
 

@@ -15,9 +15,17 @@
 
 namespace motune::opt {
 
-/// Computes the reduced boundary from `population`; `full` bounds the
+/// Computes the reduced boundary of `population`, whose non-dominated
+/// members are `firstFront` (ascending indices, as ParetoRanking::front(0)
+/// and GDE3::firstFront() give them), into `reduced`; `full` bounds the
 /// result (and supplies limits along dimensions where no dominated point
-/// lies outside the non-dominated span).
+/// lies outside the non-dominated span). Allocates nothing once `reduced`
+/// has full's dimensions.
+void roughSetReduce(std::span<const Individual> population,
+                    std::span<const std::size_t> firstFront,
+                    const tuning::Boundary& full, tuning::Boundary& reduced);
+
+/// The same, ranking `population` itself.
 tuning::Boundary roughSetReduce(std::span<const Individual> population,
                                 const tuning::Boundary& full);
 

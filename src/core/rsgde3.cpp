@@ -29,7 +29,8 @@ RSGDE3::RSGDE3(tuning::ObjectiveFunction& fn, runtime::ThreadPool& pool,
 
 /// Rebuilds the reduced boundary and reports the reduction to the trace.
 void RSGDE3::reduceAndRecord() {
-  engine_.setBoundary(roughSetReduce(engine_.population(), full_));
+  roughSetReduce(engine_.population(), engine_.firstFront(), full_, reduced_);
+  engine_.setBoundary(reduced_);
   observe::Tracer& tracer = observe::Tracer::global();
   if (!tracer.enabled()) return;
   const double volume = engine_.boundary().volume();

@@ -108,6 +108,7 @@ private:
   RSGDE3Options options_;
   int maxGenerations_;
   tuning::Boundary full_;
+  tuning::Boundary reduced_; ///< the last reduction (reused buffer)
   GDE3 engine_;
   int flat_ = 0; ///< consecutive non-improving generations
   const RunHooks* hooks_ = nullptr; ///< of the run begin() started

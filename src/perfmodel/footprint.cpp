@@ -246,6 +246,16 @@ NestAnalysis analyzeNest(const ir::Program& program) {
   NestAnalysis na;
   const auto nest = transform::perfectNest(program);
   MOTUNE_CHECK_MSG(!nest.empty(), "program has no loop nest");
+  // Only the perfect nest's loops are lowered, so a loop beside other
+  // statements below its innermost header has induction variables the
+  // model cannot bind: refuse the shape rather than fail on one of them.
+  const ir::Loop& innermost = *nest.back();
+  for (const ir::StmtPtr& stmt : innermost.body)
+    MOTUNE_CHECK_MSG(stmt->kind != ir::Stmt::Kind::Loop,
+                     "imperfect loop nest: loop '" + innermost.iv +
+                         "' holds loop '" + stmt->loop.iv +
+                         "' beside other statements; the cost model "
+                         "analyzes perfect nests only");
 
   for (std::size_t idx = 0; idx < nest.size(); ++idx) {
     const ir::Loop& loop = *nest[idx];

@@ -69,7 +69,7 @@ Objectives CountingEvaluator::evaluate(const Config& config) {
 }
 
 std::vector<const Objectives*>
-CountingEvaluator::evaluateBatch(const std::vector<Config>& configs,
+CountingEvaluator::evaluateBatch(std::span<const Config> configs,
                                  runtime::ThreadPool& pool, bool parallel) {
   BatchScratch& s = scratch_;
   s.misses.clear();

@@ -67,9 +67,14 @@ public:
   /// path stops at that miss. A miss with empty, NaN or infinite
   /// objectives fails the same way, with a support::CheckError naming its
   /// config (as evaluate() and preload() refuse one).
+  std::vector<const Objectives*> evaluateBatch(std::span<const Config> configs,
+                                               runtime::ThreadPool& pool,
+                                               bool parallel);
   std::vector<const Objectives*> evaluateBatch(
       const std::vector<Config>& configs, runtime::ThreadPool& pool,
-      bool parallel);
+      bool parallel) {
+    return evaluateBatch(std::span<const Config>(configs), pool, parallel);
+  }
 
   /// Pre-seeds the memo with a result journaled by a previous (killed)
   /// run. It counts as a unique evaluation, so a resumed search reports

@@ -18,9 +18,9 @@ Boundary Boundary::fromSpace(const std::vector<ParamSpec>& space) {
   return b;
 }
 
-Config Boundary::closestTo(const std::vector<double>& x) const {
+void Boundary::closestTo(std::span<const double> x, Config& c) const {
   MOTUNE_CHECK(x.size() == lo.size());
-  Config c(x.size());
+  c.resize(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
     const double clamped = std::clamp(x[i], lo[i], hi[i]);
     c[i] = static_cast<std::int64_t>(std::llround(clamped));
@@ -30,7 +30,6 @@ Config Boundary::closestTo(const std::vector<double>& x) const {
     c[i] = std::min<std::int64_t>(
         c[i], static_cast<std::int64_t>(std::floor(hi[i])));
   }
-  return c;
 }
 
 bool Boundary::contains(const Config& c) const {
@@ -42,18 +41,18 @@ bool Boundary::contains(const Config& c) const {
   return true;
 }
 
-Boundary Boundary::intersect(const Boundary& other) const {
+void Boundary::intersectWith(const Boundary& other) {
   MOTUNE_CHECK(other.lo.size() == lo.size());
-  Boundary out = *this;
   for (std::size_t i = 0; i < lo.size(); ++i) {
-    out.lo[i] = std::max(lo[i], other.lo[i]);
-    out.hi[i] = std::min(hi[i], other.hi[i]);
-    if (out.lo[i] > out.hi[i]) {
-      const double mid = 0.5 * (lo[i] + hi[i]);
-      out.lo[i] = out.hi[i] = mid;
+    const double newLo = std::max(lo[i], other.lo[i]);
+    const double newHi = std::min(hi[i], other.hi[i]);
+    if (newLo > newHi) {
+      lo[i] = hi[i] = 0.5 * (lo[i] + hi[i]);
+    } else {
+      lo[i] = newLo;
+      hi[i] = newHi;
     }
   }
-  return out;
 }
 
 double Boundary::volume() const {

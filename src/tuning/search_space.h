@@ -11,6 +11,7 @@
 #include "analyzer/region.h" // ParamSpec
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,15 +35,22 @@ struct Boundary {
   std::size_t dims() const { return lo.size(); }
 
   /// Projects a continuous trial vector to the closest valid configuration
-  /// inside the boundary (clamp each coordinate, then round to integer).
-  Config closestTo(const std::vector<double>& x) const;
+  /// inside the boundary (clamp each coordinate, then round to integer),
+  /// into `out`, whose buffer it reuses.
+  void closestTo(std::span<const double> x, Config& out) const;
+  Config closestTo(const std::vector<double>& x) const {
+    Config c;
+    closestTo(x, c);
+    return c;
+  }
 
   /// True if the (integer) configuration lies inside the boundary.
   bool contains(const Config& c) const;
 
-  /// Intersects with another boundary; empty dimensions collapse to the
-  /// midpoint of this boundary (defensive, should not happen in practice).
-  Boundary intersect(const Boundary& other) const;
+  /// Intersects this boundary with another, in place; empty dimensions
+  /// collapse to the midpoint of this boundary (defensive, should not
+  /// happen in practice).
+  void intersectWith(const Boundary& other);
 
   /// Number of integer configurations inside the boundary (saturating
   /// double) — the observability layer reports it per generation to show

@@ -309,6 +309,16 @@ TEST(Pareto, TwoObjectiveSortMatchesPairwisePeelingExactly) {
     std::vector<std::int64_t> survivors;
     for (const auto& ind : truncated) survivors.push_back(ind.config[0]);
     ASSERT_EQ(survivors, referenceSurvivors(pop, target)) << "trial " << trial;
+    // Truncation keeps whole fronts before the split one, so the first
+    // front of what it keeps is the prefix of front 0 the ranking reports.
+    if (pop.size() > target) {
+      ParetoRanking ranking;
+      ranking.rank(pop, target);
+      std::vector<std::size_t> prefix(
+          std::min(ranking.front(0).size(), target));
+      for (std::size_t k = 0; k < prefix.size(); ++k) prefix[k] = k;
+      ASSERT_EQ(nonDominatedIndices(truncated), prefix) << "trial " << trial;
+    }
   }
 }
 
@@ -542,6 +552,39 @@ TEST(GDE3, FirstStepCountsTheInitialFrontAsGrowth) {
   EXPECT_TRUE(b.step());
   EXPECT_GT(a.lastFrontSize(), 0u);
   EXPECT_EQ(a.lastFrontSize(), b.lastFrontSize());
+}
+
+TEST(GDE3, RestoreIntoAUsedEngineContinuesIdentically) {
+  // An engine that has already searched holds recycled member storage
+  // and a cached first front. Restoring a checkpoint into it must
+  // continue exactly as the same checkpoint restored into a fresh engine.
+  SyntheticProblem problemA = makeZDT1();
+  SyntheticProblem problemUsed = makeZDT1();
+  SyntheticProblem problemFresh = makeZDT1();
+  GDE3Options opt;
+  opt.seed = 7;
+  GDE3 source(problemA, pool(), opt);
+  source.initialize();
+  for (int g = 0; g < 5; ++g) source.step();
+  const support::Json state = source.serialize();
+
+  GDE3Options usedOpt = opt;
+  usedOpt.seed = 11;
+  GDE3 used(problemUsed, pool(), usedOpt);
+  used.initialize();
+  for (int g = 0; g < 12; ++g) used.step();
+  used.restore(state);
+  GDE3 fresh(problemFresh, pool(), opt);
+  fresh.restore(state);
+
+  for (int g = 0; g < 10; ++g) {
+    EXPECT_EQ(used.step(), fresh.step()) << "generation " << g;
+    EXPECT_EQ(used.firstFront(), fresh.firstFront()) << "generation " << g;
+    std::string usedText, freshText;
+    used.encodeState(usedText);
+    fresh.encodeState(freshText);
+    ASSERT_EQ(usedText, freshText) << "generation " << g;
+  }
 }
 
 TEST(GDE3, TerminatesOnNoImprovement) {

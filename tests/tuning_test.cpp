@@ -1,3 +1,5 @@
+#include "core/rsgde3.h"
+#include "ir/parse.h"
 #include "kernels/kernel.h"
 #include "machine/machine.h"
 #include "observe/metrics.h"
@@ -81,7 +83,8 @@ TEST(Boundary, ContainsAndIntersect) {
   Boundary b;
   b.lo = {5.0, -5.0};
   b.hi = {15.0, 5.0};
-  const Boundary c = a.intersect(b);
+  Boundary c = a;
+  c.intersectWith(b);
   EXPECT_DOUBLE_EQ(c.lo[0], 5.0);
   EXPECT_DOUBLE_EQ(c.hi[0], 10.0);
   EXPECT_DOUBLE_EQ(c.lo[1], 0.0);
@@ -460,6 +463,37 @@ TEST(EvaluateBatch, AllocatesAtMostThreeTimesPerUniqueEvaluation) {
   }
 }
 
+TEST(RSGDE3, AllocatesAtMostThreeTimesPerUniqueEvaluation) {
+  // A default RS-GDE3 search reuses its members' storage from one
+  // generation to the next, so over six runs its heap allocations per
+  // unique evaluation, the memo's two and the result's copies included,
+  // stay at 3 or fewer. Evaluation is serial so that every allocation
+  // happens on the counted thread.
+  const std::pair<const char*, machine::MachineModel> cells[] = {
+      {"mm", machine::westmere()}, {"n-body", machine::barcelona()}};
+  runtime::ThreadPool pool(1);
+  std::uint64_t allocations = 0, evaluations = 0;
+  for (const auto& [kernel, machine] : cells) {
+    KernelTuningProblem problem(kernels::kernelByName(kernel), machine);
+    Config warm;
+    for (const ParamSpec& p : problem.space()) warm.push_back(p.lo);
+    problem.evaluate(warm); // the thread's lowering scratch
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      opt::RSGDE3Options options;
+      options.gde3.seed = seed;
+      options.gde3.parallelEvaluation = false;
+      opt::RSGDE3 engine(problem, pool, options);
+      const AllocationCount count;
+      evaluations += engine.run().evaluations;
+      allocations += count.value();
+    }
+  }
+  EXPECT_LE(static_cast<double>(allocations) /
+                static_cast<double>(evaluations),
+            3.0)
+      << allocations << " allocations for " << evaluations << " evaluations";
+}
+
 TEST(KernelProblem, SpaceMatchesPaperSetup) {
   KernelTuningProblem prob(kernels::kernelByName("mm"),
                            machine::westmere());
@@ -469,6 +503,39 @@ TEST(KernelProblem, SpaceMatchesPaperSetup) {
   EXPECT_EQ(space[3].name, "threads");
   EXPECT_EQ(space[3].hi, 40);
   EXPECT_EQ(prob.numObjectives(), 2u);
+}
+
+TEST(KernelProblem, RefusesAnImperfectNestNamingWhereItStops) {
+  // Loop i holds loop j beside an assignment: the cost model lowers only
+  // the perfect nest (i), so the problem is refused with the shape named,
+  // not with an error about the first induction variable it cannot bind.
+  const std::string source = R"(
+    array A[16]
+    array B[16][16]
+    array C[16]
+    for i = 2 .. 14 {
+      for j = 2 .. 14 {
+        for k = 1 .. 14 {
+          B[i-1][k-1] = A[j-2] * 2.0;
+        }
+      }
+      C[i+1] = A[i] + 1.0;
+    }
+  )";
+  kernels::KernelSpec spec;
+  spec.name = "imperfect";
+  spec.tileDims = 1;
+  spec.paperN = spec.testN = 12;
+  spec.buildIR = [source](std::int64_t) { return ir::parseProgram(source); };
+  try {
+    KernelTuningProblem problem(spec, machine::westmere());
+    FAIL() << "an imperfect nest was accepted";
+  } catch (const support::CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("imperfect loop nest: loop 'i' holds loop 'j'"),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(KernelProblem, ObjectivesConsistent) {
