@@ -7,7 +7,8 @@
 // plain evaluation), the reference path's skeleton
 // instantiation + nest analysis, IR execution (tree walker vs. the flat
 // bytecode engine), batched cache simulation, one checkpointed
-// generation's session-journal writes, the Pareto bookkeeping (a
+// generation's session-journal writes, the journal's number formatter,
+// the Pareto bookkeeping (a
 // generation's truncation, the thread sweep's first front) and whole
 // steady-state RS-GDE3 generations — and emits the
 // throughputs as machine-readable JSON. With --baseline the process fails
@@ -16,8 +17,8 @@
 // gate flaking on runner speed (the floors are deliberately conservative).
 //
 // Every value is a rate (higher is better): lookups/s, evaluations/s,
-// variants/s, statements/s, accesses/s, generations/s, truncations/s,
-// fronts/s — plus a derived
+// variants/s, statements/s, accesses/s, generations/s, numbers/s,
+// truncations/s, fronts/s — plus a derived
 // "ratio" entry (interp.bytecode_speedup) that is machine-independent and
 // therefore gated tightly.
 //
@@ -49,6 +50,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -405,6 +407,24 @@ double journalGenerationRate(double minSeconds) {
   return rate;
 }
 
+/// support::numberTo over non-integer doubles of the magnitudes a journal
+/// holds (objectives in seconds and resource units, genome values),
+/// formatted into one reused string.
+double numberToRate(double minSeconds) {
+  support::Rng rng(5);
+  std::vector<double> values;
+  for (int i = 0; i < 4096; ++i)
+    values.push_back((1.0 + rng.uniform()) *
+                     std::pow(10.0, static_cast<double>(rng.uniformInt(-6, 3))));
+  std::string text;
+  return throughput(minSeconds, [&] {
+    text.clear();
+    for (const double v : values) support::numberTo(v, text);
+    escape(text.data());
+    return values.size();
+  });
+}
+
 /// A fixed seeded two-objective population shaped like a GDE3 one: a
 /// noisy anti-correlated trade-off, so the members spread over several
 /// fronts, each with a 4-d genome and config as the kernels have.
@@ -570,6 +590,7 @@ int main(int argc, char** argv) {
       "selections/s");
   add("session.journal_generation", journalGenerationRate(minTime),
       "generations/s");
+  add("support.number_to", numberToRate(minTime), "numbers/s");
   add("pareto.truncate", truncateRate(minTime), "truncations/s");
   add("pareto.front_indices", frontIndicesRate(minTime), "fronts/s");
   double allocationsPerGeneration = 0.0;

@@ -140,7 +140,7 @@ OptResult RSGDE3::end() {
   if (hooks_ != nullptr && hooks_->checkpoint && sinceCheckpoint_ > 0)
     hooks_->checkpoint(*this, engine_.generationsDone());
   sinceCheckpoint_ = 0;
-  return engine_.snapshot();
+  return engine_.release();
 }
 
 } // namespace motune::opt

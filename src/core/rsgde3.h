@@ -71,6 +71,7 @@ public:
   RSGDE3(tuning::ObjectiveFunction& fn, runtime::ThreadPool& pool,
          RSGDE3Options options = {});
 
+  /// begin(), every generation, then end(): the engine is spent after it.
   OptResult run(const RunHooks* hooks = nullptr);
 
   /// run() one generation at a time, for a caller that acts between a
@@ -86,7 +87,10 @@ public:
   bool nextGeneration();
   /// The generation's rough-set reduction and checkpoint.
   void endGeneration();
-  /// The final checkpoint, if one is due, and the result snapshot.
+  /// The final checkpoint, if one is due, and the result, moved out of
+  /// the engine (GDE3::release): after end(), and so after run(), the
+  /// engine is spent. Its population, front and hv history are empty, and
+  /// encodeState() refuses it, until a restore().
   OptResult end();
 
   /// Complete search state: the inner GDE3 engine plus the non-improving

@@ -184,21 +184,16 @@ void SessionWriter::recordEvaluations(
     std::span<const tuning::CountingEvaluator::Entry* const> batch) {
   // The text Json::dump(-1) writes for the same record: keys in sorted
   // order, numbers through the same formatter.
-  std::string lines;
+  const std::lock_guard lock(mutex_);
+  buffer_.clear();
   for (const tuning::CountingEvaluator::Entry* e : batch) {
-    lines += R"({"config":[)";
-    for (std::size_t i = 0; i < e->first.size(); ++i) {
-      if (i > 0) lines += ',';
-      support::numberTo(static_cast<double>(e->first[i]), lines);
-    }
-    lines += R"(],"objectives":[)";
-    for (std::size_t i = 0; i < e->second.size(); ++i) {
-      if (i > 0) lines += ',';
-      support::numberTo(e->second[i], lines);
-    }
-    lines += "],\"type\":\"eval\"}\n";
+    buffer_ += R"({"config":)";
+    support::numbersTo(e->first, buffer_);
+    buffer_ += R"(,"objectives":)";
+    support::numbersTo(e->second, buffer_);
+    buffer_ += ",\"type\":\"eval\"}\n";
   }
-  journal_.writeLines(lines, batch.size());
+  journal_.writeLines(buffer_, batch.size());
   evaluations_.fetch_add(batch.size(), std::memory_order_relaxed);
   evaluationsCounter_.add(batch.size());
 }
@@ -207,16 +202,16 @@ void SessionWriter::recordCheckpoint(
     int generation, std::uint64_t evaluations,
     const std::function<void(std::string&)>& encodeState) {
   // The text Json::dump(-1) writes for the record, the state encoded in
-  // place. The buffer is this call's own, so concurrent calls share
-  // nothing but the journal's write.
-  std::string line = R"({"evaluations":)";
-  support::numberTo(static_cast<double>(evaluations), line);
-  line += R"(,"generation":)";
-  support::numberTo(generation, line);
-  line += R"(,"state":)";
-  encodeState(line);
-  line += ",\"type\":\"checkpoint\"}\n";
-  journal_.writeLines(line, 1);
+  // place.
+  const std::lock_guard lock(mutex_);
+  buffer_ = R"({"evaluations":)";
+  support::numberTo(static_cast<double>(evaluations), buffer_);
+  buffer_ += R"(,"generation":)";
+  support::numberTo(generation, buffer_);
+  buffer_ += R"(,"state":)";
+  encodeState(buffer_);
+  buffer_ += ",\"type\":\"checkpoint\"}\n";
+  journal_.writeLines(buffer_, 1);
   checkpoints_.fetch_add(1, std::memory_order_relaxed);
   checkpointsCounter_.add();
   checkpointGeneration_.set(static_cast<double>(generation));

@@ -38,8 +38,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
+#include <string>
 
 namespace motune::session {
 
@@ -102,10 +104,15 @@ bool sessionExists(const std::string& directory);
 /// journal.
 ResumeState loadSession(const std::string& directory);
 
-/// Record-level writer for one tuning run. Thread-safe; every call's
-/// records reach the file in one flushed write before it returns, so the
-/// journal lags the search by at most the evaluation batch in flight.
-/// Emits session.* metrics.
+/// Record-level writer for one tuning run. Every call's records reach the
+/// file in one flushed write before it returns, so the journal lags the
+/// search by at most the evaluation batch in flight. Emits session.*
+/// metrics.
+///
+/// Thread-safe: `eval` and `checkpoint` records are encoded into one line
+/// buffer the writer keeps and reuses, so a run's steady state formats
+/// its records without allocating; calls therefore take the writer's lock
+/// for their encode and write, and run one at a time.
 class SessionWriter {
 public:
   /// Fresh session: creates the directory, writes the header record.
@@ -123,7 +130,9 @@ public:
 
   /// Engine-state checkpoint. `encodeState` appends the state's JSON text
   /// (RSGDE3::encodeState), which becomes the record's `state` field as it
-  /// stands: the record is encoded into one line buffer, no tree is built.
+  /// stands: the record is encoded into the line buffer, no tree is built.
+  /// `encodeState` runs under the writer's lock and must not call back
+  /// into the writer.
   void recordCheckpoint(int generation, std::uint64_t evaluations,
                         const std::function<void(std::string&)>& encodeState);
 
@@ -139,6 +148,8 @@ private:
   SessionWriter(const std::string& directory, JournalWriter::Mode mode);
 
   JournalWriter journal_;
+  std::mutex mutex_;   ///< guards buffer_
+  std::string buffer_; ///< the record lines being encoded (reused)
   std::atomic<std::uint64_t> evaluations_{0};
   std::atomic<std::uint64_t> checkpoints_{0};
   // session.* instruments, resolved once (the registry never drops one).

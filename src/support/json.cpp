@@ -3,9 +3,11 @@
 #include "support/check.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string_view>
 
 namespace motune::support {
@@ -94,18 +96,151 @@ void escapeTo(const std::string& s, std::string& out) {
   out += '"';
 }
 
+__extension__ using u128 = unsigned __int128;
+
+// The fast path of numberTo() covers finite |v| in [2^-50, 2^128): there
+// the 53-bit significand times 5^p (p <= 32) or times 2^e (e <= 75) fits
+// 128 bits, so the 17 digits round exactly in integer arithmetic.
+constexpr int kFastMinExp2 = -50;
+constexpr int kFastMaxExp2 = 127;
+constexpr std::uint64_t kDigits17Lo = 10'000'000'000'000'000ull; // 10^16
+constexpr std::uint64_t kDigits17Hi = 100'000'000'000'000'000ull; // 10^17
+
+constexpr std::array<u128, 33> kPow5 = [] {
+  std::array<u128, 33> pow{};
+  pow[0] = 1;
+  for (std::size_t i = 1; i < pow.size(); ++i) pow[i] = pow[i - 1] * 5;
+  return pow;
+}();
+
+constexpr std::array<u128, 23> kPow10 = [] {
+  std::array<u128, 23> pow{};
+  pow[0] = 1;
+  for (std::size_t i = 1; i < pow.size(); ++i) pow[i] = pow[i - 1] * 10;
+  return pow;
+}();
+
+/// "00" "01" ... "99": two decimal digits per entry.
+constexpr std::array<char, 200> kDigitPairs = [] {
+  std::array<char, 200> pairs{};
+  for (int i = 0; i < 100; ++i) {
+    pairs[2 * i] = static_cast<char>('0' + i / 10);
+    pairs[2 * i + 1] = static_cast<char>('0' + i % 10);
+  }
+  return pairs;
+}();
+
+/// Writes the `pairs` * 2 low digits of `x` ending just before `end`.
+void digitPairsTo(std::uint32_t x, int pairs, char* end) {
+  for (int i = 0; i < pairs; ++i) {
+    end -= 2;
+    std::memcpy(end, &kDigitPairs[2 * (x % 100)], 2);
+    x /= 100;
+  }
+}
+
+/// m * 2^e * 10^p, floored, and whether rounding it half-even adds one.
+struct Scaled {
+  std::uint64_t floor;
+  bool roundUp;
+};
+
+Scaled scale(std::uint64_t m, int e, int p) {
+  if (p >= 0) {
+    const u128 n = static_cast<u128>(m) * kPow5[static_cast<std::size_t>(p)];
+    const int shift = e + p; // m * 5^p * 2^(e+p)
+    if (shift >= 0) return {static_cast<std::uint64_t>(n << shift), false};
+    const int r = -shift; // < 128: the quotient keeps at least 54 bits
+    const u128 rem = n & ((static_cast<u128>(1) << r) - 1);
+    const u128 half = static_cast<u128>(1) << (r - 1);
+    const auto q = static_cast<std::uint64_t>(n >> r);
+    return {q, rem > half || (rem == half && (q & 1) != 0)};
+  }
+  // v >= 10^17 > 2^56, so e >= 4 and m * 2^e is an integer below 2^128.
+  const u128 n = static_cast<u128>(m) << e;
+  const u128 d = kPow10[static_cast<std::size_t>(-p)];
+  const auto q = static_cast<std::uint64_t>(n / d);
+  const u128 twice = 2 * (n - static_cast<u128>(q) * d);
+  return {q, twice > d || (twice == d && (q & 1) != 0)};
+}
+
+/// printf("%.17g", v) for finite |v| in [2^kFastMinExp2, 2^(kFastMaxExp2 +
+/// 1)), written at `out`; returns the end of the text.
+char* printG17(std::uint64_t bits, char* out) {
+  const int e2 = static_cast<int>((bits >> 52) & 0x7ff) - 1023;
+  const std::uint64_t m = (bits & ((1ull << 52) - 1)) | (1ull << 52);
+  const int e = e2 - 52;
+  // floor(e2 * log10(2)) <= x = floor(log10(v)) <= that + 1.
+  int x = (e2 * 78913) >> 18;
+  Scaled s = scale(m, e, 16 - x);
+  if (s.floor >= kDigits17Hi) s = scale(m, e, 16 - ++x);
+  std::uint64_t q = s.floor + (s.roundUp ? 1 : 0);
+  if (q == kDigits17Hi) { // rounding carried into the next decade
+    q = kDigits17Lo;
+    ++x;
+  }
+
+  char digits[17];
+  const auto hi = static_cast<std::uint32_t>(q / 100'000'000); // 9 digits
+  digitPairsTo(static_cast<std::uint32_t>(q % 100'000'000), 4, digits + 17);
+  digitPairsTo(hi, 4, digits + 9);
+  digits[0] = static_cast<char>('0' + hi / 100'000'000);
+  int n = 17;
+  while (digits[n - 1] == '0') --n;
+
+  if (bits >> 63) *out++ = '-';
+  const auto copy = [&](int from, int to) {
+    std::memcpy(out, digits + from, static_cast<std::size_t>(to - from));
+    out += to - from;
+  };
+  if (x >= -4 && x < 17) { // fixed notation
+    if (x < 0) {
+      *out++ = '0';
+      *out++ = '.';
+      for (int i = -1; i > x; --i) *out++ = '0';
+      copy(0, n);
+    } else if (n <= x + 1) {
+      copy(0, n);
+      for (int i = n; i <= x; ++i) *out++ = '0';
+    } else {
+      copy(0, x + 1);
+      *out++ = '.';
+      copy(x + 1, n);
+    }
+    return out;
+  }
+  *out++ = digits[0];
+  if (n > 1) {
+    *out++ = '.';
+    copy(1, n);
+  }
+  *out++ = 'e';
+  *out++ = x < 0 ? '-' : '+';
+  std::memcpy(out, &kDigitPairs[2 * static_cast<std::size_t>(x < 0 ? -x : x)],
+              2); // |x| <= 38
+  return out + 2;
+}
+
 } // namespace
 
+char* numberTo(double v, char* out) {
+  // Integers print exactly; every other double as printf's "%.17g", which
+  // round-trips it: in integer arithmetic where printG17 covers it, else
+  // through to_chars with a precision, which is specified as that printf.
+  if (std::abs(v) < 1e15 && v == std::trunc(v))
+    return std::to_chars(out, out + kNumberChars, static_cast<std::int64_t>(v))
+        .ptr;
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  const int e2 = static_cast<int>((bits >> 52) & 0x7ff) - 1023;
+  if (e2 >= kFastMinExp2 && e2 <= kFastMaxExp2) return printG17(bits, out);
+  return std::to_chars(out, out + kNumberChars, v, std::chars_format::general,
+                       17)
+      .ptr;
+}
+
 void numberTo(double v, std::string& out) {
-  char buf[32];
-  // Integers print exactly; to_chars with a precision is specified as
-  // printf's "%.17g", which round-trips every other double.
-  const std::to_chars_result r =
-      std::abs(v) < 1e15 && v == std::trunc(v)
-          ? std::to_chars(buf, buf + sizeof buf, static_cast<std::int64_t>(v))
-          : std::to_chars(buf, buf + sizeof buf, v,
-                          std::chars_format::general, 17);
-  out.append(buf, r.ptr);
+  char buf[kNumberChars];
+  out.append(buf, numberTo(v, buf));
 }
 
 void Json::dumpTo(std::string& out, int indent, int depth) const {

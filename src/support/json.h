@@ -82,7 +82,39 @@ private:
 /// in magnitude in plain decimal, any other finite value as printf's
 /// "%.17g", which parse() reads back bit for bit (-0.0 prints as 0).
 /// Encoders that write JSON text by hand use this for their numbers.
+///
+/// For |v| in [2^-50, 2^128), the magnitudes of the times, resources and
+/// genome values journals and artifacts hold, the 17 significant digits are rounded half-even in
+/// 128-bit integer arithmetic (the significand times 5^p, or times 2^e
+/// divided by 10^-p, is exact there) and written from a two-digit table,
+/// at about half the cost of std::to_chars. Values outside that range
+/// fall back to to_chars(general, 17), which is specified as the same
+/// printf; the bytes are those printf writes either way
+/// (JsonNumber.NumberTextMatchesPrintfG17).
 void numberTo(double v, std::string& out);
+
+/// The most bytes numberTo writes for one number.
+inline constexpr std::size_t kNumberChars = 24;
+/// numberTo's text written at `out`, which has room for kNumberChars
+/// bytes; returns the end of the text.
+char* numberTo(double v, char* out);
+
+/// Appends the JSON array of `values`, each number as numberTo writes it:
+/// the text dump() writes for the same array. The array is written in
+/// place in one reserved stretch of `out`, not number by number.
+template <class T>
+void numbersTo(const std::vector<T>& values, std::string& out) {
+  const std::size_t at = out.size();
+  out.resize(at + 2 + values.size() * (kNumberChars + 1));
+  char* p = out.data() + at;
+  *p++ = '[';
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) *p++ = ',';
+    p = numberTo(static_cast<double>(values[i]), p);
+  }
+  *p++ = ']';
+  out.resize(static_cast<std::size_t>(p - out.data()));
+}
 
 /// Bit-exact carrier for a 64-bit word, as the string "0x%016x": JSON
 /// numbers are doubles (no exact integers past 2^53), dump() prints -0.0 as

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <charconv>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
@@ -14,6 +15,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace motune::support {
@@ -75,6 +77,12 @@ std::string printfReference(double v) {
   return buf;
 }
 
+std::string numberText(double v) {
+  std::string text;
+  numberTo(v, text);
+  return text;
+}
+
 TEST(JsonNumber, NumberTextMatchesPrintfG17) {
   std::vector<double> values{0.0,
                              -0.0,
@@ -93,17 +101,74 @@ TEST(JsonNumber, NumberTextMatchesPrintfG17) {
                              std::numeric_limits<double>::infinity(),
                              -std::numeric_limits<double>::infinity(),
                              std::numeric_limits<double>::quiet_NaN()};
+  const auto withNeighbours = [&](double v) {
+    for (const double w : {v, -v}) {
+      values.push_back(w);
+      values.push_back(std::nextafter(w, 0.0));
+      values.push_back(std::nextafter(w, 2 * w));
+    }
+  };
+  // An exact tie in the 17th digit rounds to even: ...56.75 to ...56.8.
+  // The double nearest 1e-14 lies below 10^-14 (9.99999999999999998819e-15),
+  // yet its 17 digits round up to a 1 in the next decade.
+  EXPECT_EQ(numberText(1234567890123456.75), "1234567890123456.8");
+  EXPECT_EQ(numberText(1e-14), "1e-14");
+  for (const double v : {1234567890123456.75, 1234567890123456.25, 1e-14})
+    withNeighbours(v);
+  // Powers of ten, where the decimal exponent estimate and the rounding
+  // carry meet; the %g switch points lie among them (1e-5/1e-4, 1e16/1e17).
+  for (int e = -30; e <= 40; ++e) withNeighbours(std::pow(10.0, e));
+  for (const double v : {9.99995e-5, 9.999999999999999e-5, 9.9999999999999999e16,
+                         99999999999999999.0, 1e17 - 8, 1e16 - 1})
+    withNeighbours(v);
+  // Both edges of the integer-arithmetic range [2^-50, 2^128), subnormals
+  // and the largest finite values around it.
+  for (const double v : {std::ldexp(1.0, -50), std::ldexp(1.0, 128),
+                         std::ldexp(1.0, -51), std::ldexp(1.0, 127),
+                         std::ldexp(1.0, -1022), std::ldexp(1.0, -1074),
+                         std::ldexp(1.0, -1060), DBL_MAX})
+    withNeighbours(v);
   Rng rng(17);
   for (int i = 0; i < 100000; ++i) {
     values.push_back(std::bit_cast<double>(rng()));
     // Magnitudes the journal holds: times, resources, tile sizes.
     values.push_back(rng.uniform() * std::pow(10.0, static_cast<double>(rng.uniformInt(-12, 18))));
     values.push_back(static_cast<double>(rng.uniformInt(-100000, 100000)));
+    // Subnormals.
+    values.push_back(std::bit_cast<double>(rng() & ((1ull << 52) - 1)));
   }
-  for (const double v : values) {
-    std::string text;
-    numberTo(v, text);
-    ASSERT_EQ(text, printfReference(v)) << std::bit_cast<std::uint64_t>(v);
+  for (const double v : values)
+    ASSERT_EQ(numberText(v), printfReference(v))
+        << std::bit_cast<std::uint64_t>(v);
+  // numbersTo writes the array dump() writes for the same numbers.
+  std::string array;
+  numbersTo(values, array);
+  EXPECT_EQ(array, Json(JsonArray(values.begin(), values.end())).dump(-1));
+  array.clear();
+  numbersTo(std::vector<std::int64_t>{-3, 0, 700}, array);
+  numbersTo(std::vector<double>{}, array);
+  EXPECT_EQ(array, "[-3,0,700][]");
+
+  // Random bit patterns: every other one with its exponent field drawn
+  // from the integer-arithmetic range and a little beyond it. to_chars
+  // with a precision, specified as the same printf and several times
+  // faster than glibc's, is the reference for these.
+  for (int i = 0; i < 10'000'000; ++i) {
+    std::uint64_t bits = rng();
+    if (i % 2 == 1) {
+      const auto biased =
+          static_cast<std::uint64_t>(rng.uniformInt(1023 - 52, 1023 + 129));
+      bits = (bits & ~(0x7ffull << 52)) | (biased << 52);
+    }
+    const double v = std::bit_cast<double>(bits);
+    if (!std::isfinite(v)) continue;
+    char buf[32];
+    const std::to_chars_result r =
+        std::abs(v) < 1e15 && v == std::trunc(v)
+            ? std::to_chars(buf, buf + sizeof buf, static_cast<std::int64_t>(v))
+            : std::to_chars(buf, buf + sizeof buf, v,
+                            std::chars_format::general, 17);
+    ASSERT_EQ(numberText(v), std::string_view(buf, r.ptr)) << bits;
   }
 }
 

@@ -465,10 +465,11 @@ TEST(EvaluateBatch, AllocatesAtMostThreeTimesPerUniqueEvaluation) {
 
 TEST(RSGDE3, AllocatesAtMostThreeTimesPerUniqueEvaluation) {
   // A default RS-GDE3 search reuses its members' storage from one
-  // generation to the next, so over six runs its heap allocations per
-  // unique evaluation, the memo's two and the result's copies included,
-  // stay at 3 or fewer. Evaluation is serial so that every allocation
-  // happens on the counted thread.
+  // generation to the next and hands its final state over by move, so
+  // over six runs its heap allocations per unique evaluation, the memo's
+  // two included, stay at 2.5 or fewer (2.42; 2.53 when the result was a
+  // copy). Evaluation is serial so that every allocation happens on the
+  // counted thread.
   const std::pair<const char*, machine::MachineModel> cells[] = {
       {"mm", machine::westmere()}, {"n-body", machine::barcelona()}};
   runtime::ThreadPool pool(1);
@@ -490,7 +491,7 @@ TEST(RSGDE3, AllocatesAtMostThreeTimesPerUniqueEvaluation) {
   }
   EXPECT_LE(static_cast<double>(allocations) /
                 static_cast<double>(evaluations),
-            3.0)
+            2.5)
       << allocations << " allocations for " << evaluations << " evaluations";
 }
 
