@@ -260,7 +260,7 @@ public:
         for (const session::EvalRecord& e : resumed_->evaluations)
           engine_.engine().evaluator().preload(e.config, e.objectives);
         if (resumed_->finished) {
-          // The island already ran to completion: rebuild its snapshot
+          // The island already ran to completion: rebuild its result
           // from the final checkpoint plus the preloaded evaluations —
           // this is how a later invocation merges finished worker islands
           // without re-running anything.
@@ -268,7 +268,7 @@ public:
                            "finished island session has no checkpoint: " +
                                dir);
           engine_.restore(*resumed_->checkpoint);
-          out_.result = engine_.engine().snapshot();
+          out_.result = engine_.engine().release();
           out_.journal = session::journalPath(dir);
           out_.checkpoints = resumed_->checkpoints;
           out_.resumes = resumed_->resumes;

@@ -333,8 +333,8 @@ TEST(Surrogate, RestoreContinuesTheCheckpointedModel) {
   // No evaluation-count comparison: the restored engine's memo counter
   // starts empty (the session layer pre-seeds it separately on resume);
   // the bitwise contract is on the search trajectory itself.
-  const opt::OptResult ra = a.snapshot();
-  const opt::OptResult rb = b.snapshot();
+  const opt::OptResult ra = a.release();
+  const opt::OptResult rb = b.release();
   EXPECT_EQ(canonicalFront(rb.front), canonicalFront(ra.front));
   EXPECT_TRUE(bitEqual(rb.hvHistory, ra.hvHistory));
   EXPECT_EQ(surrogateB.observations(), surrogateA.observations());
