@@ -9,7 +9,8 @@
 // bytecode engine), batched cache simulation, one checkpointed
 // generation's session-journal writes, the journal's number formatter,
 // the Pareto bookkeeping (a
-// generation's truncation, the thread sweep's first front) and whole
+// generation's truncation, the thread sweep's first front), the culling
+// surrogate's observes and scores, and whole
 // steady-state RS-GDE3 generations — and emits the
 // throughputs as machine-readable JSON. With --baseline the process fails
 // when any throughput drops more than the tolerance below its committed
@@ -18,7 +19,7 @@
 //
 // Every value is a rate (higher is better): lookups/s, evaluations/s,
 // variants/s, statements/s, accesses/s, generations/s, numbers/s,
-// truncations/s, fronts/s — plus a derived
+// truncations/s, fronts/s, operations/s — plus a derived
 // "ratio" entry (interp.bytecode_speedup) that is machine-independent and
 // therefore gated tightly.
 //
@@ -47,6 +48,7 @@
 #include "support/table.h"
 #include "tuning/evaluator.h"
 #include "tuning/kernel_problem.h"
+#include "tuning/surrogate.h"
 
 #include <algorithm>
 #include <chrono>
@@ -457,6 +459,39 @@ double truncateRate(double minSeconds) {
   });
 }
 
+/// The surrogate model on an mm/westmere stream: a fresh model observes
+/// 600 evaluated search points in order and, once it is ready, scores two
+/// other points per observation, as a search culling at keep 0.5 does (30
+/// trials scored, 15 evaluated per generation). Its refits included.
+/// Counts observes plus scores.
+double surrogateRate(double minSeconds) {
+  tuning::KernelTuningProblem problem(kernels::kernelByName("mm"),
+                                      machine::westmere());
+  std::vector<tuning::Config> configs;
+  for (const auto& batch : searchBatches(problem)) {
+    configs.insert(configs.end(), batch.begin(), batch.end());
+    if (configs.size() >= 600) break;
+  }
+  std::vector<tuning::Objectives> objectives;
+  for (const tuning::Config& c : configs)
+    objectives.push_back(problem.evaluate(c));
+  return throughput(minSeconds, [&] {
+    tuning::Surrogate model(problem.space(), problem.numObjectives());
+    std::size_t operations = 0;
+    double acc = 0.0;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      model.observe(configs[i], objectives[i]);
+      ++operations;
+      if (!model.ready()) continue;
+      for (std::size_t k = 1; k <= 2; ++k)
+        acc += model.score(configs[(i + k * 97) % configs.size()]);
+      operations += 2;
+    }
+    escape(&acc);
+    return operations;
+  });
+}
+
 /// Steady-state generations of a default RS-GDE3 search on mm/westmere
 /// whose stop rule never fires: variation, evaluation of the trials
 /// through the memo, selection, truncation, hypervolume, immigrants and
@@ -593,6 +628,7 @@ int main(int argc, char** argv) {
   add("support.number_to", numberToRate(minTime), "numbers/s");
   add("pareto.truncate", truncateRate(minTime), "truncations/s");
   add("pareto.front_indices", frontIndicesRate(minTime), "fronts/s");
+  add("tuning.surrogate", surrogateRate(minTime), "operations/s");
   double allocationsPerGeneration = 0.0;
   add("engine.generation", generationRate(minTime, allocationsPerGeneration),
       "generations/s");

@@ -98,6 +98,11 @@ public:
   /// members with `needed` >= `target`.
   std::span<const std::size_t> survivors(std::size_t target);
 
+  /// Every ranked member, worst first: fronts from last to first, each
+  /// front by ascending crowding distance, ties in the front's order (the
+  /// island model's replacement order). Needs a rank() of every front.
+  std::span<const std::size_t> worstFirst();
+
   static constexpr std::size_t kAll = static_cast<std::size_t>(-1);
 
 private:
@@ -120,9 +125,10 @@ private:
   std::vector<std::size_t> stairs_, stairStart_; ///< key positions by front
   std::vector<std::pair<std::size_t, std::size_t>> keyed_;
   std::vector<std::size_t> window_;
-  // Truncation scratch.
+  // Truncation scratch; selected_ holds survivors() or worstFirst().
   std::vector<double> dist_;
-  std::vector<std::size_t> byDistance_, sortScratch_, survivors_;
+  std::vector<std::size_t> byDistance_, sortScratch_, selected_;
+  std::vector<std::pair<double, std::size_t>> distanceKeys_;
 };
 
 /// The fronts of `pop` (ParetoRanking) as separate index lists.

@@ -46,10 +46,6 @@ support::Json retireRecord(int island, int round, int generation,
                              {"evaluations", evaluations}};
 }
 
-observe::Counter& counter(const char* name) {
-  return observe::MetricsRegistry::global().counter(name);
-}
-
 } // namespace
 
 std::string islandDirectory(const std::string& directory, int island) {
@@ -70,7 +66,9 @@ MigrantExchange::fetch(int from, int round,
     if (std::optional<std::vector<opt::Individual>> got =
             tryFetch(from, round))
       return *got;
-    counter("tuning.island.stale_reads").add();
+    static observe::Counter& staleReads =
+        observe::MetricsRegistry::global().counter("tuning.island.stale_reads");
+    staleReads.add();
     if (stop && stop()) return {};
     std::this_thread::sleep_for(std::chrono::milliseconds(pollMs_));
   }
@@ -315,8 +313,12 @@ public:
         waitingFor_ = generation / options_.migrateEvery;
         const std::vector<opt::Individual> outbound =
             engine_.engine().selectTop(options_.migrants);
-        if (exchange_.publish(k_, waitingFor_, generation, outbound))
-          counter("tuning.island.migrants_out").add(outbound.size());
+        if (exchange_.publish(k_, waitingFor_, generation, outbound)) {
+          static observe::Counter& migrantsOut =
+              observe::MetricsRegistry::global().counter(
+                  "tuning.island.migrants_out");
+          migrantsOut.add(outbound.size());
+        }
         return;
       }
       engine_.endGeneration();
@@ -326,8 +328,9 @@ public:
 
   /// Integrates the awaited round's migrants and ends that generation.
   void integrate(const std::vector<opt::Individual>& inbound) {
-    counter("tuning.island.migrants_in")
-        .add(engine_.engine().integrateMigrants(inbound));
+    static observe::Counter& migrantsIn =
+        observe::MetricsRegistry::global().counter("tuning.island.migrants_in");
+    migrantsIn.add(engine_.engine().integrateMigrants(inbound));
     waitingFor_ = -1;
     engine_.endGeneration();
   }

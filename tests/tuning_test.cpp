@@ -10,6 +10,7 @@
 #include "tuning/kernel_problem.h"
 #include "tuning/native_evaluator.h"
 #include "tuning/search_space.h"
+#include "tuning/surrogate.h"
 #include "tuning/validation.h"
 
 #include <gtest/gtest.h>
@@ -493,6 +494,44 @@ TEST(RSGDE3, AllocatesAtMostThreeTimesPerUniqueEvaluation) {
                 static_cast<double>(evaluations),
             2.5)
       << allocations << " allocations for " << evaluations << " evaluations";
+}
+
+TEST(Surrogate, ScoresWithoutAllocating) {
+  // A culling search scores 30 trials per generation and observes every
+  // evaluated one. The model works in buffers it keeps: once fit, a score
+  // allocates nothing, and 400 observations on mm/westmere, which fill
+  // and wrap the 128-sample window and refit 22 times, allocate less than
+  // once per observation.
+  KernelTuningProblem problem(kernels::kernelByName("mm"),
+                              machine::westmere());
+  std::vector<Config> configs;
+  std::vector<Objectives> objectives;
+  support::Rng rng(7);
+  while (configs.size() < 400) {
+    Config c;
+    for (const ParamSpec& p : problem.space())
+      c.push_back(rng.uniformInt(p.lo, p.hi));
+    objectives.push_back(problem.evaluate(c));
+    configs.push_back(std::move(c));
+  }
+  Surrogate model(problem.space(), problem.numObjectives());
+  {
+    const AllocationCount count;
+    for (std::size_t i = 0; i < configs.size(); ++i)
+      model.observe(configs[i], objectives[i]);
+    EXPECT_LE(count.value(), configs.size())
+        << count.value() << " allocations for " << configs.size()
+        << " observations";
+  }
+  ASSERT_EQ(model.fits(), 22u);
+  // The process's first prediction registers the predictions counter.
+  double sum = model.score(configs[0]);
+  {
+    const AllocationCount count;
+    for (const Config& c : configs) sum += model.score(c);
+    EXPECT_EQ(count.value(), 0u);
+  }
+  EXPECT_TRUE(std::isfinite(sum));
 }
 
 TEST(KernelProblem, SpaceMatchesPaperSetup) {
