@@ -55,6 +55,7 @@
 #include "core/nsga2.h"
 #include "observe/metrics.h"
 #include "support/check.h"
+#include "support/files.h"
 #include "support/stats.h"
 #include "tuning/island.h"
 #include "tuning/seed.h"
@@ -67,7 +68,6 @@
 #include <iostream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -169,14 +169,6 @@ support::Json curveToJson(const std::vector<CurvePoint>& curve) {
          support::Json(static_cast<std::int64_t>(p.evaluations))},
         {"hypervolume", support::Json(p.hypervolume)}}));
   return support::Json(std::move(points));
-}
-
-std::string readFile(const std::string& path) {
-  std::ifstream in(path);
-  MOTUNE_CHECK_MSG(in.good(), "cannot open: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 /// Every gated row is a floor: current >= floor * (1 - tolerance).
@@ -353,7 +345,7 @@ int runSurrogateAblation(const std::map<std::string, std::string>& options) {
     return 0;
   }
   const int failures = compare(
-      results, support::Json::parse(readFile(options.at("baseline"))),
+      results, support::Json::parse(support::readFile(options.at("baseline"))),
       tolerance);
   if (failures > 0) {
     std::cerr << failures << " ablation gate(s) failed\n";
@@ -457,7 +449,7 @@ int runIslandAblation(const std::map<std::string, std::string>& options) {
     return 0;
   }
   const int failures = compare(
-      results, support::Json::parse(readFile(options.at("baseline"))),
+      results, support::Json::parse(support::readFile(options.at("baseline"))),
       tolerance);
   if (failures > 0) {
     std::cerr << failures << " island gate(s) failed\n";

@@ -24,6 +24,7 @@
 #include "runtime/adaptive.h"
 #include "runtime/traffic.h"
 #include "support/check.h"
+#include "support/files.h"
 #include "support/json.h"
 #include "support/table.h"
 
@@ -32,7 +33,6 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -99,14 +99,6 @@ support::Json toJson(const std::vector<Result>& results) {
   return support::Json(support::JsonObject{
       {"schema", support::Json(1)},
       {"benchmarks", support::Json(std::move(benchmarks))}});
-}
-
-std::string readFile(const std::string& path) {
-  std::ifstream in(path);
-  MOTUNE_CHECK_MSG(in.good(), "cannot open: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 /// Gate: every baseline entry must exist in `current` with
@@ -197,7 +189,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   const support::Json baselineDoc =
-      support::Json::parse(readFile(options.at("baseline")));
+      support::Json::parse(support::readFile(options.at("baseline")));
   const int failures = compare(results, baselineDoc, tolerance);
   if (failures > 0) {
     std::cerr << failures << " adaptive gate(s) failed\n";

@@ -42,6 +42,7 @@
 #include "runtime/traffic.h"
 #include "session/session.h"
 #include "support/check.h"
+#include "support/files.h"
 #include "support/json.h"
 #include "support/mem_access.h"
 #include "support/rng.h"
@@ -64,7 +65,6 @@
 #include <new>
 #include <set>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -548,14 +548,6 @@ support::Json toJson(const std::vector<Result>& results) {
       {"benchmarks", support::Json(std::move(benchmarks))}});
 }
 
-std::string readFile(const std::string& path) {
-  std::ifstream in(path);
-  MOTUNE_CHECK_MSG(in.good(), "cannot open: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 /// Gate: every baseline entry must exist in `current` with
 /// value >= baseline * (1 - tolerance). Extra current entries (new
 /// benchmarks not yet in the baseline) pass with a note.
@@ -659,7 +651,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   const support::Json baselineDoc =
-      support::Json::parse(readFile(options.at("baseline")));
+      support::Json::parse(support::readFile(options.at("baseline")));
   const int failures = compare(results, baselineDoc, tolerance);
   if (failures > 0) {
     std::cerr << failures << " hot-path gate(s) failed\n";

@@ -22,6 +22,7 @@
 #include "serve/job.h"
 #include "observe/metrics.h"
 #include "support/check.h"
+#include "support/files.h"
 #include "support/json.h"
 #include "support/table.h"
 
@@ -31,7 +32,6 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,14 +59,6 @@ support::Json toJson(const std::vector<Result>& results) {
   return support::Json(support::JsonObject{
       {"schema", support::Json(1)},
       {"benchmarks", support::Json(std::move(benchmarks))}});
-}
-
-std::string readFile(const std::string& path) {
-  std::ifstream in(path);
-  MOTUNE_CHECK_MSG(in.good(), "cannot open: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 /// Floors for rates/ratios, ceilings for seconds (see file comment).
@@ -254,7 +246,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   const int failures = compare(
-      results, support::Json::parse(readFile(options.at("baseline"))),
+      results, support::Json::parse(support::readFile(options.at("baseline"))),
       tolerance);
   if (failures > 0) {
     std::cerr << failures << " serve gate(s) failed\n";

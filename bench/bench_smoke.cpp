@@ -12,12 +12,12 @@
 
 #include "observe/metrics.h"
 #include "support/check.h"
+#include "support/files.h"
 #include "support/json.h"
 
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -85,14 +85,6 @@ Entry runEntry(const std::string& kernelName, std::uint64_t seed) {
   e.memoHits = metrics.counter("tuning.evaluations.memo_hits").value();
   e.frontSize = result.front.size();
   return e;
-}
-
-std::string readFile(const std::string& path) {
-  std::ifstream in(path);
-  MOTUNE_CHECK_MSG(in.good(), "cannot open: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 /// Gates `current` against `baseline`. The hypervolume may regress by at
@@ -174,7 +166,7 @@ int main(int argc, char** argv) {
   }
 
   const support::Json baselineDoc =
-      support::Json::parse(readFile(options.at("baseline")));
+      support::Json::parse(support::readFile(options.at("baseline")));
   std::vector<Entry> baseline;
   for (std::size_t i = 0; i < baselineDoc.at("entries").size(); ++i)
     baseline.push_back(Entry::fromJson(baselineDoc.at("entries")[i]));

@@ -1,9 +1,7 @@
 #include "autotune/artifact.h"
 
 #include "support/check.h"
-
-#include <fstream>
-#include <sstream>
+#include "support/files.h"
 
 namespace motune::autotune {
 
@@ -109,18 +107,11 @@ TunedArtifact deserializeArtifact(const std::string& text) {
 }
 
 void saveArtifact(const TunedArtifact& artifact, const std::string& path) {
-  std::ofstream out(path);
-  MOTUNE_CHECK_MSG(out.good(), "cannot open for writing: " + path);
-  out << serializeArtifact(artifact) << "\n";
-  MOTUNE_CHECK_MSG(out.good(), "write failed: " + path);
+  support::writeFileAtomic(path, serializeArtifact(artifact) + "\n");
 }
 
 TunedArtifact loadArtifact(const std::string& path) {
-  std::ifstream in(path);
-  MOTUNE_CHECK_MSG(in.good(), "cannot open: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return deserializeArtifact(buffer.str());
+  return deserializeArtifact(support::readFile(path));
 }
 
 } // namespace motune::autotune

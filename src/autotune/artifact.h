@@ -48,7 +48,7 @@ TunedArtifact artifactFromJson(const support::Json& json);
 std::string serializeArtifact(const TunedArtifact& artifact);
 TunedArtifact deserializeArtifact(const std::string& text);
 
-/// File I/O; throws support::CheckError on missing/invalid files.
+/// File I/O (saves replace atomically); CheckError on missing/invalid files.
 void saveArtifact(const TunedArtifact& artifact, const std::string& path);
 TunedArtifact loadArtifact(const std::string& path);
 

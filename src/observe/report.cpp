@@ -1,12 +1,13 @@
 #include "observe/report.h"
 
 #include "support/check.h"
+#include "support/files.h"
 #include "support/table.h"
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <istream>
+#include <iterator>
 #include <sstream>
 #include <unordered_map>
 
@@ -64,24 +65,11 @@ std::string mdHeader(const std::vector<std::string>& cells) {
   return out + "\n";
 }
 
-} // namespace
-
-std::vector<TraceRecord> parseTraceJsonl(std::istream& in) {
+std::vector<TraceRecord> traceRecords(const std::vector<support::Json>& lines) {
   std::vector<TraceRecord> records;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    support::Json json;
-    try {
-      json = support::Json::parse(line);
-    } catch (const std::exception& e) {
-      MOTUNE_CHECK_MSG(false, "trace line " + std::to_string(lineno) +
-                                  ": " + e.what());
-    }
+  for (const support::Json& json : lines) {
     MOTUNE_CHECK_MSG(json.has("type") && json.has("name"),
-                     "trace line " + std::to_string(lineno) +
+                     "trace record " + std::to_string(records.size() + 1) +
                          ": missing type/name");
     TraceRecord r;
     r.kind = kindFromName(json.at("type").asString());
@@ -99,10 +87,15 @@ std::vector<TraceRecord> parseTraceJsonl(std::istream& in) {
   return records;
 }
 
+} // namespace
+
+std::vector<TraceRecord> parseTraceJsonl(std::istream& in) {
+  const std::string text(std::istreambuf_iterator<char>(in), {});
+  return traceRecords(support::parseJsonl(text, "trace"));
+}
+
 std::vector<TraceRecord> parseTraceFile(const std::string& path) {
-  std::ifstream in(path);
-  MOTUNE_CHECK_MSG(in.good(), "cannot open trace: " + path);
-  return parseTraceJsonl(in);
+  return traceRecords(support::readJsonl(path));
 }
 
 Report buildReport(const std::vector<TraceRecord>& records,

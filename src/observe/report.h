@@ -100,8 +100,8 @@ struct Report {
   bool sawRingDropCounter = false;
 };
 
-/// Parses a JSONL trace (as written by JsonLinesSink) back into records.
-/// Malformed lines raise support::CheckError with the line number.
+/// Parses a JSONL trace (as written by JsonLinesSink) back into records
+/// under support::readJsonl's rules (CheckError names a malformed line).
 std::vector<TraceRecord> parseTraceJsonl(std::istream& in);
 std::vector<TraceRecord> parseTraceFile(const std::string& path);
 

@@ -6,7 +6,9 @@
 #include "support/table.h"
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <ostream>
 
 namespace motune::observe {
@@ -26,17 +28,6 @@ thread_local std::vector<OpenSpan> tlsSpanStack;
 thread_local Tracer* tlsTracerOverride = nullptr;
 
 std::atomic<std::uint32_t> nextThreadId{1};
-
-/// True iff `path` exists, is non-empty, and its last byte is not '\n' —
-/// i.e. a crash tore the final line mid-write.
-bool hasTornTail(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in.good() || in.tellg() == std::streampos(0)) return false;
-  in.seekg(-1, std::ios::end);
-  char last = '\n';
-  in.read(&last, 1);
-  return last != '\n';
-}
 
 } // namespace
 
@@ -79,20 +70,41 @@ support::Json TraceRecord::toJson() const {
 JsonLinesSink::JsonLinesSink(std::ostream& out) : out_(&out) {}
 
 JsonLinesSink::JsonLinesSink(const std::string& path, Mode mode) {
-  const bool sealTornTail = mode == Mode::Append && hasTornTail(path);
-  auto out = std::make_unique<std::ofstream>(
-      path, mode == Mode::Append ? std::ios::app : std::ios::trunc);
-  MOTUNE_CHECK_MSG(out->good(), "cannot open trace file: " + path);
-  if (sealTornTail) *out << '\n';
-  owned_ = std::move(out);
-  out_ = owned_.get();
+  namespace fs = std::filesystem;
+  if (mode == Mode::Truncate && fs::is_regular_file(path))
+    fs::resize_file(path, 0);
+  file_ = std::make_unique<support::JsonlWriter>(
+      path, fs::exists(path) ? support::JsonlWriter::Mode::Append
+                             : support::JsonlWriter::Mode::Truncate);
+}
+
+JsonLinesSink::~JsonLinesSink() {
+  if (!file_) return; // a borrowed stream may already be gone
+  try {
+    flush();
+  } catch (const std::exception& e) { // a destructor must not throw
+    std::cerr << "trace tail lost: " << e.what() << "\n";
+  }
 }
 
 void JsonLinesSink::write(const TraceRecord& record) {
-  *out_ << record.toJson().dump(-1) << '\n';
+  std::string line = record.toJson().dump(-1) + '\n';
+  if (!file_) {
+    *out_ << line;
+    return;
+  }
+  pending_ += line;
+  if (pending_.size() >= 8 << 10) flush();
 }
 
-void JsonLinesSink::flush() { out_->flush(); }
+void JsonLinesSink::flush() {
+  if (!file_) {
+    out_->flush();
+  } else if (!pending_.empty()) {
+    file_->writeLines(pending_, std::ranges::count(pending_, '\n'));
+    pending_.clear();
+  }
+}
 
 ChromeTraceSink::ChromeTraceSink(std::ostream& out) : out_(&out) {
   *out_ << "[\n";

@@ -14,6 +14,7 @@
 // therefore calls the process-wide Tracer::global() unconditionally.
 #pragma once
 
+#include "support/files.h"
 #include "support/json.h"
 
 #include <atomic>
@@ -64,23 +65,27 @@ public:
   virtual void flush() {}
 };
 
-/// Machine-readable backend: one compact JSON object per line.
+/// Machine-readable backend: one compact JSON object per line. A stream
+/// gets each line as it is written; a file gets them in one write on
+/// flush() and whenever 8 KiB are pending, so a kill loses at most that
+/// much of the trace.
 class JsonLinesSink final : public Sink {
 public:
-  /// Appending keeps records from a previous run of the same trace file
-  /// (daemon restarts after SIGKILL); a torn final line left by the crash
-  /// is sealed with a newline so the new run starts on a fresh line.
+  /// Files go through support::JsonlWriter and are created if missing;
+  /// Append keeps a previous run's records (daemon restarts after SIGKILL).
   enum class Mode { Truncate, Append };
 
   explicit JsonLinesSink(std::ostream& out); ///< not owned
   explicit JsonLinesSink(const std::string& path,
                          Mode mode = Mode::Truncate);
+  ~JsonLinesSink() override;
   void write(const TraceRecord& record) override;
   void flush() override;
 
 private:
-  std::unique_ptr<std::ostream> owned_;
-  std::ostream* out_;
+  std::ostream* out_ = nullptr;                ///< stream mode
+  std::unique_ptr<support::JsonlWriter> file_; ///< file mode
+  std::string pending_;                        ///< lines not yet handed over
 };
 
 /// Human-readable backend: buffers records and renders a support::TextTable

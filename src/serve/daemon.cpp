@@ -4,12 +4,11 @@
 #include "observe/metrics.h"
 #include "serve/protocol.h"
 #include "support/check.h"
+#include "support/files.h"
 
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 #include <system_error>
 
 #include <arpa/inet.h>
@@ -298,11 +297,9 @@ support::Json Daemon::dispatch(const support::Json& request) {
       if (info->state != JobState::Done)
         return errorResponse("job " + id + " is " +
                              jobStateName(info->state) + ", not done");
-      std::ifstream in(info->artifactPath);
-      std::string text((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-      return support::JsonObject{{"ok", true},
-                                 {"artifact", support::Json::parse(text)}};
+      const support::Json artifact =
+          support::Json::parse(support::readFile(info->artifactPath));
+      return support::JsonObject{{"ok", true}, {"artifact", artifact}};
     }
 
     if (verb == "cancel") {

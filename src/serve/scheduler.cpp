@@ -9,7 +9,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <fstream>
+#include <filesystem>
 
 namespace motune::serve {
 
@@ -160,7 +160,7 @@ Admission JobScheduler::submit(const JobSpec& spec, int priority,
       if (it != jobs_.end() && it->second->state == JobState::Done &&
           specToJson(it->second->spec).dump(-1) ==
               specToJson(spec).dump(-1) &&
-          std::ifstream(store_.artifactPath(hit->second)).good())
+          std::filesystem::exists(store_.artifactPath(hit->second)))
         cachedJob = it->second;
     }
     if (cachedJob) {

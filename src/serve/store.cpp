@@ -2,13 +2,13 @@
 
 #include "session/session.h"
 #include "support/check.h"
+#include "support/files.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 
 #include <unistd.h>
 
@@ -24,17 +24,9 @@ double nowUnix() {
       .count();
 }
 
-/// Write-temp + rename: readers never observe a half-written file.
-void writeFileAtomic(const fs::path& path, const std::string& content) {
-  const fs::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp);
-    MOTUNE_CHECK_MSG(out.good(), "cannot write " + tmp.string());
-    out << content;
-    out.flush();
-    MOTUNE_CHECK_MSG(out.good(), "write failed: " + tmp.string());
-  }
-  fs::rename(tmp, path);
+/// State files are indented JSON, replaced atomically.
+void writeJson(const std::string& path, const support::Json& json) {
+  support::writeFileAtomic(path, json.dump(2) + "\n");
 }
 
 } // namespace
@@ -44,12 +36,12 @@ JobLog::JobLog(const std::string& path) : path_(path) {}
 void JobLog::record(const std::string& event, support::JsonObject fields) {
   fields.emplace("event", event);
   fields.emplace("t_unix", nowUnix());
-  const std::string line = support::Json(std::move(fields)).dump(-1);
+  const support::Json line(std::move(fields));
   std::lock_guard lock(mutex_);
-  std::ofstream out(path_, std::ios::out | std::ios::app);
-  MOTUNE_CHECK_MSG(out.good(), "cannot append to " + path_);
-  out << line << '\n';
-  out.flush();
+  // Opened per record, so a daemon holds no descriptor per finished job.
+  const auto mode = fs::exists(path_) ? support::JsonlWriter::Mode::Append
+                                      : support::JsonlWriter::Mode::Truncate;
+  support::JsonlWriter(path_, mode).write(line);
 }
 
 JobStore::JobStore(std::string stateDir) : stateDir_(std::move(stateDir)) {
@@ -103,7 +95,7 @@ std::string JobStore::persistNewJob(const JobSpec& spec, int priority,
       {"priority", priority},
       {"submitted_unix", submittedUnix},
   };
-  writeFileAtomic(fs::path(jobDir(id)) / "job.json", record.dump(2) + "\n");
+  writeJson(jobDir(id) + "/job.json", record);
   return id;
 }
 
@@ -112,41 +104,34 @@ std::shared_ptr<JobLog> JobStore::log(const std::string& id) {
 }
 
 void JobStore::markCancelled(const std::string& id) {
-  writeFileAtomic(fs::path(jobDir(id)) / "cancelled", "cancelled\n");
+  support::writeFileAtomic(jobDir(id) + "/cancelled", "cancelled\n");
 }
 
 void JobStore::markFailed(const std::string& id, const std::string& error) {
-  writeFileAtomic(fs::path(jobDir(id)) / "error.json",
-                  support::Json(support::JsonObject{{"error", error}}).dump(2) +
-                      "\n");
+  writeJson(jobDir(id) + "/error.json", support::JsonObject{{"error", error}});
 }
 
 void JobStore::indexSpec(const std::string& hash, const std::string& id) {
   const fs::path dir = fs::path(stateDir_) / "jobs" / "by-spec";
   fs::create_directories(dir);
-  writeFileAtomic(dir / hash, id + "\n");
+  support::writeFileAtomic((dir / hash).string(), id + "\n");
 }
 
 void JobStore::writeWarmStart(const std::string& id,
                               const std::vector<std::string>& dirs) {
   support::JsonArray list;
   for (const std::string& d : dirs) list.emplace_back(d);
-  writeFileAtomic(fs::path(jobDir(id)) / "warm_start.json",
-                  support::Json(support::JsonObject{
-                                    {"dirs", std::move(list)}})
-                          .dump(2) +
-                      "\n");
+  writeJson(jobDir(id) + "/warm_start.json",
+            support::JsonObject{{"dirs", std::move(list)}});
 }
 
 std::optional<std::vector<std::string>>
 JobStore::readWarmStart(const std::string& id) const {
-  const fs::path path = fs::path(jobDir(id)) / "warm_start.json";
-  std::ifstream in(path);
-  if (!in.good()) return std::nullopt;
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  const std::string path = jobDir(id) + "/warm_start.json";
+  if (!fs::exists(path)) return std::nullopt;
   std::vector<std::string> dirs;
-  for (const auto& d : support::Json::parse(text).at("dirs").asArray())
+  for (const auto& d :
+       support::Json::parse(support::readFile(path)).at("dirs").asArray())
     dirs.push_back(d.asString());
   return dirs;
 }
@@ -166,10 +151,8 @@ std::vector<RecoveredJob> JobStore::recover() {
     // directory; the submit was never acknowledged, so it is not a job.
     if (!fs::exists(specPath)) continue;
 
-    std::ifstream in(specPath);
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    const support::Json record = support::Json::parse(text);
+    const support::Json record =
+        support::Json::parse(support::readFile(specPath.string()));
 
     RecoveredJob job;
     job.id = record.at("id").asString();
@@ -183,10 +166,8 @@ std::vector<RecoveredJob> JobStore::recover() {
       job.state = JobState::Cancelled;
     } else if (fs::exists(dir / "error.json")) {
       job.state = JobState::Failed;
-      std::ifstream err(dir / "error.json");
-      std::string errText((std::istreambuf_iterator<char>(err)),
-                          std::istreambuf_iterator<char>());
-      job.error = support::Json::parse(errText).at("error").asString();
+      const std::string text = support::readFile((dir / "error.json").string());
+      job.error = support::Json::parse(text).at("error").asString();
     } else if (fs::exists(dir / "artifact.json")) {
       job.state = JobState::Done;
       job.doneInfo.id = job.id;
@@ -199,10 +180,8 @@ std::vector<RecoveredJob> JobStore::recover() {
       // done job) over the event log (whose terminal record can be lost to
       // a crash between the artifact write and the event append).
       try {
-        std::ifstream art(dir / "artifact.json");
-        std::string artText((std::istreambuf_iterator<char>(art)),
-                            std::istreambuf_iterator<char>());
-        const support::Json artifact = support::Json::parse(artText);
+        const support::Json artifact = support::Json::parse(
+            support::readFile((dir / "artifact.json").string()));
         job.doneInfo.evaluations =
             static_cast<std::uint64_t>(artifact.at("evaluations").asInt());
         job.doneInfo.hypervolume = artifact.at("hypervolume").asNumber();
@@ -211,8 +190,8 @@ std::vector<RecoveredJob> JobStore::recover() {
           job.doneInfo.resumes = static_cast<int>(
               artifact.at("session").at("resumes").asInt());
       } catch (const support::CheckError&) {
-        // Torn artifact (killed mid-write): treat as not done — drop the
-        // file and requeue below.
+        // Torn artifact (a store written before artifacts were replaced
+        // atomically): treat as not done — drop the file and requeue below.
         fs::remove(dir / "artifact.json");
         job.state = JobState::Queued;
       }
@@ -253,7 +232,7 @@ void JobStore::writeDaemonInfo(int port, unsigned workers) {
       {"workers", static_cast<std::int64_t>(workers)},
       {"started_unix", nowUnix()},
   };
-  writeFileAtomic(fs::path(stateDir_) / "daemon.json", info.dump(2) + "\n");
+  writeJson(stateDir_ + "/daemon.json", info);
 }
 
 } // namespace motune::serve

@@ -1,27 +1,7 @@
 // Durable job store of the tuning daemon: one directory per job under
 // STATE/jobs/, holding everything needed to resume, replay, or audit it.
-//
-//   STATE/
-//     daemon.json            # {port, pid, workers, started_unix} per start
-//     jobs/
-//       by-spec/
-//         <spec hash>        # result-cache index: one file per distinct
-//                            # finished spec, holding the id of the first
-//                            # job that completed it (docs/serve.md)
-//       j000001/
-//         job.json           # id + spec + priority, written before the
-//                            # submit is acknowledged (atomic rename)
-//         warm_start.json    # journals chosen to pre-train the surrogate,
-//                            # pinned at first run so a crash-resume
-//                            # trains on the identical corpus
-//         events.jsonl       # per-job observability stream: submitted /
-//                            # started / resumed / finished / failed /
-//                            # cancelled records with timings and metrics
-//         session/           # crash-safe tuning journal (src/session/),
-//                            # present for checkpointable algorithms
-//         artifact.json      # the tuning artifact; presence == done
-//         cancelled          # marker file; presence == cancelled
-//         error.json         # {error}; presence == failed
+// docs/serve.md ("State directory") lists the layout. Every file in it is
+// either replaced atomically or appended as JSONL (support/files.h).
 //
 // The on-disk state is the source of truth across restarts. recover()
 // reconstructs the scheduler's world from it: jobs with an artifact are
@@ -34,7 +14,6 @@
 #pragma once
 
 #include "serve/job.h"
-#include "session/journal.h"
 #include "support/json.h"
 
 #include <memory>
@@ -45,8 +24,8 @@
 
 namespace motune::serve {
 
-/// Append-only per-job event stream (events.jsonl): one flushed JSON line
-/// per lifecycle transition, each carrying a wall-clock stamp and, for the
+/// Append-only per-job event stream (events.jsonl): one JSONL record per
+/// lifecycle transition, each carrying a wall-clock stamp and, for the
 /// terminal records, the job's result metrics. This is the per-job
 /// observability sink — the daemon-level metrics aggregate across jobs,
 /// this file is the one place a single job's history lives.
@@ -99,9 +78,8 @@ public:
   /// Opens (creates) the job's event log.
   std::shared_ptr<JobLog> log(const std::string& id);
 
-  /// Terminal markers. The artifact is the done marker and is written by
-  /// the worker (saveArtifact is already atomic enough: the readback on
-  /// `result` parses the JSON and fails cleanly on a torn file).
+  /// Terminal markers. The artifact, written by the worker, is the done
+  /// marker; all three are atomic replaces.
   void markCancelled(const std::string& id);
   void markFailed(const std::string& id, const std::string& error);
 

@@ -114,8 +114,10 @@ bool sessionExists(const std::string& directory) {
 }
 
 ResumeState loadSession(const std::string& directory) {
-  const std::vector<support::Json> records =
-      readJournal(journalPath(directory));
+  const std::string path = journalPath(directory);
+  MOTUNE_CHECK_MSG(std::filesystem::exists(path),
+                   "cannot open session journal: " + path);
+  const std::vector<support::Json> records = readJournal(path);
   MOTUNE_CHECK_MSG(!records.empty(),
                    "empty session journal in " + directory);
   MOTUNE_CHECK_MSG(records.front().has("type") &&

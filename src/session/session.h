@@ -99,13 +99,12 @@ struct ResumeState {
 
 bool sessionExists(const std::string& directory);
 
-/// Parses `directory`/session.jsonl; tolerates a crash-truncated tail
-/// (journal.h). Throws support::CheckError on a missing or corrupt
-/// journal.
+/// Parses `directory`/session.jsonl (support::readJsonl's rules). Throws
+/// support::CheckError on a missing or corrupt journal.
 ResumeState loadSession(const std::string& directory);
 
 /// Record-level writer for one tuning run. Every call's records reach the
-/// file in one flushed write before it returns, so the journal lags the
+/// file in one write before it returns, so the journal lags the
 /// search by at most the evaluation batch in flight. Emits session.*
 /// metrics.
 ///

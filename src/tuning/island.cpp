@@ -127,7 +127,7 @@ void JournalExchange::attach(int island, bool resume) {
   if (resume) {
     // Re-scan what the killed run already published: those rounds are
     // visible to peers and must not be appended again (exactly-once), and
-    // JournalWriter's append mode trims any torn tail before we write.
+    // JournalWriter's append mode cuts any torn tail off before we write.
     const std::vector<support::Json> records = session::readJournal(path);
     MOTUNE_CHECK_MSG(!records.empty(), "empty migrant journal: " + path);
     const support::Json& header = records.front();
@@ -178,8 +178,8 @@ std::optional<std::vector<opt::Individual>>
 JournalExchange::tryFetch(int from, int round) {
   const std::string path = migrantJournalPath(directory_, from);
   // A journal that does not exist yet (the peer process is still starting
-  // up) is indistinguishable from lagging; mid-file corruption inside an
-  // existing journal stays a hard error (readJournal throws).
+  // up) is indistinguishable from lagging; a complete line that does not
+  // parse stays a hard error (readJournal throws).
   if (!std::filesystem::exists(path)) return std::nullopt;
   const std::vector<support::Json> records = session::readJournal(path);
   for (const support::Json& r : records) {

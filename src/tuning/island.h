@@ -14,7 +14,7 @@
 //
 // Exchange media: an in-process MemoryExchange (no persistence) or a
 // JournalExchange of per-island append-only journals
-// (`DIR/island-<k>/migrants.jsonl`, same torn-tail-tolerant format as the
+// (`DIR/island-<k>/migrants.jsonl`, JSONL through support/files.h like the
 // session journal) that worker *processes* share through the filesystem.
 // Islands under a session directory also keep an ordinary RS-GDE3 session
 // (`DIR/island-<k>/session.jsonl`), so a SIGKILLed island resumes through
@@ -107,7 +107,7 @@ private:
 /// Filesystem exchange over per-island migrant journals. Readers tolerate
 /// a torn tail (a record mid-append or cut by a SIGKILL) by treating the
 /// journal as if the torn record were not yet written — the next poll
-/// re-reads the file; mid-file corruption stays a hard error.
+/// re-reads the file; a complete line that does not parse is an error.
 class JournalExchange final : public MigrantExchange {
 public:
   /// `islands`, `migrateEvery`, `migrants` and `seed` describe the run the

@@ -4,6 +4,7 @@
 #include "ir/bytecode.h"
 #include "ir/interp.h"
 #include "support/check.h"
+#include "support/files.h"
 
 #include <array>
 #include <cstdio>
@@ -123,14 +124,6 @@ int runCommand(const std::string& cmd, const fs::path& outPath,
   return std::system(full.c_str());
 }
 
-std::string slurp(const fs::path& path, std::size_t limit = 4096) {
-  std::ifstream in(path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (text.size() > limit) text.resize(limit);
-  return text;
-}
-
 const fs::path& processWorkDir() {
   static const fs::path dir = [] {
     fs::path d = fs::temp_directory_path() /
@@ -246,14 +239,14 @@ OracleVerdict checkEquivalence(const ir::Program& original,
   if (runCommand(compileCmd, out, err) != 0) {
     verdict.agree = false;
     verdict.mismatch = Mismatch{"native-compile", "", 0, 0.0, 0.0};
-    verdict.detail = slurp(err);
+    verdict.detail = support::readFile(err.string()).substr(0, 4096);
     return verdict;
   }
 
   if (runCommand("\"" + bin.string() + "\"", out, err) != 0) {
     verdict.agree = false;
     verdict.mismatch = Mismatch{"native-run", "", 0, 0.0, 0.0};
-    verdict.detail = slurp(err);
+    verdict.detail = support::readFile(err.string()).substr(0, 4096);
     return verdict;
   }
   verdict.nativeRan = true;

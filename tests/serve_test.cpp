@@ -1274,6 +1274,33 @@ std::vector<support::Json> traceLines(const std::string& path) {
   return out;
 }
 
+/// Persists a job and runs its search the way the scheduler runs it (per-
+/// job tracer, job/run stamp, append-mode sink) with a stop request that
+/// fires after the first generation, like a SIGKILL between checkpoints:
+/// the journal is left resumable, there is no artifact. Returns the id.
+std::string interruptedTracedJob(const std::string& dir,
+                                 const serve::JobSpec& spec) {
+  serve::JobStore store(dir);
+  const std::string id = store.persistNewJob(spec, 0, 1.0);
+  EXPECT_EQ(store.traceRunCount(id), 0);
+  observe::Tracer tracer;
+  tracer.seedIds(1ull << 32 | 1);
+  tracer.setStamp({{"job", support::Json(id)}, {"run", support::Json(0)}});
+  tracer.addSink(std::make_shared<observe::JsonLinesSink>(
+      store.tracePath(id), observe::JsonLinesSink::Mode::Append));
+  observe::ScopedTracer scope(&tracer);
+  tuning::KernelTuningProblem problem = serve::problemFromSpec(spec);
+  autotune::TunerOptions options =
+      serve::tunerOptionsFromSpec(spec, store.sessionDir(id), 1, 1);
+  options.stopRequested = [] { return true; };
+  autotune::AutoTuner tuner(std::move(options));
+  (void)tuner.tune(problem);
+  tracer.clearSinks();
+  EXPECT_TRUE(session::sessionExists(store.sessionDir(id)));
+  EXPECT_EQ(store.traceRunCount(id), 1);
+  return id;
+}
+
 } // namespace
 
 TEST(Trace, PerJobTracesAreStampedAndSpanIdsDisjoint) {
@@ -1314,31 +1341,7 @@ TEST(Trace, PerJobTracesAreStampedAndSpanIdsDisjoint) {
 TEST(Trace, AppendAcrossRestartYieldsFullConvergenceCurve) {
   const serve::JobSpec spec = gde3Spec(42);
   const std::string dir = freshDir("trace-append");
-  std::string id;
-  {
-    // Interrupted first run, traced exactly as the scheduler traces it:
-    // per-job tracer, job/run stamp, append-mode sink. The stop request
-    // fires after the first generation, like a SIGKILL between
-    // checkpoints (journal left resumable, no artifact).
-    serve::JobStore store(dir);
-    id = store.persistNewJob(spec, 0, 1.0);
-    ASSERT_EQ(store.traceRunCount(id), 0);
-    observe::Tracer tracer;
-    tracer.seedIds(1ull << 32 | 1);
-    tracer.setStamp({{"job", support::Json(id)}, {"run", support::Json(0)}});
-    tracer.addSink(std::make_shared<observe::JsonLinesSink>(
-        store.tracePath(id), observe::JsonLinesSink::Mode::Append));
-    observe::ScopedTracer scope(&tracer);
-    tuning::KernelTuningProblem problem = serve::problemFromSpec(spec);
-    autotune::TunerOptions options =
-        serve::tunerOptionsFromSpec(spec, store.sessionDir(id), 1, 1);
-    options.stopRequested = [] { return true; };
-    autotune::AutoTuner tuner(std::move(options));
-    (void)tuner.tune(problem);
-    tracer.clearSinks();
-    ASSERT_TRUE(session::sessionExists(store.sessionDir(id)));
-    ASSERT_EQ(store.traceRunCount(id), 1);
-  }
+  const std::string id = interruptedTracedJob(dir, spec);
 
   // Restart: the daemon resumes the job and appends run 1 to the trace.
   serve::Daemon daemon(daemonOptions(dir, 1));
@@ -1376,7 +1379,8 @@ TEST(Trace, TornTraceTailIsSealedOnAppend) {
   const std::string path = dir + "/trace.jsonl";
   {
     std::ofstream out(path, std::ios::binary);
-    out << "{\"name\":\"ok\"}\n{\"name\":\"torn"; // no trailing newline
+    out << "{\"name\":\"ok\",\"t\":0,\"type\":\"event\"}\n"
+        << "{\"name\":\"torn"; // no trailing newline
   }
   {
     observe::JsonLinesSink sink(path, observe::JsonLinesSink::Mode::Append);
@@ -1399,5 +1403,31 @@ TEST(Trace, TornTraceTailIsSealedOnAppend) {
     }
   }
   EXPECT_GE(parsed, 2u); // the intact line + the post-crash records
-  EXPECT_EQ(torn, 1u);   // the torn line is isolated, not concatenated
+  EXPECT_EQ(torn, 0u);   // the torn line is cut off, not kept
+  EXPECT_NO_THROW(observe::parseTraceFile(path));
+}
+
+TEST(Trace, TornJobTraceReportsAfterDaemonRestart) {
+  const std::string dir = freshDir("trace-torn-restart");
+  const std::string id = interruptedTracedJob(dir, gde3Spec(42));
+  const std::string trace = serve::JobStore(dir).tracePath(id);
+  {
+    // The kill tore the trace mid-record.
+    std::ofstream out(trace, std::ios::binary | std::ios::app);
+    out << "{\"attrs\":{\"job\":\"" << id << "\",\"run\":0},\"name\":\"gde";
+  }
+
+  serve::Daemon daemon(daemonOptions(dir, 1));
+  daemon.start();
+  serve::Client client("127.0.0.1", daemon.port());
+  EXPECT_EQ(client.await(id, 120.0).state, serve::JobState::Done);
+  daemon.stop();
+
+  EXPECT_EQ(serve::JobStore(dir).traceRunCount(id), 2);
+  const auto [status, output] = runCli("report --trace " + trace);
+  EXPECT_EQ(status, 0) << output;
+  const std::string checkTrace = std::string("python3 ") + MOTUNE_SOURCE_DIR +
+                                 "/tools/check_trace.py --serve " + dir +
+                                 "/jobs > /dev/null";
+  EXPECT_EQ(std::system(checkTrace.c_str()), 0) << checkTrace;
 }

@@ -1,4 +1,5 @@
 #include "support/check.h"
+#include "support/files.h"
 #include "support/json.h"
 #include "support/rng.h"
 #include "support/stats.h"
@@ -6,16 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 namespace motune::support {
@@ -321,6 +326,121 @@ TEST(Table, Formatters) {
   EXPECT_EQ(fmtSeconds(1.5), "1.500 s");
   EXPECT_EQ(fmtSeconds(0.0015), "1.500 ms");
   EXPECT_EQ(fmtSeconds(0.0000015), "1.500 us");
+}
+
+
+// ------------------------------------------------------- crash-safe files
+
+/// A path under the gtest temp root with nothing at it.
+std::string freshPath(const std::string& name) {
+  const std::filesystem::path path =
+      std::filesystem::path(::testing::TempDir()) / name;
+  std::filesystem::remove_all(path);
+  return path.string();
+}
+
+void writeBytes(const std::string& path, std::string_view bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+TEST(Jsonl, EveryTornPrefixReadsAsItsCompleteRecordsAndAppendContinuesIt) {
+  const std::string path = freshPath("jsonl-prefix.jsonl");
+  {
+    JsonlWriter writer(path, JsonlWriter::Mode::Truncate);
+    for (int i = 0; i < 4; ++i)
+      writer.write(JsonObject{{"i", i}, {"pad", std::string(5 * i, 'x')}});
+  }
+  const std::string full = readFile(path);
+  std::vector<std::size_t> ends; // offset just past each record's '\n'
+  for (std::size_t i = 0; i < full.size(); ++i)
+    if (full[i] == '\n') ends.push_back(i + 1);
+  ASSERT_EQ(ends.size(), 4u);
+  const std::string appended = "{\"i\":100}\n{\"i\":101}\n{\"i\":102}\n";
+
+  for (std::size_t cut = 0; cut <= full.size(); ++cut) {
+    writeBytes(path, std::string_view(full).substr(0, cut));
+    const auto complete = static_cast<std::size_t>(
+        std::upper_bound(ends.begin(), ends.end(), cut) - ends.begin());
+    const std::vector<Json> records = readJsonl(path);
+    ASSERT_EQ(records.size(), complete) << "cut at byte " << cut;
+    for (std::size_t r = 0; r < complete; ++r)
+      EXPECT_EQ(records[r].at("i").asInt(), static_cast<std::int64_t>(r));
+
+    {
+      JsonlWriter writer(path, JsonlWriter::Mode::Append);
+      writer.write(JsonObject{{"i", 100}});
+      writer.writeLines("{\"i\":101}\n{\"i\":102}\n", 2);
+    }
+    const std::size_t kept = complete == 0 ? 0 : ends[complete - 1];
+    EXPECT_EQ(readFile(path), full.substr(0, kept) + appended)
+        << "cut at byte " << cut;
+    EXPECT_EQ(readJsonl(path).size(), complete + 3) << "cut at byte " << cut;
+  }
+}
+
+TEST(Jsonl, TerminatedGarbageLineIsRefusedAtAnyPosition) {
+  const std::string path = freshPath("jsonl-garbage.jsonl");
+  const std::vector<std::string> good = {R"({"i":0})", R"({"i":1})",
+                                         R"({"i":2})"};
+  for (std::size_t at = 0; at <= good.size(); ++at) {
+    std::string text;
+    for (std::size_t i = 0; i <= good.size(); ++i) {
+      if (i == at) text += "{\"torn\n";
+      if (i < good.size()) text += good[i] + "\n";
+    }
+    writeBytes(path, text);
+    try {
+      (void)readJsonl(path);
+      ADD_FAILURE() << "garbage at line " << at + 1 << " was accepted";
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+      EXPECT_NE(what.find("line " + std::to_string(at + 1)),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST(Jsonl, ConcurrentWritesKeepEachCallsLinesWholeAndTogether) {
+  const std::string path = freshPath("jsonl-threads.jsonl");
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 200;
+  {
+    JsonlWriter writer(path, JsonlWriter::Mode::Truncate);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&writer, t] {
+        for (int c = 0; c < kCalls; ++c) {
+          const std::string line = "{\"c\":" + std::to_string(c) +
+                                   ",\"t\":" + std::to_string(t) + "}\n";
+          writer.writeLines(line + line, 2);
+        }
+      });
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(writer.recordsWritten(), 2u * kThreads * kCalls);
+  }
+  const std::vector<Json> records = readJsonl(path);
+  ASSERT_EQ(records.size(), 2u * kThreads * kCalls);
+  std::vector<std::int64_t> next(kThreads, 0);
+  for (std::size_t i = 0; i < records.size(); i += 2) {
+    EXPECT_EQ(records[i].dump(-1), records[i + 1].dump(-1)) << "record " << i;
+    const auto t = static_cast<std::size_t>(records[i].at("t").asInt());
+    EXPECT_EQ(records[i].at("c").asInt(), next[t]++) << "record " << i;
+  }
+}
+
+TEST(Jsonl, ModesRefuseTheWrongFileAndAtomicReplaceLeavesNoTemp) {
+  const std::string path = freshPath("jsonl-modes.jsonl");
+  EXPECT_THROW(JsonlWriter(path, JsonlWriter::Mode::Append), CheckError);
+  { JsonlWriter writer(path, JsonlWriter::Mode::Truncate); }
+  EXPECT_THROW(JsonlWriter(path, JsonlWriter::Mode::Truncate), CheckError);
+
+  const std::string state = freshPath("state.json");
+  writeFileAtomic(state, "old\n");
+  writeFileAtomic(state, "new\n");
+  EXPECT_EQ(readFile(state), "new\n");
+  EXPECT_FALSE(std::filesystem::exists(state + ".tmp"));
 }
 
 } // namespace

@@ -2,7 +2,9 @@
 """Validate a motune trace (CI invariant gate).
 
 Checks, over the output of `motune tune --trace FILE`:
-  1. every line is a well-formed JSON object with a `type` and `name`;
+  1. every complete line is a well-formed JSON object with a `type` and
+     `name` (an unterminated last line, a killed writer's torn tail, is
+     dropped, as the program's own reader drops it);
   2. the per-generation hypervolume sequence (gde3.generation spans,
      attr `hv`) is monotone non-decreasing;
   3. the final `tuning.evaluations.unique` counter equals the number of
@@ -122,10 +124,16 @@ def check_chrome(path: str) -> int:
 
 
 def load_jsonl(path: str):
-    """Parses a trace.jsonl; returns (records, error_string_or_None)."""
+    """Parses a trace.jsonl; returns (records, error_string_or_None).
+
+    Reads as the program's JSONL reader does (src/support/files.h): an
+    unterminated final line is a killed writer's torn tail and is dropped;
+    any other line that does not parse is an error."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
+            if not line.endswith("\n"):
+                break
             line = line.strip()
             if not line:
                 continue
@@ -386,21 +394,10 @@ def main() -> int:
     if len(args) != 1:
         print(__doc__, file=sys.stderr)
         return 2
-    records = []
-    with open(args[0], encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                print(f"line {lineno}: invalid JSON: {err}", file=sys.stderr)
-                return 1
-            if "type" not in record or "name" not in record:
-                print(f"line {lineno}: missing type/name", file=sys.stderr)
-                return 1
-            records.append(record)
+    records, error = load_jsonl(args[0])
+    if error:
+        print(error, file=sys.stderr)
+        return 1
     if not records:
         print("empty trace", file=sys.stderr)
         return 1

@@ -36,7 +36,9 @@ What it checks, beyond the latency/throughput numbers:
 
 Gate semantics mirror bench_serve: baseline entries whose unit is
 "seconds" are ceilings, everything else is a floor, both scaled by
---tolerance.
+--tolerance. Each baseline entry names its "producers"; this tool gates
+the entries that name "loadtest_serve" (the warm-resubmit row is
+bench_serve's alone) and fails one of those it did not measure as MISSING.
 
 Phases (for the CI kill-mid-load scenario):
   --phase full    submit + await + verify (default)
@@ -224,6 +226,8 @@ def gate(results, baseline_path, tolerance):
         baseline = json.load(f)
     failures = 0
     for entry in baseline["benchmarks"]:
+        if "loadtest_serve" not in entry["producers"]:
+            continue
         name, bound = entry["name"], float(entry["value"])
         if name not in results:
             print(f"  {name}: MISSING (baseline {bound})")

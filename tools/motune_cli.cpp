@@ -19,7 +19,9 @@
 #include "serve/client.h"
 #include "serve/daemon.h"
 #include "serve/job.h"
+#include "session/session.h"
 #include "support/check.h"
+#include "support/files.h"
 #include "support/number.h"
 #include "support/table.h"
 #include "verify/fuzz.h"
@@ -445,14 +447,6 @@ int cmdList() {
   return 0;
 }
 
-std::string readFile(const std::string& path) {
-  std::ifstream in(path);
-  MOTUNE_CHECK_MSG(in.good(), "cannot open: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 /// Writes `text` to `path` and reports "<what> written to <path>".
 void writeFile(const std::string& path, const std::string& text,
                const std::string& what) {
@@ -465,7 +459,7 @@ void writeFile(const std::string& path, const std::string& text,
 /// Builds a KernelSpec from a textual kernel (see ir/parse.h); the problem
 /// size is baked into the source, so buildIR ignores its argument.
 kernels::KernelSpec specFromSource(const std::string& path) {
-  const std::string source = readFile(path);
+  const std::string source = support::readFile(path);
   const ir::Program probe = ir::parseProgram(source, path);
   const analyzer::RegionInfo info = analyzer::analyzeRegion(probe);
   MOTUNE_CHECK_MSG(info.tileableDepth >= 1 && info.outerParallelizable,
@@ -488,7 +482,7 @@ int cmdAnalyze(const Args& args) {
   MOTUNE_CHECK_MSG(args.has("source"),
                    "usage: motune analyze --source FILE");
   const ir::Program p =
-      ir::parseProgram(readFile(args.options.at("source")));
+      ir::parseProgram(support::readFile(args.options.at("source")));
   const auto deps = analyzer::computeDependences(p);
   std::cout << "dependences:\n";
   if (deps->empty()) std::cout << "  (none)\n";
@@ -578,6 +572,13 @@ int cmdTune(const Args& args) {
   MOTUNE_CHECK_MSG(args.get("checkpoint", options.session.directory) ==
                        options.session.directory,
                    "--checkpoint and --resume point at different directories");
+  MOTUNE_CHECK_MSG(options.session.directory.empty() ||
+                       options.session.resume ||
+                       !session::sessionExists(options.session.directory),
+                   "session journal already exists in " +
+                       options.session.directory +
+                       " (use --resume to continue it, or point "
+                       "--checkpoint at a fresh directory)");
   options.session.checkpointEvery = args.number("checkpoint-every", 1, 1);
   if (args.has("warm-start")) {
     std::stringstream dirs(args.options.at("warm-start"));
@@ -735,7 +736,7 @@ int cmdFuzz(const Args& args) {
 
   if (args.has("repro")) {
     const verify::FuzzCase c =
-        verify::parseRepro(readFile(args.options.at("repro")));
+        verify::parseRepro(support::readFile(args.options.at("repro")));
     std::cout << "replaying " << args.options.at("repro") << " ("
               << c.steps.size() << " transform step"
               << (c.steps.size() == 1 ? "" : "s") << ")\n";
@@ -806,7 +807,7 @@ int cmdReplay(const Args& args) {
     MOTUNE_CHECK_MSG(!args.has("scenario"),
                      "--spec and --scenario are mutually exclusive");
     scenario = args.options.at("spec");
-    spec = runtime::parseTrafficSpec(readFile(scenario));
+    spec = runtime::parseTrafficSpec(support::readFile(scenario));
     spec.seed = args.number<std::uint64_t>("seed", spec.seed);
   } else {
     scenario = args.get("scenario", "mix");
