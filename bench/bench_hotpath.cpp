@@ -10,7 +10,8 @@
 // generation's session-journal writes, the journal's number formatter,
 // the Pareto bookkeeping (a
 // generation's truncation, the thread sweep's first front), the culling
-// surrogate's observes and scores, and whole
+// surrogate's observes and scores, a serve job's stamped trace records
+// into a JSONL file, and whole
 // steady-state RS-GDE3 generations — and emits the
 // throughputs as machine-readable JSON. With --baseline the process fails
 // when any throughput drops more than the tolerance below its committed
@@ -19,7 +20,7 @@
 //
 // Every value is a rate (higher is better): lookups/s, evaluations/s,
 // variants/s, statements/s, accesses/s, generations/s, numbers/s,
-// truncations/s, fronts/s, operations/s — plus a derived
+// truncations/s, fronts/s, operations/s, records/s — plus a derived
 // "ratio" entry (interp.bytecode_speedup) that is machine-independent and
 // therefore gated tightly.
 //
@@ -36,6 +37,7 @@
 #include "kernels/kernel.h"
 #include "machine/machine.h"
 #include "observe/metrics.h"
+#include "observe/trace.h"
 #include "perfmodel/footprint.h"
 #include "runtime/adaptive.h"
 #include "runtime/thread_pool.h"
@@ -526,6 +528,47 @@ double generationRate(double minSeconds, double& allocationsPerGeneration) {
   return rate;
 }
 
+/// One daemon job's trace traffic: per generation, a `gde3.generation`
+/// span with its 7 attrs and a `roughset.reduce` event, from a tracer
+/// stamped with a job id and run sequence into a file JsonLinesSink, as a
+/// serve job's tracer writes its trace.jsonl. Each call traces 500
+/// generations into a fresh file, so the file stays small.
+double traceRecordRate(double minSeconds) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("motune-hotpath-trace-" + std::to_string(::getpid()) + ".jsonl"))
+          .string();
+  int gen = 0;
+  const double rate = throughput(minSeconds, [&] {
+    observe::Tracer tracer;
+    tracer.setStamp({{"job", support::Json("j000042")},
+                     {"run", support::Json(0)}});
+    tracer.addSink(std::make_shared<observe::JsonLinesSink>(path));
+    for (int i = 0; i < 500; ++i) {
+      ++gen;
+      const double hv = 0.9 - 1.0 / (gen + 2.0);
+      {
+        observe::Span span = tracer.span("gde3.generation");
+        span.setAttr("gen", support::Json(gen));
+        span.setAttr("hv", support::Json(hv));
+        span.setAttr("gen_hv", support::Json(hv * 0.97));
+        span.setAttr("front_size", support::Json(std::size_t{7}));
+        span.setAttr("immigrants", support::Json(gen % 3));
+        span.setAttr("boundary_volume", support::Json(1234.5 / gen));
+        span.setAttr("improved", support::Json(gen % 4 == 0));
+      }
+      tracer.event("roughset.reduce",
+                   {{"gen", support::Json(gen)},
+                    {"boundary_volume", support::Json(1234.5 / gen)},
+                    {"volume_fraction", support::Json(0.37 / gen)}});
+    }
+    tracer.clearSinks();
+    return 1000;
+  });
+  std::filesystem::remove(path);
+  return rate;
+}
+
 /// The first front of 340 points, the size of the thread sweep's pool.
 double frontIndicesRate(double minSeconds) {
   const std::vector<opt::Individual> pop = tradeOffPopulation(340, 13);
@@ -621,6 +664,7 @@ int main(int argc, char** argv) {
   add("pareto.truncate", truncateRate(minTime), "truncations/s");
   add("pareto.front_indices", frontIndicesRate(minTime), "fronts/s");
   add("tuning.surrogate", surrogateRate(minTime), "operations/s");
+  add("observe.trace_record", traceRecordRate(minTime), "records/s");
   double allocationsPerGeneration = 0.0;
   add("engine.generation", generationRate(minTime, allocationsPerGeneration),
       "generations/s");

@@ -4,9 +4,11 @@
 // pushes a burst of small tuning jobs through the real socket protocol,
 // and reports what the CI serve gate cares about: submit round-trip
 // throughput, end-to-end job throughput, and the p50/p99 job latency
-// (admission -> artifact, as the scheduler's histograms see it). The jobs
-// are tiny on purpose — the benchmark measures the daemon (framing,
-// scheduling, store I/O, contention), not the search.
+// (admission -> artifact, as the scheduler's histograms see it). The burst's
+// jobs are tiny on purpose — the benchmark measures the daemon (framing,
+// scheduling, store I/O, contention), not the search. A last phase times
+// the ack of paced submits into the idle daemon, each starting a job of
+// realistic size.
 //
 // Gate semantics differ by unit: "*/s" and "ratio" entries are floors
 // (current >= floor * (1 - tolerance)), "seconds" entries are ceilings
@@ -26,6 +28,7 @@
 #include "support/json.h"
 #include "support/table.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -203,6 +206,29 @@ int main(int argc, char** argv) {
   const double p50 = stats.at("total_seconds").at("p50").asNumber();
   const double p99 = stats.at("total_seconds").at("p99").asNumber();
 
+  // Idle ack: submits paced so that each one finds the daemon idle and
+  // starts a job of realistic size (default RS-GDE3 on mm at the paper's
+  // n). The ack must not wait for the job it starts: a worker that takes
+  // the CPU before the connection thread has sent the reply holds the ack
+  // for a scheduler tick or more. Median round trip, in seconds.
+  std::vector<double> idleRtts;
+  for (std::uint64_t i = 0; i < 30; ++i) {
+    MOTUNE_CHECK_MSG(daemon.scheduler().drain(60.0), "idle phase stalled");
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    serve::JobSpec spec; // the defaults: RS-GDE3 on mm/westmere
+    spec.seed = 1000 + i;
+    const auto sent = clock::now();
+    const serve::SubmitOutcome outcome = client.submit(spec);
+    idleRtts.push_back(
+        std::chrono::duration<double>(clock::now() - sent).count());
+    MOTUNE_CHECK_MSG(outcome.accepted && !outcome.cached,
+                     "idle submit " + std::to_string(i) + " did not start a "
+                     "job: " + outcome.error);
+  }
+  MOTUNE_CHECK_MSG(daemon.scheduler().drain(60.0), "idle phase stalled");
+  std::sort(idleRtts.begin(), idleRtts.end());
+  const double idleRtt = idleRtts[idleRtts.size() / 2];
+
   std::vector<Result> results;
   const auto add = [&](std::string name, double value, std::string unit) {
     std::cout << "  " << name << ": " << support::fmt(value, 4) << " " << unit
@@ -220,6 +246,7 @@ int main(int argc, char** argv) {
   add("serve.cache.resubmit_throughput",
       resubmitSeconds > 0 ? static_cast<double>(jobs) / resubmitSeconds : 0.0,
       "submits/s");
+  add("serve.submit.idle_rtt", idleRtt, "seconds");
 
   daemon.stop();
   fs::remove_all(stateDir);

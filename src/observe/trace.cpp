@@ -65,6 +65,84 @@ support::Json TraceRecord::toJson() const {
   return support::Json(std::move(obj));
 }
 
+TraceStamp::TraceStamp(const support::JsonObject& attrs) {
+  members_.reserve(attrs.size());
+  for (const auto& [key, value] : attrs) {
+    Member member{key, value, {}};
+    support::stringTo(key, member.text);
+    member.text += ':';
+    value.appendTo(member.text);
+    members_.push_back(std::move(member));
+  }
+}
+
+TraceRecord TraceStamp::applyTo(const TraceRecord& record) const {
+  TraceRecord stamped = record;
+  for (const Member& member : members_)
+    stamped.attrs.emplace(member.key, member.value); // record-local keys win
+  return stamped;
+}
+
+namespace {
+
+/// Appends stamp.applyTo(record).toJson().dump(-1) and a newline without
+/// building either: the stamp's members are merged into the attrs in key
+/// order, and the record's keys are written in the sorted order dump(-1)
+/// writes (attrs, dur, id, name, parent, t, tid, type), numbers through
+/// support::numberTo as dump() writes them.
+void encodeLine(const TraceRecord& record, const TraceStamp& stamp,
+                std::string& out) {
+  out += '{';
+  const auto& members = stamp.members();
+  if (!record.attrs.empty() || !members.empty()) {
+    out += R"("attrs":{)";
+    auto attr = record.attrs.begin();
+    auto member = members.begin();
+    const char* separator = "";
+    while (attr != record.attrs.end() || member != members.end()) {
+      out += separator;
+      separator = ",";
+      if (member == members.end() ||
+          (attr != record.attrs.end() && attr->first <= member->key)) {
+        if (member != members.end() && attr->first == member->key)
+          ++member; // the record's own key wins
+        support::stringTo(attr->first, out);
+        out += ':';
+        attr->second.appendTo(out);
+        ++attr;
+      } else {
+        out += (member++)->text;
+      }
+    }
+    out += "},";
+  }
+  const bool span = record.kind == TraceRecord::Kind::Span;
+  if (span) {
+    out += R"("dur":)";
+    support::numberTo(record.duration, out);
+    out += R"(,"id":)";
+    support::numberTo(static_cast<double>(record.id), out);
+    out += ',';
+  }
+  out += R"("name":)";
+  support::stringTo(record.name, out);
+  if (span) {
+    out += R"(,"parent":)";
+    support::numberTo(static_cast<double>(record.parent), out);
+  }
+  out += R"(,"t":)";
+  support::numberTo(record.start, out);
+  if (record.tid != 0) {
+    out += R"(,"tid":)";
+    support::numberTo(static_cast<double>(record.tid), out);
+  }
+  out += R"(,"type":")";
+  out += TraceRecord::kindName(record.kind);
+  out += "\"}\n";
+}
+
+} // namespace
+
 // ------------------------------------------------------------------ sinks
 
 JsonLinesSink::JsonLinesSink(std::ostream& out) : out_(&out) {}
@@ -87,14 +165,14 @@ JsonLinesSink::~JsonLinesSink() {
   }
 }
 
-void JsonLinesSink::write(const TraceRecord& record) {
-  std::string line = record.toJson().dump(-1) + '\n';
+void JsonLinesSink::write(const TraceRecord& record, const TraceStamp& stamp) {
+  encodeLine(record, stamp, pending_);
   if (!file_) {
-    *out_ << line;
-    return;
+    *out_ << pending_;
+    pending_.clear();
+  } else if (pending_.size() >= 8 << 10) {
+    flush();
   }
-  pending_ += line;
-  if (pending_.size() >= 8 << 10) flush();
 }
 
 void JsonLinesSink::flush() {
@@ -121,7 +199,11 @@ ChromeTraceSink::~ChromeTraceSink() {
   out_->flush();
 }
 
-void ChromeTraceSink::write(const TraceRecord& record) {
+void ChromeTraceSink::write(const TraceRecord& unstamped,
+                            const TraceStamp& stamp) {
+  TraceRecord merged;
+  const TraceRecord& record =
+      stamp.empty() ? unstamped : (merged = stamp.applyTo(unstamped));
   // Chrome trace events use microsecond timestamps; tid 0 (records emitted
   // before any thread id was assigned, e.g. metric snapshots) maps to the
   // emitting thread being unknown — displayed on tid 0's track.
@@ -165,8 +247,8 @@ void ChromeTraceSink::write(const TraceRecord& record) {
 
 void ChromeTraceSink::flush() { out_->flush(); }
 
-void TableSink::write(const TraceRecord& record) {
-  records_.push_back(record);
+void TableSink::write(const TraceRecord& record, const TraceStamp& stamp) {
+  records_.push_back(stamp.applyTo(record));
 }
 
 void TableSink::flush() {
@@ -190,9 +272,10 @@ void TableSink::flush() {
   records_.clear();
 }
 
-void MemorySink::write(const TraceRecord& record) {
+void MemorySink::write(const TraceRecord& record, const TraceStamp& stamp) {
+  TraceRecord stamped = stamp.applyTo(record);
   std::lock_guard lock(mutex_);
-  records_.push_back(record);
+  records_.push_back(std::move(stamped));
 }
 
 std::vector<TraceRecord> MemorySink::records() const {
@@ -276,10 +359,7 @@ void Tracer::addSink(std::shared_ptr<Sink> sink) {
                   {"clock", support::Json("steady")},
                   {"time_unit", support::Json("s")}};
   std::lock_guard lock(mutex_);
-  for (const auto& [key, value] : stamp_)
-    if (header.attrs.find(key) == header.attrs.end())
-      header.attrs[key] = value;
-  sink->write(header);
+  sink->write(header, stamp_);
   sinks_.push_back(std::move(sink));
   enabled_.store(true, std::memory_order_relaxed);
 }
@@ -333,22 +413,15 @@ void Tracer::endSpan(Span& span) {
   emit(span.record_);
 }
 
-void Tracer::setStamp(support::JsonObject stamp) {
+void Tracer::setStamp(const support::JsonObject& stamp) {
+  TraceStamp encoded(stamp);
   std::lock_guard lock(mutex_);
-  stamp_ = std::move(stamp);
+  stamp_ = std::move(encoded);
 }
 
 void Tracer::emit(const TraceRecord& record) {
   std::lock_guard lock(mutex_);
-  if (stamp_.empty()) {
-    for (const auto& sink : sinks_) sink->write(record);
-    return;
-  }
-  TraceRecord stamped = record;
-  for (const auto& [key, value] : stamp_)
-    if (stamped.attrs.find(key) == stamped.attrs.end())
-      stamped.attrs[key] = value;
-  for (const auto& sink : sinks_) sink->write(stamped);
+  for (const auto& sink : sinks_) sink->write(record, stamp_);
 }
 
 void Tracer::snapshotMetrics(const MetricsRegistry& registry) {

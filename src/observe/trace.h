@@ -55,20 +55,46 @@ struct TraceRecord {
   static const char* kindName(Kind kind);
 };
 
+/// Attributes a tracer merges into every record it emits (Tracer::setStamp),
+/// each kept with its `"key":value` JSON text, encoded once.
+class TraceStamp {
+public:
+  struct Member {
+    std::string key;
+    support::Json value;
+    std::string text; ///< `"key":value` as Json::dump(-1) writes it
+  };
+
+  TraceStamp() = default;
+  explicit TraceStamp(const support::JsonObject& attrs);
+
+  bool empty() const { return members_.empty(); }
+  const std::vector<Member>& members() const { return members_; } ///< key order
+
+  /// `record` with the stamp merged into its attrs; record-local keys win.
+  TraceRecord applyTo(const TraceRecord& record) const;
+
+private:
+  std::vector<Member> members_;
+};
+
 /// Consumer of trace records. Implementations must tolerate concurrent
 /// write() calls being serialized by the Tracer (the Tracer holds its sink
 /// lock around write), i.e. they need no locking of their own for that.
+/// A record arrives unstamped, with its tracer's stamp beside it: a sink
+/// that keeps or renders the record merges them (TraceStamp::applyTo).
 class Sink {
 public:
   virtual ~Sink() = default;
-  virtual void write(const TraceRecord& record) = 0;
+  virtual void write(const TraceRecord& record, const TraceStamp& stamp) = 0;
   virtual void flush() {}
 };
 
-/// Machine-readable backend: one compact JSON object per line. A stream
-/// gets each line as it is written; a file gets them in one write on
-/// flush() and whenever 8 KiB are pending, so a kill loses at most that
-/// much of the trace.
+/// Machine-readable backend: one compact JSON object per line, the bytes
+/// of the stamped record's toJson().dump(-1), encoded straight into text
+/// without building the tree. A stream gets each line as it is written; a
+/// file gets them in one write on flush() and whenever 8 KiB are pending,
+/// so a kill loses at most that much of the trace.
 class JsonLinesSink final : public Sink {
 public:
   /// Files go through support::JsonlWriter and are created if missing;
@@ -79,7 +105,7 @@ public:
   explicit JsonLinesSink(const std::string& path,
                          Mode mode = Mode::Truncate);
   ~JsonLinesSink() override;
-  void write(const TraceRecord& record) override;
+  void write(const TraceRecord& record, const TraceStamp& stamp) override;
   void flush() override;
 
 private:
@@ -93,7 +119,7 @@ private:
 class TableSink final : public Sink {
 public:
   explicit TableSink(std::ostream& out) : out_(&out) {}
-  void write(const TraceRecord& record) override;
+  void write(const TraceRecord& record, const TraceStamp& stamp) override;
   void flush() override;
 
 private:
@@ -113,7 +139,7 @@ public:
   explicit ChromeTraceSink(std::ostream& out); ///< not owned
   explicit ChromeTraceSink(const std::string& path);
   ~ChromeTraceSink() override;
-  void write(const TraceRecord& record) override;
+  void write(const TraceRecord& record, const TraceStamp& stamp) override;
   void flush() override;
 
 private:
@@ -125,7 +151,7 @@ private:
 /// Test/introspection backend: keeps every record.
 class MemorySink final : public Sink {
 public:
-  void write(const TraceRecord& record) override;
+  void write(const TraceRecord& record, const TraceStamp& stamp) override;
   std::vector<TraceRecord> records() const;
   void clear();
 
@@ -205,7 +231,7 @@ public:
 
   /// Attributes merged into every record this tracer emits (job id, run
   /// sequence). Set before attaching sinks; record-local keys win.
-  void setStamp(support::JsonObject stamp);
+  void setStamp(const support::JsonObject& stamp);
 
   /// Stitches a snapshot of every registry instrument into the trace as
   /// Counter/Gauge/Histogram records (run-level totals at end of run).
@@ -239,7 +265,7 @@ private:
   double wallEpochUnix_ = 0.0; ///< system_clock anchor, captured once
   mutable std::mutex mutex_;
   std::vector<std::shared_ptr<Sink>> sinks_;
-  support::JsonObject stamp_; ///< merged into every record (see setStamp)
+  TraceStamp stamp_; ///< handed to the sinks with every record (setStamp)
 };
 
 /// RAII thread-local tracer override: while alive, Tracer::global() on this

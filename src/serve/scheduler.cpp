@@ -10,6 +10,7 @@
 #include <chrono>
 #include <exception>
 #include <filesystem>
+#include <thread>
 
 namespace motune::serve {
 
@@ -379,6 +380,13 @@ void JobScheduler::workerLoop() {
           .set(static_cast<double>(queue_.size()));
       metrics().gauge("serve.active_jobs").set(static_cast<double>(active_));
     }
+    // Yield once before the job takes the CPU. submit() woke this worker
+    // while its connection thread still had the ack to deliver, and the
+    // woken worker tends to run on that thread's CPU: a job started right
+    // away holds the CPU for a scheduler tick (4 ms at HZ=250) before the
+    // ack's delivery finishes there. The yield lets it finish first
+    // (docs/serve.md, "Submit path").
+    std::this_thread::yield();
     publishState(job->id, JobState::Running);
     runJob(job);
     {

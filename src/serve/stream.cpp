@@ -152,13 +152,14 @@ void StreamHub::closeAll() {
 
 // ------------------------------------------------------------------- sink
 
-void StreamSink::write(const observe::TraceRecord& record) {
+void StreamSink::write(const observe::TraceRecord& record,
+                       const observe::TraceStamp& stamp) {
   if (!hub_->anySubscribers()) return;
   hub_->publishBestEffort(
       jobId_, support::Json(support::JsonObject{
                   {"stream", support::Json("trace")},
                   {"job", support::Json(jobId_)},
-                  {"record", record.toJson()}}));
+                  {"record", stamp.applyTo(record).toJson()}}));
 }
 
 } // namespace motune::serve

@@ -122,7 +122,8 @@ class StreamSink final : public observe::Sink {
 public:
   StreamSink(StreamHub& hub, std::string jobId)
       : hub_(&hub), jobId_(std::move(jobId)) {}
-  void write(const observe::TraceRecord& record) override;
+  void write(const observe::TraceRecord& record,
+             const observe::TraceStamp& stamp) override;
 
 private:
   StreamHub* hub_;

@@ -72,9 +72,7 @@ std::size_t Json::size() const {
   return 0;
 }
 
-namespace {
-
-void escapeTo(const std::string& s, std::string& out) {
+void stringTo(std::string_view s, std::string& out) {
   out += '"';
   for (char c : s) {
     switch (c) {
@@ -95,6 +93,8 @@ void escapeTo(const std::string& s, std::string& out) {
   }
   out += '"';
 }
+
+namespace {
 
 __extension__ using u128 = unsigned __int128;
 
@@ -255,7 +255,7 @@ void Json::dumpTo(std::string& out, int indent, int depth) const {
   case Kind::Null: out += "null"; return;
   case Kind::Bool: out += bool_ ? "true" : "false"; return;
   case Kind::Number: numberTo(number_, out); return;
-  case Kind::String: escapeTo(string_, out); return;
+  case Kind::String: stringTo(string_, out); return;
   case Kind::Array: {
     if (array_->empty()) {
       out += "[]";
@@ -283,7 +283,7 @@ void Json::dumpTo(std::string& out, int indent, int depth) const {
     for (const auto& [key, value] : *object_) {
       if (!first) out += ',';
       newline(depth + 1);
-      escapeTo(key, out);
+      stringTo(key, out);
       out += indent >= 0 ? ": " : ":";
       value.dumpTo(out, indent, depth + 1);
       first = false;
@@ -294,6 +294,8 @@ void Json::dumpTo(std::string& out, int indent, int depth) const {
   }
   }
 }
+
+void Json::appendTo(std::string& out) const { dumpTo(out, -1, 0); }
 
 std::string Json::dump(int indent) const {
   std::string out;

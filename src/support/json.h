@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace motune::support {
@@ -63,6 +64,8 @@ public:
 
   /// Serialization. `indent` < 0 emits compact single-line JSON.
   std::string dump(int indent = 2) const;
+  /// Appends the text dump(-1) returns.
+  void appendTo(std::string& out) const;
 
   /// Parsing; throws support::CheckError with position info on bad input.
   static Json parse(const std::string& text);
@@ -92,6 +95,9 @@ private:
 /// printf; the bytes are those printf writes either way
 /// (JsonNumber.NumberTextMatchesPrintfG17).
 void numberTo(double v, std::string& out);
+
+/// Appends the quoted, escaped text dump() writes for the string `s`.
+void stringTo(std::string_view s, std::string& out);
 
 /// The most bytes numberTo writes for one number.
 inline constexpr std::size_t kNumberChars = 24;

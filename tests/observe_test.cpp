@@ -6,12 +6,14 @@
 #include "core/gde3.h"
 #include "core/testproblems.h"
 #include "runtime/thread_pool.h"
+#include "support/files.h"
 #include "support/json.h"
 #include "tuning/evaluator.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <span>
 #include <sstream>
@@ -571,6 +573,95 @@ TEST(Tracer, StampIsMergedIntoEveryRecord) {
     EXPECT_EQ(r.attrs.at("job").asString(), "j000042") << r.name;
     EXPECT_EQ(r.attrs.at("run").asNumber(), 1.0) << r.name;
   }
+}
+
+/// Writes every record through a file JsonLinesSink and, beside it, the
+/// line the tree encoder writes for the same record: the stamp merged into
+/// a copy of the attrs by hand (record-local keys win), then
+/// TraceRecord::toJson().dump(-1).
+class TreeEncoderTee final : public observe::Sink {
+public:
+  explicit TreeEncoderTee(const std::string& path) : file_(path) {}
+  void write(const TraceRecord& record,
+             const observe::TraceStamp& stamp) override {
+    file_.write(record, stamp);
+    TraceRecord stamped = record;
+    for (const auto& member : stamp.members())
+      if (stamped.attrs.find(member.key) == stamped.attrs.end())
+        stamped.attrs[member.key] = member.value;
+    treeLines += stamped.toJson().dump(-1) + "\n";
+  }
+  void flush() override { file_.flush(); }
+
+  std::string treeLines;
+
+private:
+  observe::JsonLinesSink file_;
+};
+
+TEST(Tracer, JsonLinesFileBytesEqualTheTreeEncodersLines) {
+  const std::string path =
+      ::testing::TempDir() + "/motune_trace_pin.jsonl";
+  std::filesystem::remove(path);
+  Tracer tracer;
+  auto tee = std::make_shared<TreeEncoderTee>(path);
+  tracer.addSink(tee); // the header, unstamped
+
+  using support::Json;
+  using support::JsonArray;
+  using support::JsonObject;
+  {
+    observe::Span root = tracer.span(
+        "root \"quoted\"",
+        {{"escaped", Json("q\" b\\ nl\n tab\t cr\r ctl\x01 end")},
+         {"int", Json(42)},
+         {"negative", Json(-7)},
+         {"big", Json(std::uint64_t{1} << 40)},
+         {"double", Json(0.1)},
+         {"tiny", Json(1e-7)},
+         {"huge", Json(6.02e23)},
+         {"yes", Json(true)},
+         {"no", Json(false)},
+         {"null", Json()},
+         {"empty", Json("")}});
+    observe::Span child = tracer.span("child");
+    child.setAttr("front", Json(JsonArray{
+                               Json(JsonObject{{"tiles", Json("8x16")},
+                                               {"time_s", Json(2.5e-3)}}),
+                               Json(JsonArray{Json(1), Json("x"),
+                                              Json(JsonArray{})}),
+                               Json(JsonObject{})}));
+    tracer.event("plain");
+  }
+
+  // Keys that sort before, between and after the stamp's; "job" collides.
+  tracer.setStamp({{"job", Json("j7")}, {"run", Json(2)}, {"zz", Json(true)}});
+  {
+    observe::Span span = tracer.span(
+        "stamped", {{"a", Json(1)},
+                    {"job", Json("mine")},
+                    {"m", Json(JsonObject{{"k", Json(JsonArray{Json(0.5)})}})},
+                    {"zzz", Json(3.25)}});
+  }
+  tracer.event("stamp.only");
+  tracer.event("after", {{"zzz", Json("last")}});
+  MetricsRegistry registry;
+  registry.counter("c").add(3);
+  registry.histogram("h").observe(0.125);
+  tracer.snapshotMetrics(registry);
+  tracer.clearSinks();
+
+  const std::string bytes = support::readFile(path);
+  EXPECT_EQ(bytes, tee->treeLines);
+  // The stamp itself is in the file, and the record's own "job" beat it.
+  EXPECT_NE(bytes.find(R"("attrs":{"job":"j7","run":2,"zz":true},"name":)"
+                       R"("stamp.only")"),
+            std::string::npos);
+  EXPECT_NE(bytes.find(R"("attrs":{"a":1,"job":"mine","m":{"k":[0.5]},)"
+                       R"("run":2,"zz":true,"zzz":3.25},"dur":)"),
+            std::string::npos);
+  EXPECT_NE(bytes.find(R"("tiny":9.9999999999999995e-08)"), std::string::npos);
+  std::filesystem::remove(path);
 }
 
 TEST(Tracer, SeededIdsKeepConcurrentTracersDisjoint) {

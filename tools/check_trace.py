@@ -407,7 +407,10 @@ def main() -> int:
     if not generations:
         print("no gde3.generation spans in trace", file=sys.stderr)
         return 1
-    hvs = [g["attrs"]["hv"] for g in generations]
+    hvs = [g.get("attrs", {}).get("hv") for g in generations]
+    if None in hvs:
+        print("gde3.generation span without an hv attr", file=sys.stderr)
+        return 1
     for a, b in zip(hvs, hvs[1:]):
         if b < a:
             print(f"hypervolume not monotone: {a} -> {b}", file=sys.stderr)
@@ -428,7 +431,7 @@ def main() -> int:
     run_spans = [r for r in records if r["type"] == "span"
                  and r["name"] in ("rsgde3.run", "gde3.run")]
     for span in run_spans:
-        declared = span["attrs"].get("evaluations")
+        declared = span.get("attrs", {}).get("evaluations")
         if declared is not None and declared != unique:
             print(f"{span['name']} declares {declared} evaluations but the "
                   f"unique counter is {unique}", file=sys.stderr)
