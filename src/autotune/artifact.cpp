@@ -61,7 +61,7 @@ support::Json toJson(const TunedArtifact& artifact) {
       {"versions", std::move(versions)},
   };
   if (artifact.session.has_value()) {
-    const SessionProvenance& s = *artifact.session;
+    const session::Provenance& s = *artifact.session;
     out.emplace("session", support::JsonObject{
                                {"journal", s.journal},
                                {"checkpoints", s.checkpoints},
@@ -87,7 +87,7 @@ TunedArtifact artifactFromJson(const support::Json& json) {
     a.front.push_back(metaFromJson(v));
   if (json.has("session")) {
     const support::Json& s = json.at("session");
-    SessionProvenance p;
+    session::Provenance p;
     p.journal = s.at("journal").asString();
     p.checkpoints = static_cast<std::uint64_t>(s.at("checkpoints").asInt());
     p.resumes = static_cast<int>(s.at("resumes").asInt());

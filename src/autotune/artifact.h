@@ -33,7 +33,7 @@ struct TunedArtifact {
   /// times it was resumed. Serialized as the optional "session" object of
   /// the artifact format (readers ignore unknown fields, so pre-session
   /// artifacts load unchanged — see docs/architecture.md).
-  std::optional<SessionProvenance> session;
+  std::optional<session::Provenance> session;
 };
 
 /// Packages a tuning result (provenance from `problem`).

@@ -68,7 +68,7 @@ namespace {
 /// (src/tuning/island.h) — worker and merge invocations rebuild the same
 /// blob, which is what lets them resume each other's journals.
 support::Json algorithmOptionsJson(const TunerOptions& options,
-                                   int islandIndex = -1) {
+                                   int islandIndex) {
   const opt::GDE3Options& g = options.gde3;
   support::JsonObject blob{
       {"population", g.population},
@@ -164,7 +164,7 @@ opt::OptResult AutoTuner::optimize(tuning::ObjectiveFunction& fn) {
 opt::OptResult
 AutoTuner::optimizeImpl(tuning::ObjectiveFunction& fn,
                         const std::string& problemTag,
-                        std::optional<SessionProvenance>* provenance) {
+                        std::optional<session::Provenance>* provenance) {
   observe::Span span = observe::Tracer::global().span(
       "autotune.optimize",
       {{"algorithm", support::Json(algorithmName(options_.algorithm))}});
@@ -185,13 +185,19 @@ AutoTuner::optimizeImpl(tuning::ObjectiveFunction& fn,
     target = &*tolerant;
   }
 
-  // Cancellation/progress hooks for hook-less (non-session) GDE3-family
-  // runs.
-  opt::RunHooks stopOnly;
-  stopOnly.shouldStop = options_.stopRequested;
-  stopOnly.onGeneration = options_.onProgress;
-  const opt::RunHooks* stopHooks =
-      options_.stopRequested || options_.onProgress ? &stopOnly : nullptr;
+  switch (options_.algorithm) {
+  case Algorithm::NSGA2:
+    return opt::NSGA2(*target, *pool_, options_.nsga2).run();
+  case Algorithm::Random:
+    return opt::RandomSearch(*target, *pool_,
+                             {options_.randomBudget, options_.gde3.seed, true})
+        .run();
+  case Algorithm::BruteForce:
+    return opt::GridSearch(*target, *pool_, *options_.grid).run();
+  case Algorithm::RSGDE3:
+  case Algorithm::PlainGDE3:
+    break;
+  }
 
   // Surrogate pre-ranking: built per optimize call (it is trained on this
   // problem's evaluations) and handed to the engine by pointer, so it must
@@ -203,6 +209,19 @@ AutoTuner::optimizeImpl(tuning::ObjectiveFunction& fn,
     gde3.surrogate = surrogate.get();
     gde3.surrogateKeep = options_.surrogateKeep;
   }
+  const bool reduction = options_.algorithm == Algorithm::RSGDE3;
+  // The session header of the search (island -1) or of island k.
+  const auto makeHeader = [this, &fn, &problemTag](int island,
+                                                   std::uint64_t seed) {
+    session::SessionHeader h;
+    h.problem = problemTag;
+    h.algorithm = algorithmName(options_.algorithm);
+    h.seed = seed;
+    h.objectives = fn.numObjectives();
+    h.space = fn.space();
+    h.algorithmOptions = algorithmOptionsJson(options_, island);
+    return h;
+  };
 
   if (options_.islands > 1 || options_.islandIndex >= 0) {
     tuning::IslandOptions io;
@@ -213,134 +232,32 @@ AutoTuner::optimizeImpl(tuning::ObjectiveFunction& fn,
     io.directory = options_.session.directory;
     io.checkpointEvery = options_.session.checkpointEvery;
     io.resume = options_.session.resume;
-    io.reduction = options_.algorithm == Algorithm::RSGDE3;
+    io.reduction = reduction;
     io.gde3 = gde3;
-    io.seeds = gde3.initialSeeds;
     io.stopRequested = options_.stopRequested;
     io.onProgress = options_.onProgress;
-    io.makeHeader = [this, &fn, &problemTag](int island,
-                                             std::uint64_t islandSeed) {
-      session::SessionHeader h;
-      h.problem = problemTag;
-      h.algorithm = algorithmName(options_.algorithm);
-      h.seed = islandSeed;
-      h.objectives = fn.numObjectives();
-      h.space = fn.space();
-      h.algorithmOptions = algorithmOptionsJson(options_, island);
-      return h;
-    };
+    io.makeHeader = makeHeader;
     tuning::IslandRun run = tuning::runIslands(*target, *pool_, io);
-    if (provenance != nullptr && !io.directory.empty()) {
-      SessionProvenance p;
-      p.journal = run.journal;
-      p.checkpoints = run.checkpoints;
-      p.resumes = run.resumes;
-      p.recordedEvaluations = run.recordedEvaluations;
-      *provenance = std::move(p);
-    }
+    if (provenance != nullptr) *provenance = std::move(run.session);
     return run.merged;
   }
 
-  const bool useSession = !options_.session.directory.empty();
-  if (!useSession) {
-    switch (options_.algorithm) {
-    case Algorithm::RSGDE3: {
-      opt::RSGDE3 engine(*target, *pool_, {gde3, true});
-      return engine.run(stopHooks);
-    }
-    case Algorithm::PlainGDE3: {
-      opt::RSGDE3 engine(*target, *pool_, {gde3, false});
-      return engine.run(stopHooks);
-    }
-    case Algorithm::NSGA2: {
-      opt::NSGA2 engine(*target, *pool_, options_.nsga2);
-      return engine.run();
-    }
-    case Algorithm::Random: {
-      opt::RandomSearch engine(*target, *pool_,
-                               {options_.randomBudget, options_.gde3.seed, true});
-      return engine.run();
-    }
-    case Algorithm::BruteForce: {
-      opt::GridSearch engine(*target, *pool_, *options_.grid);
-      return engine.run();
-    }
-    }
-    MOTUNE_CHECK_MSG(false, "unknown algorithm");
-    return {};
-  }
-
-  // Sessions journal serialized engine state, which only the GDE3-family
-  // engines expose (validateOptions enforces it).
-  const bool reduction = options_.algorithm == Algorithm::RSGDE3;
-
-  session::SessionHeader header;
-  header.problem = problemTag;
-  header.algorithm = algorithmName(options_.algorithm);
-  header.seed = options_.gde3.seed;
-  header.objectives = fn.numObjectives();
-  header.space = fn.space();
-  header.algorithmOptions = algorithmOptionsJson(options_);
-
   opt::RSGDE3 engine(*target, *pool_, {gde3, reduction});
-
-  std::optional<session::ResumeState> resumed;
-  std::unique_ptr<session::SessionWriter> writer;
-  if (options_.session.resume) {
-    resumed = session::loadSession(options_.session.directory);
-    MOTUNE_CHECK_MSG(!resumed->finished,
-                     "session in " + options_.session.directory +
-                         " already ran to completion; nothing to resume");
-    session::checkCompatible(resumed->header, header);
-    // Pre-seed the memo: replayed generations between the last checkpoint
-    // and the kill re-request the same configurations deterministically
-    // and hit these entries, keeping the evaluation count E exact.
-    for (const session::EvalRecord& e : resumed->evaluations)
-      engine.engine().evaluator().preload(e.config, e.objectives);
-    writer = std::make_unique<session::SessionWriter>(
-        options_.session.directory, *resumed);
-  } else {
-    writer = std::make_unique<session::SessionWriter>(
-        options_.session.directory, header);
-  }
-  engine.engine().evaluator().setListener(
-      [&writer](std::span<const tuning::CountingEvaluator::Entry* const>
-                    batch) { writer->recordEvaluations(batch); });
-
   opt::RunHooks hooks;
-  hooks.checkpointEvery = options_.session.checkpointEvery;
-  opt::EncodeMemo memo; // consecutive checkpoints share most of their text
-  hooks.checkpoint = [&writer, &memo](const opt::RSGDE3& search,
-                                      int generation) {
-    writer->recordCheckpoint(
-        generation, search.engine().evaluations(),
-        [&](std::string& out) { search.encodeState(out, &memo); });
-  };
   hooks.shouldStop = options_.stopRequested;
   hooks.onGeneration = options_.onProgress;
-  if (resumed.has_value() && resumed->checkpoint.has_value())
-    hooks.resumeState = &*resumed->checkpoint;
+  const std::string& dir = options_.session.directory;
+  if (dir.empty()) return engine.run(&hooks);
 
+  session::JournaledSearch journaled(
+      engine, dir, makeHeader(-1, options_.gde3.seed), options_.session.resume,
+      options_.session.checkpointEvery, hooks);
+  MOTUNE_CHECK_MSG(!journaled.finished(),
+                   "session in " + dir +
+                       " already ran to completion; nothing to resume");
   opt::OptResult result = engine.run(&hooks);
-  // A cancelled run gets no finish record: the journal stays resumable in
-  // case the cancellation is operator error, and the serve layer marks the
-  // job cancelled through its own store.
-  if (!options_.stopRequested || !options_.stopRequested())
-    writer->recordFinish(result.evaluations, result.front.size(),
-                         result.hvHistory.empty() ? 0.0
-                                                  : result.hvHistory.back());
-
-  if (provenance != nullptr) {
-    SessionProvenance p;
-    p.journal = writer->path();
-    p.checkpoints =
-        (resumed ? resumed->checkpoints : 0) + writer->checkpointsWritten();
-    p.resumes = resumed ? resumed->resumes + 1 : 0;
-    p.recordedEvaluations =
-        (resumed ? resumed->evaluations.size() : 0) +
-        writer->evaluationsRecorded();
-    *provenance = std::move(p);
-  }
+  journaled.finish(result);
+  if (provenance != nullptr) *provenance = journaled.provenance();
   return result;
 }
 

@@ -117,15 +117,6 @@ Algorithm algorithmFromName(const std::string& name);
 /// AutoTuner's constructor and serve::validateSpec run it.
 void validateOptions(const TunerOptions& options);
 
-/// Where a tuning result came from when it ran under a session — recorded
-/// in the artifact so a deployment can trace a front back to its journal.
-struct SessionProvenance {
-  std::string journal;               ///< path of the session journal
-  std::uint64_t checkpoints = 0;     ///< checkpoint records, all runs
-  int resumes = 0;                   ///< times the session was resumed
-  std::uint64_t recordedEvaluations = 0; ///< journaled unique evaluations
-};
-
 /// Tuning outcome: the Pareto set with metadata plus the comparison metrics
 /// of Table VI (|S|, E, V(S)).
 struct TuningResult {
@@ -135,7 +126,7 @@ struct TuningResult {
   double hypervolume = 0.0;           ///< V(S), normalized (see below)
   double timeRef = 0.0;               ///< normalization: untiled serial time
   double resourceRef = 0.0;           ///< normalization: 2x untiled serial
-  std::optional<SessionProvenance> session; ///< set when a session ran
+  std::optional<session::Provenance> session; ///< set when a session ran
 };
 
 class AutoTuner {
@@ -158,7 +149,7 @@ private:
   /// (may be null) receives the session summary when one ran.
   opt::OptResult optimizeImpl(tuning::ObjectiveFunction& fn,
                               const std::string& problemTag,
-                              std::optional<SessionProvenance>* provenance);
+                              std::optional<session::Provenance>* provenance);
 
   TunerOptions options_;
   std::unique_ptr<runtime::ThreadPool> pool_;

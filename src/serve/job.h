@@ -90,8 +90,8 @@ JobSpec specFromJson(const support::Json& json);
 /// Content hash of a canonicalized spec (FNV-1a 64 over the compact JSON
 /// dump), as 16 lowercase hex digits. Equal specs always hash equal;
 /// 64 bits is not proof of identity, so the scheduler re-compares the
-/// canonical JSON on every cache hit before serving it (the serve result
-/// cache, `jobs/by-spec/<hash>`).
+/// canonical JSON on every cache hit before serving it (the key of the
+/// serve result cache).
 std::string specHash(const JobSpec& spec);
 
 /// True when a finished job's artifact is a pure function of the spec, so

@@ -84,7 +84,6 @@ void JobScheduler::start() {
       if (rec.state == JobState::Done && cacheableSpec(rec.spec))
         specIndex_.emplace(specHash(rec.spec), job->id);
     }
-    for (const auto& [hash, id] : specIndex_) store_.indexSpec(hash, id);
     metrics().gauge("serve.queue_depth").set(static_cast<double>(queue_.size()));
   }
   // Touch the whole cache counter family up front so every scrape exposes
@@ -513,8 +512,6 @@ void JobScheduler::runJob(const std::shared_ptr<Job>& job) {
   }
 
   const double runSeconds = secondsSince(job->started);
-  bool indexNew = false;
-  std::string indexHash;
   {
     std::lock_guard lock(mutex_);
     job->state = finalState;
@@ -528,16 +525,12 @@ void JobScheduler::runJob(const std::shared_ptr<Job>& job) {
       job->artifactPath = store_.artifactPath(job->id);
       // Warm-started jobs (surrogate_keep < 1) are not cacheable: their
       // artifact depends on the store's contents at first run, not just
-      // the spec — never index them.
-      if (cacheableSpec(job->spec)) {
-        indexHash = specHash(job->spec);
-        indexNew = specIndex_.emplace(indexHash, job->id).second;
-      }
+      // the spec — never index them. Keep-first: a later no-cache run of
+      // the same spec leaves the entry as it is.
+      if (cacheableSpec(job->spec))
+        specIndex_.emplace(specHash(job->spec), job->id);
     }
   }
-  // Keep-first: only the job that claimed the in-memory entry writes the
-  // on-disk index, so concurrent no-cache runs of one spec cannot flap it.
-  if (indexNew) store_.indexSpec(indexHash, job->id);
 
   auto& reg = metrics();
   switch (finalState) {

@@ -162,8 +162,8 @@ private:
   /// finished that spec. Holds cacheable specs only (cacheableSpec():
   /// warm-started surrogate jobs are excluded — their artifacts are not
   /// pure functions of the spec). Rebuilt from recovered Done jobs on
-  /// start() (the job directories are the source of truth; jobs/by-spec/
-  /// is healed from them), extended as jobs finish.
+  /// start() (the job directories are the only record of it), extended
+  /// as jobs finish.
   std::map<std::string, std::string> specIndex_;
   std::uint64_t seq_ = 0;
   unsigned active_ = 0;

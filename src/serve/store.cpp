@@ -111,12 +111,6 @@ void JobStore::markFailed(const std::string& id, const std::string& error) {
   writeJson(jobDir(id) + "/error.json", support::JsonObject{{"error", error}});
 }
 
-void JobStore::indexSpec(const std::string& hash, const std::string& id) {
-  const fs::path dir = fs::path(stateDir_) / "jobs" / "by-spec";
-  fs::create_directories(dir);
-  support::writeFileAtomic((dir / hash).string(), id + "\n");
-}
-
 void JobStore::writeWarmStart(const std::string& id,
                               const std::vector<std::string>& dirs) {
   support::JsonArray list;

@@ -83,12 +83,6 @@ public:
   void markCancelled(const std::string& id);
   void markFailed(const std::string& id, const std::string& error);
 
-  /// Result-cache index (jobs/by-spec/<hash> -> job id, atomic write).
-  /// The scheduler keeps the authoritative in-memory map; these files make
-  /// the mapping auditable and are healed from recovered Done jobs on
-  /// start, so the index never has to be trusted over the job directories.
-  void indexSpec(const std::string& hash, const std::string& id);
-
   /// The surrogate warm-start corpus pinned to a job: written once before
   /// the job's first run, read back verbatim on every resume (the journal
   /// list is part of the search identity once culling is on).

@@ -229,4 +229,57 @@ void SessionWriter::recordFinish(std::uint64_t evaluations,
   });
 }
 
+JournaledSearch::JournaledSearch(opt::RSGDE3& engine, std::string directory,
+                                 const SessionHeader& header, bool resume,
+                                 int checkpointEvery, opt::RunHooks& hooks)
+    : directory_(std::move(directory)), hooks_(hooks) {
+  if (resume) {
+    resumed_ = loadSession(directory_);
+    checkCompatible(resumed_->header, header);
+    // Replayed generations between the last checkpoint and the kill
+    // re-request the same configurations deterministically and hit these
+    // entries, keeping the evaluation count E exact.
+    for (const EvalRecord& e : resumed_->evaluations)
+      engine.engine().evaluator().preload(e.config, e.objectives);
+    if (resumed_->checkpoint.has_value())
+      hooks.resumeState = &*resumed_->checkpoint;
+    if (resumed_->finished) return;
+    writer_ = std::make_unique<SessionWriter>(directory_, *resumed_);
+  } else {
+    writer_ = std::make_unique<SessionWriter>(directory_, header);
+  }
+  engine.engine().evaluator().setListener(
+      [this](std::span<const tuning::CountingEvaluator::Entry* const> batch) {
+        writer_->recordEvaluations(batch);
+      });
+  hooks.checkpointEvery = checkpointEvery;
+  hooks.checkpoint = [this](const opt::RSGDE3& search, int generation) {
+    writer_->recordCheckpoint(
+        generation, search.engine().evaluations(),
+        [&](std::string& out) { search.encodeState(out, &memo_); });
+  };
+}
+
+void JournaledSearch::finish(const opt::OptResult& result) {
+  if (hooks_.shouldStop && hooks_.shouldStop()) return;
+  writer_->recordFinish(result.evaluations, result.front.size(),
+                        result.hvHistory.empty() ? 0.0
+                                                 : result.hvHistory.back());
+}
+
+Provenance JournaledSearch::provenance() const {
+  Provenance p;
+  p.journal = journalPath(directory_);
+  if (resumed_.has_value()) {
+    p.checkpoints = resumed_->checkpoints;
+    p.resumes = resumed_->resumes + (writer_ ? 1 : 0);
+    p.recordedEvaluations = resumed_->evaluations.size();
+  }
+  if (writer_) {
+    p.checkpoints += writer_->checkpointsWritten();
+    p.recordedEvaluations += writer_->evaluationsRecorded();
+  }
+  return p;
+}
+
 } // namespace motune::session

@@ -26,9 +26,11 @@
 // the evaluation count E and the final front match the uninterrupted run
 // bit for bit (pinned by tests/session_test.cpp and the kill-resume CI
 // job). The full record format is specified field by field in
-// docs/architecture.md.
+// docs/architecture.md. JournaledSearch (below) drives that lifecycle for
+// one search: the single search and every island run through it.
 #pragma once
 
+#include "core/rsgde3.h"
 #include "observe/metrics.h"
 #include "session/journal.h"
 #include "tuning/evaluator.h"
@@ -139,7 +141,6 @@ public:
   void recordFinish(std::uint64_t evaluations, std::size_t frontSize,
                     double hypervolume);
 
-  const std::string& path() const { return journal_.path(); }
   std::uint64_t evaluationsRecorded() const { return evaluations_; }
   std::uint64_t checkpointsWritten() const { return checkpoints_; }
 
@@ -155,6 +156,53 @@ private:
   observe::Counter& evaluationsCounter_;
   observe::Counter& checkpointsCounter_;
   observe::Gauge& checkpointGeneration_;
+};
+
+/// Where a tuning result came from when it ran under a session, recorded
+/// in the artifact so a deployment can trace a front back to its journal.
+/// An island run sums its islands' counts and names the first island's
+/// journal.
+struct Provenance {
+  std::string journal;                   ///< path of the session journal
+  std::uint64_t checkpoints = 0;         ///< checkpoint records, all runs
+  int resumes = 0;                       ///< times the session was resumed
+  std::uint64_t recordedEvaluations = 0; ///< journaled unique evaluations
+};
+
+/// The session lifecycle of one RS-GDE3 search, in the order
+/// docs/architecture.md ("Resume semantics") specifies. The constructor
+/// starts a fresh journal in `directory`, or resumes the one there: it
+/// checks the header, preloads `engine`'s memo with every recorded
+/// evaluation and, unless the journal holds `finish`, appends `resume`.
+/// It journals every evaluation batch and sets `hooks`' checkpoint hook
+/// and interval and, from the last checkpoint, its resumeState; the caller
+/// then runs `engine` with `hooks` and calls finish(). `engine` and
+/// `hooks` must outlive this object, which stays where it was built.
+class JournaledSearch {
+public:
+  JournaledSearch(opt::RSGDE3& engine, std::string directory,
+                  const SessionHeader& header, bool resume,
+                  int checkpointEvery, opt::RunHooks& hooks);
+  JournaledSearch(const JournaledSearch&) = delete;
+  JournaledSearch& operator=(const JournaledSearch&) = delete;
+
+  /// The resumed journal already holds `finish`: nothing was appended,
+  /// nothing will be, and hooks.resumeState holds the final checkpoint.
+  /// The caller refuses the resume or rebuilds the result from it.
+  bool finished() const { return writer_ == nullptr; }
+
+  /// Writes `finish` unless hooks.shouldStop reports the run cancelled: a
+  /// cancelled journal stays resumable.
+  void finish(const opt::OptResult& result);
+
+  Provenance provenance() const;
+
+private:
+  std::string directory_;
+  const opt::RunHooks& hooks_;
+  std::optional<ResumeState> resumed_;
+  std::unique_ptr<SessionWriter> writer_;
+  opt::EncodeMemo memo_; ///< consecutive checkpoints share most of their text
 };
 
 } // namespace motune::session

@@ -213,26 +213,18 @@ void JournalExchange::retire(int island, int round, int generation,
 
 namespace {
 
-/// Outcome of one island's run (or reconstruction).
-struct IslandOutcome {
-  opt::OptResult result;
-  std::string journal;
-  std::uint64_t checkpoints = 0;
-  int resumes = 0;
-  std::uint64_t recordedEvaluations = 0;
-};
-
 /// Engine options of island k: shifted RNG seed, rotated analytic seeds.
 opt::RSGDE3Options islandEngineOptions(const IslandOptions& options, int k) {
   opt::RSGDE3Options rs;
   rs.gde3 = options.gde3;
   rs.reductionEnabled = options.reduction;
   rs.gde3.seed = options.gde3.seed + static_cast<std::uint64_t>(k);
-  rs.gde3.initialSeeds.clear();
-  const std::size_t n = options.seeds.size();
-  for (std::size_t i = 0; i < n; ++i)
-    rs.gde3.initialSeeds.push_back(
-        options.seeds[(i + static_cast<std::size_t>(k)) % n]);
+  std::vector<Config>& seeds = rs.gde3.initialSeeds;
+  if (!seeds.empty())
+    std::rotate(seeds.begin(),
+                seeds.begin() + static_cast<std::ptrdiff_t>(
+                                    static_cast<std::size_t>(k) % seeds.size()),
+                seeds.end());
   return rs;
 }
 
@@ -245,55 +237,31 @@ public:
          const IslandOptions& options, int k, MigrantExchange& exchange)
       : options_(options), k_(k), exchange_(exchange),
         engine_(fn, pool, islandEngineOptions(options, k)) {
+    hooks_.shouldStop = options.stopRequested;
+    if (k == 0) hooks_.onGeneration = options.onProgress;
     if (!options.directory.empty()) {
       const std::string dir = islandDirectory(options.directory, k);
       MOTUNE_CHECK_MSG(options.makeHeader != nullptr,
                        "island sessions need a header factory");
-      const session::SessionHeader header = options.makeHeader(
-          k, options.gde3.seed + static_cast<std::uint64_t>(k));
       const bool resume = options.resume && session::sessionExists(dir);
-      if (resume) {
-        resumed_ = session::loadSession(dir);
-        session::checkCompatible(resumed_->header, header);
-        for (const session::EvalRecord& e : resumed_->evaluations)
-          engine_.engine().evaluator().preload(e.config, e.objectives);
-        if (resumed_->finished) {
-          // The island already ran to completion: rebuild its result
-          // from the final checkpoint plus the preloaded evaluations —
-          // this is how a later invocation merges finished worker islands
-          // without re-running anything.
-          MOTUNE_CHECK_MSG(resumed_->checkpoint.has_value(),
-                           "finished island session has no checkpoint: " +
-                               dir);
-          engine_.restore(*resumed_->checkpoint);
-          out_.result = engine_.engine().release();
-          out_.journal = session::journalPath(dir);
-          out_.checkpoints = resumed_->checkpoints;
-          out_.resumes = resumed_->resumes;
-          out_.recordedEvaluations = resumed_->evaluations.size();
-          done_ = true;
-          return;
-        }
-        writer_ = std::make_unique<session::SessionWriter>(dir, *resumed_);
-      } else {
-        writer_ = std::make_unique<session::SessionWriter>(dir, header);
+      journaled_.emplace(engine_, dir,
+                         options.makeHeader(k, options.gde3.seed +
+                                                   static_cast<std::uint64_t>(k)),
+                         resume, options.checkpointEvery, hooks_);
+      if (journaled_->finished()) {
+        // The island already ran to completion: rebuild its result from
+        // the final checkpoint plus the preloaded evaluations — this is
+        // how a later invocation merges finished worker islands without
+        // re-running anything.
+        MOTUNE_CHECK_MSG(hooks_.resumeState != nullptr,
+                         "finished island session has no checkpoint: " + dir);
+        engine_.restore(*hooks_.resumeState);
+        result_ = engine_.engine().release();
+        done_ = true;
+        return;
       }
       dynamic_cast<JournalExchange&>(exchange).attach(k, resume);
-      engine_.engine().evaluator().setListener(
-          [this](std::span<const CountingEvaluator::Entry* const> batch) {
-            writer_->recordEvaluations(batch);
-          });
-      hooks_.checkpointEvery = options.checkpointEvery;
-      hooks_.checkpoint = [this](const opt::RSGDE3& engine, int generation) {
-        writer_->recordCheckpoint(
-            generation, engine.engine().evaluations(),
-            [&](std::string& out) { engine.encodeState(out, &memo_); });
-      };
     }
-    hooks_.shouldStop = options.stopRequested;
-    if (k == 0) hooks_.onGeneration = options.onProgress;
-    if (resumed_.has_value() && resumed_->checkpoint.has_value())
-      hooks_.resumeState = &*resumed_->checkpoint;
     engine_.begin(&hooks_);
   }
 
@@ -335,63 +303,52 @@ public:
     engine_.endGeneration();
   }
 
-  IslandOutcome& outcome() { return out_; }
+  const opt::OptResult& result() const { return result_; }
+  /// This island's session provenance (none without a directory).
+  std::optional<session::Provenance> provenance() const {
+    if (!journaled_) return std::nullopt;
+    return journaled_->provenance();
+  }
 
 private:
   void finish() {
     done_ = true;
-    out_.result = engine_.end();
-    const bool cancelled =
-        options_.stopRequested != nullptr && options_.stopRequested();
-    if (!cancelled) {
-      if (options_.islands > 1)
-        exchange_.retire(k_, out_.result.generations / options_.migrateEvery,
-                         out_.result.generations, out_.result.evaluations);
-      if (writer_)
-        writer_->recordFinish(out_.result.evaluations,
-                              out_.result.front.size(),
-                              out_.result.hvHistory.empty()
-                                  ? 0.0
-                                  : out_.result.hvHistory.back());
-    }
-    if (writer_) {
-      out_.journal = writer_->path();
-      out_.checkpoints = (resumed_ ? resumed_->checkpoints : 0) +
-                         writer_->checkpointsWritten();
-      out_.resumes = resumed_ ? resumed_->resumes + 1 : 0;
-      out_.recordedEvaluations =
-          (resumed_ ? resumed_->evaluations.size() : 0) +
-          writer_->evaluationsRecorded();
-    }
+    result_ = engine_.end();
+    // Retire before `finish`: an island killed between the two resumes
+    // and finishes again, while one with `finish` but no retire record
+    // would be rebuilt, never retire, and leave its peers waiting.
+    if (options_.islands > 1 &&
+        !(options_.stopRequested && options_.stopRequested()))
+      exchange_.retire(k_, result_.generations / options_.migrateEvery,
+                       result_.generations, result_.evaluations);
+    if (journaled_) journaled_->finish(result_);
   }
 
   const IslandOptions& options_;
   const int k_;
   MigrantExchange& exchange_;
   opt::RSGDE3 engine_;
-  std::optional<session::ResumeState> resumed_;
-  std::unique_ptr<session::SessionWriter> writer_;
   opt::RunHooks hooks_;
-  opt::EncodeMemo memo_; ///< of this island's checkpoints
-  IslandOutcome out_;
+  std::optional<session::JournaledSearch> journaled_;
+  opt::OptResult result_;
   bool done_ = false;
   int waitingFor_ = -1;
 };
 
 /// Deterministic merge of the islands' snapshots (see IslandOptions).
-opt::OptResult mergeOutcomes(const std::vector<IslandOutcome>& outcomes) {
+opt::OptResult mergeResults(const std::vector<std::unique_ptr<Island>>& islands) {
   opt::OptResult merged;
   std::vector<opt::Individual> fronts;
-  for (const IslandOutcome& o : outcomes) {
-    fronts.insert(fronts.end(), o.result.front.begin(), o.result.front.end());
-    merged.population.insert(merged.population.end(),
-                             o.result.population.begin(),
-                             o.result.population.end());
-    merged.evaluations += o.result.evaluations;
-    merged.generations = std::max(merged.generations, o.result.generations);
+  for (const std::unique_ptr<Island>& island : islands) {
+    const opt::OptResult& r = island->result();
+    fronts.insert(fronts.end(), r.front.begin(), r.front.end());
+    merged.population.insert(merged.population.end(), r.population.begin(),
+                             r.population.end());
+    merged.evaluations += r.evaluations;
+    merged.generations = std::max(merged.generations, r.generations);
   }
   merged.front = opt::paretoFront(fronts);
-  if (!outcomes.empty()) merged.hvHistory = outcomes.front().result.hvHistory;
+  if (!islands.empty()) merged.hvHistory = islands.front()->result().hvHistory;
   return merged;
 }
 
@@ -469,18 +426,15 @@ IslandRun runIslands(ObjectiveFunction& fn, runtime::ThreadPool& pool,
   }
 
   IslandRun run;
-  std::vector<IslandOutcome> outcomes;
-  for (const std::unique_ptr<Island>& island : islands)
-    outcomes.push_back(std::move(island->outcome()));
-  run.merged = mergeOutcomes(outcomes);
-  run.cancelled =
-      options.stopRequested != nullptr && options.stopRequested();
-  for (const IslandOutcome& o : outcomes) {
-    run.checkpoints += o.checkpoints;
-    run.resumes += o.resumes;
-    run.recordedEvaluations += o.recordedEvaluations;
+  run.merged = mergeResults(islands);
+  for (const std::unique_ptr<Island>& island : islands) {
+    const std::optional<session::Provenance> p = island->provenance();
+    if (!p) continue;
+    if (!run.session) run.session = session::Provenance{p->journal};
+    run.session->checkpoints += p->checkpoints;
+    run.session->resumes += p->resumes;
+    run.session->recordedEvaluations += p->recordedEvaluations;
   }
-  if (!outcomes.empty()) run.journal = outcomes.front().journal;
   span.setAttr("evaluations", support::Json(run.merged.evaluations));
   span.setAttr("front_size", support::Json(run.merged.front.size()));
   return run;

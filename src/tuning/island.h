@@ -166,10 +166,10 @@ struct IslandOptions {
   bool resume = false;
   bool reduction = true; ///< false = plain GDE3 islands
   /// Base engine options. Island k runs with seed = gde3.seed + k and
-  /// initialSeeds rotated by k (every island knows all analytic seeds but
-  /// plants them in different population slots).
+  /// gde3.initialSeeds (the analytic seeds, may be empty) rotated by k:
+  /// every island knows all of them but plants them in different
+  /// population slots.
   opt::GDE3Options gde3;
-  std::vector<Config> seeds; ///< analytic seeds (may be empty)
   /// Session-header factory for island k (the caller owns the algorithm
   /// options blob format); required when `directory` is set.
   std::function<session::SessionHeader(int island, std::uint64_t seed)>
@@ -182,13 +182,9 @@ struct IslandOptions {
 
 struct IslandRun {
   opt::OptResult merged;
-  bool cancelled = false; ///< stopRequested fired; no finish/retire records
-  /// Session provenance, aggregated over the islands this invocation
-  /// touched (zero / empty without a directory).
-  std::string journal; ///< island 0's session journal path
-  std::uint64_t checkpoints = 0;
-  int resumes = 0;
-  std::uint64_t recordedEvaluations = 0;
+  /// Session provenance, summed over the islands this invocation ran;
+  /// set when `directory` is.
+  std::optional<session::Provenance> session;
 };
 
 /// Runs the island model over `fn`. In worker mode the merged result is

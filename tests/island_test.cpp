@@ -283,9 +283,10 @@ TEST(Islands, MergedFrontIdenticalAcrossPoolSizesAndMedia) {
 
   // The journal-backed run left a resumable session per island.
   const tuning::IslandRun& journalled = runs.back();
-  EXPECT_FALSE(journalled.journal.empty());
-  EXPECT_GT(journalled.checkpoints, 0u);
-  EXPECT_GT(journalled.recordedEvaluations, 0u);
+  ASSERT_TRUE(journalled.session.has_value());
+  EXPECT_FALSE(journalled.session->journal.empty());
+  EXPECT_GT(journalled.session->checkpoints, 0u);
+  EXPECT_GT(journalled.session->recordedEvaluations, 0u);
 }
 
 namespace {
@@ -377,8 +378,9 @@ TEST(Islands, MergeInvocationReconstructsFinishedWorkers) {
   EXPECT_EQ(merged.merged.evaluations, inProcess.merged.evaluations);
   // Reconstruction replays the journals without appending anything: no
   // resume records, and the recorded evaluations are exactly the workers'.
-  EXPECT_EQ(merged.resumes, 0);
-  EXPECT_EQ(merged.recordedEvaluations, merged.merged.evaluations);
+  ASSERT_TRUE(merged.session.has_value());
+  EXPECT_EQ(merged.session->resumes, 0);
+  EXPECT_EQ(merged.session->recordedEvaluations, merged.merged.evaluations);
 }
 
 TEST(AnalyticSeeds, DeterministicInBoundsAndCapped) {

@@ -564,6 +564,38 @@ TEST(SessionResume, RefusesMismatchedSearch) {
                support::CheckError);
 }
 
+TEST(SessionResume, RefusesAFinishedSession) {
+  const std::string dir = freshDir("session-finished");
+  autotune::TunerOptions options = sessionlessOptions();
+  options.gde3.maxGenerations = 4;
+  options.session.directory = dir;
+  opt::SyntheticProblem problem = opt::makeSchaffer();
+  autotune::AutoTuner(options).optimize(problem);
+  const auto before = journalFingerprint(dir);
+
+  const auto resumeMessage = [&options] {
+    opt::SyntheticProblem again = opt::makeSchaffer();
+    try {
+      autotune::AutoTuner(options).optimize(again);
+    } catch (const support::CheckError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  // The header is checked before the finish record (docs/architecture.md,
+  // "Resume semantics"): another search is refused as a mismatch ...
+  options.session.resume = true;
+  options.gde3.seed = 999;
+  EXPECT_NE(resumeMessage().find("session seed mismatch"), std::string::npos);
+  // ... and the same search as having nothing left to do.
+  options.gde3.seed = sessionlessOptions().gde3.seed;
+  EXPECT_NE(resumeMessage().find(
+                "already ran to completion; nothing to resume"),
+            std::string::npos);
+  EXPECT_EQ(journalFingerprint(dir), before)
+      << "a refused resume leaves the journal's bytes as they were";
+}
+
 // ---------------------------------------------------------------------------
 // Journal → surrogate warm-start property.
 

@@ -26,15 +26,16 @@
 # journals exceeds 64 KB: checkpoint state must not grow with the number
 # of evaluations.
 #
-# Registered as the ctest `kill_resume_check` / `kill_resume_serve_check`
-# and run by the CI `kill-resume` and `serve-gate` jobs. Deterministic by
+# Registered as the ctests `kill_resume_check`, `kill_resume_island_check`
+# and `kill_resume_serve_check`, and run by the CI `kill-resume`,
+# `surrogate-gate` (island mode) and `serve-gate` jobs. Deterministic by
 # construction: wherever the kill lands — before the first checkpoint,
 # mid-generation, or between checkpoints — resume replays the
 # deterministic search over the journaled evaluations and must reach the
 # identical front.
 set -euo pipefail
 
-MOTUNE="${1:?usage: kill_resume_check.sh /path/to/motune [workdir] [tune|serve]}"
+MOTUNE="${1:?usage: kill_resume_check.sh /path/to/motune [workdir] [tune|serve|island]}"
 WORK="${2:-$(mktemp -d)}"
 MODE="${3:-tune}"
 HERE="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
